@@ -139,7 +139,9 @@ class HttpChatClient:
         self.timeout = timeout
 
     @classmethod
-    def from_env(cls, environ: Mapping[str, str] | None = None) -> "HttpChatClient":
+    def from_env(
+        cls, environ: Mapping[str, str] | None = None, timeout: float = 60.0
+    ) -> "HttpChatClient":
         env = os.environ if environ is None else environ
         endpoint = env.get(ENDPOINT_ENV, "")
         if not endpoint:
@@ -147,7 +149,9 @@ class HttpChatClient:
                 f"no chat endpoint configured: set {ENDPOINT_ENV} "
                 f"(and optionally {API_KEY_ENV})"
             )
-        return cls(endpoint=endpoint, api_key=env.get(API_KEY_ENV, ""))
+        return cls(
+            endpoint=endpoint, api_key=env.get(API_KEY_ENV, ""), timeout=timeout
+        )
 
     def complete(self, request: ChatRequest) -> str:
         import requests

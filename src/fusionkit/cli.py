@@ -17,15 +17,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import __version__
-from .chat import ChatClient, ChatError, HttpChatClient, ReplayChatClient
+from .chat import (
+    API_KEY_ENV,
+    ChatClient,
+    ChatError,
+    HttpChatClient,
+    ReplayChatClient,
+)
 from .config import Config, ConfigError, load_config, provenance_block
 from .driving_eval import (
     HORIZONS,
@@ -241,9 +249,11 @@ def _make_client(args: argparse.Namespace, cfg: Config) -> ChatClient:
             raise InputError(f"replay directory {args.mock} does not exist")
         return ReplayChatClient(args.mock)
     if cfg.endpoint:
-        return HttpChatClient(cfg.endpoint, timeout=cfg.timeout)
+        return HttpChatClient(
+            cfg.endpoint, api_key=os.environ.get(API_KEY_ENV, ""), timeout=cfg.timeout
+        )
     try:
-        return HttpChatClient.from_env()
+        return HttpChatClient.from_env(timeout=cfg.timeout)
     except ChatError as err:
         raise InputError(str(err)) from err
 
@@ -304,7 +314,7 @@ def _align_ids(pred_ids: Sequence[str], gt_ids: Sequence[str]) -> None:
             f"prediction ids do not match GT ids "
             f"(missing={missing}, extra={extra})"
         )
-    dupes = sorted({i for i in pred_ids if pred_ids.count(i) > 1})
+    dupes = sorted(i for i, c in Counter(pred_ids).items() if c > 1)
     if dupes:
         raise ValidationError(f"duplicate prediction ids: {dupes}")
 

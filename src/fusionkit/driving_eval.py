@@ -14,8 +14,11 @@ denominator yields None, never 0 or 100.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "NormalizedBox",
@@ -23,6 +26,7 @@ __all__ = [
     "GroundTruthBox",
     "TrajectoryPlan",
     "AgentBox",
+    "AgentSnapshots",
     "OraSample",
     "OraReport",
     "GroundingReport",
@@ -344,6 +348,60 @@ class AgentBox:
             raise ValueError("agent extents must be positive")
 
 
+@dataclass(frozen=True, eq=False)
+class AgentSnapshots:
+    """The agents of one planning sample, one snapshot per waypoint.
+
+    ``rows`` holds one float64 row ``cx, cy, length, width, heading`` per
+    agent rectangle, snapshot after snapshot; ``sizes[t]`` is the number
+    of rows in snapshot t. Indexing yields a snapshot's ``AgentBox``es.
+    """
+
+    rows: np.ndarray
+    sizes: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        rows = np.asarray(self.rows, dtype=np.float64)
+        if rows.size == 0:
+            rows = rows.reshape(0, 5)
+        if rows.ndim != 2 or rows.shape[1] != 5:
+            raise ValueError("agent rows must be cx, cy, length, width, heading")
+        sizes = tuple(int(n) for n in self.sizes)
+        if any(n < 0 for n in sizes) or sum(sizes) != len(rows):
+            raise ValueError("snapshot sizes must add up to the agent rows")
+        # one reduction on the valid path; the messages follow AgentBox
+        valid = np.isfinite(rows)
+        valid[:, 2:4] &= rows[:, 2:4] > 0.0
+        if not valid.all():
+            if not np.isfinite(rows).all():
+                raise ValueError("agent box fields must be finite")
+            raise ValueError("agent extents must be positive")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "sizes", sizes)
+
+    @classmethod
+    def from_boxes(cls, snapshots: Sequence[Sequence[AgentBox]]) -> "AgentSnapshots":
+        rows = [
+            (a.cx, a.cy, a.length, a.width, a.heading)
+            for snap in snapshots
+            for a in snap
+        ]
+        return cls(rows, tuple(len(snap) for snap in snapshots))
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __getitem__(self, t: int) -> list[AgentBox]:
+        t = range(len(self.sizes))[t]
+        start = sum(self.sizes[:t])
+        rows = self.rows[start : start + self.sizes[t]]
+        return [AgentBox(*row) for row in rows.tolist()]
+
+
+# per-waypoint agent snapshots, as AgentBox lists or decoded rows
+Agents = Sequence[Sequence[AgentBox]] | AgentSnapshots
+
+
 def l2_error(
     pred: TrajectoryPlan, gt: TrajectoryPlan, mode: str = "at_horizon"
 ) -> dict[str, float]:
@@ -428,11 +486,107 @@ def _ego_headings(waypoints: Sequence[tuple[float, float]]) -> list[float]:
     return headings
 
 
+def _corner_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Corner x and y arrays, shape (4, len(rows)), of rectangles given as
+    ``cx, cy, length, width, heading`` rows.
+
+    The same operations in the same order as ``_rect_corners``, with
+    ``math.cos``/``math.sin``, so every corner equals the scalar one.
+    """
+    cx, cy, length, width, heading = rows.T
+    angles = heading.tolist()
+    ch = np.fromiter(map(math.cos, angles), np.float64, len(angles))
+    sh = np.fromiter(map(math.sin, angles), np.float64, len(angles))
+    hl, hw = length / 2.0, width / 2.0
+    xs, ys = [], []
+    for sx, sy in ((1, 1), (-1, 1), (-1, -1), (1, -1)):
+        dx, dy = sx * hl, sy * hw
+        xs.append(cx + dx * ch - dy * sh)
+        ys.append(cy + dx * sh + dy * ch)
+    return np.stack(xs), np.stack(ys)
+
+
+def _rectangles_collide_rows(
+    ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray
+) -> np.ndarray:
+    """``rectangles_collide`` for every column pair of (4, n) corner arrays
+    at once: the same axes and projections, without the early exit."""
+    hit = np.ones(ax.shape[1], dtype=bool)
+    for xs, ys in ((ax, ay), (bx, by)):
+        for i in range(2):
+            nx = -(ys[i + 1] - ys[i])
+            ny = xs[i + 1] - xs[i]
+            pa = ax * nx + ay * ny
+            pb = bx * nx + by * ny
+            min_a, max_a = pa.min(axis=0), pa.max(axis=0)
+            min_b, max_b = pb.min(axis=0), pb.max(axis=0)
+            hit &= ~((max_a <= min_b) | (max_b <= min_a))
+    return hit
+
+
+# samples per numpy block in collision checks; bounds the temporaries
+_COLLISION_BLOCK = 1024
+
+
+def _waypoint_hits(
+    samples: Sequence[tuple[TrajectoryPlan, Agents]],
+    ego_length: float,
+    ego_width: float,
+) -> np.ndarray:
+    """(len(samples), 6) bool: waypoint t of sample i overlaps an agent of
+    snapshot t."""
+    ego_rows = []
+    agent_rows = []
+    sizes: list[int] = []
+    for plan, agents in samples:
+        if not isinstance(agents, AgentSnapshots):
+            agents = AgentSnapshots.from_boxes(agents)
+        if len(agents) != WAYPOINT_COUNT:
+            raise ValueError(
+                f"agent snapshots misaligned: got {len(agents)}, "
+                f"need {WAYPOINT_COUNT} (one per waypoint)"
+            )
+        headings = _ego_headings(plan.waypoints)
+        ego_rows += [
+            (x, y, ego_length, ego_width, h)
+            for (x, y), h in zip(plan.waypoints, headings)
+        ]
+        agent_rows.append(agents.rows)
+        sizes += agents.sizes
+    hits = np.zeros(len(sizes), dtype=bool)
+    rows = np.concatenate(agent_rows)
+    if len(rows):
+        # the (sample, waypoint) slot of each agent row
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        ex, ey = _corner_arrays(np.array(ego_rows, dtype=np.float64))
+        ax, ay = _corner_arrays(rows)
+        hit = _rectangles_collide_rows(ex[:, owner], ey[:, owner], ax, ay)
+        hits[owner[hit]] = True
+    return hits.reshape(len(samples), WAYPOINT_COUNT)
+
+
+def _horizon_hits(
+    samples: Sequence[tuple[TrajectoryPlan, Agents]],
+    ego_length: float,
+    ego_width: float,
+) -> np.ndarray:
+    """(len(samples), len(HORIZONS)) bool, in numpy blocks of samples."""
+    if ego_length <= 0.0 or ego_width <= 0.0:
+        raise ValueError("ego extents must be positive")
+    last = [_HORIZON_LAST_INDEX[h] for h in HORIZONS]
+    blocks = []
+    for start in range(0, len(samples), _COLLISION_BLOCK):
+        block = samples[start : start + _COLLISION_BLOCK]
+        hits = _waypoint_hits(block, ego_length, ego_width)
+        blocks.append(np.logical_or.accumulate(hits, axis=1)[:, last])
+    return np.concatenate(blocks)
+
+
 def trajectory_collides(
     pred: TrajectoryPlan,
     ego_length: float,
     ego_width: float,
-    agents: Sequence[Sequence[AgentBox]],
+    agents: Agents,
 ) -> dict[str, bool]:
     """Per-horizon collision verdicts for one planned trajectory.
 
@@ -441,46 +595,20 @@ def trajectory_collides(
     collides at a horizon when any waypoint up to that horizon overlaps
     any agent.
     """
-    if ego_length <= 0.0 or ego_width <= 0.0:
-        raise ValueError("ego extents must be positive")
-    if len(agents) != WAYPOINT_COUNT:
-        raise ValueError(
-            f"agent snapshots misaligned: got {len(agents)}, "
-            f"need {WAYPOINT_COUNT} (one per waypoint)"
-        )
-    headings = _ego_headings(pred.waypoints)
-    hit = []
-    for (x, y), heading, snapshot in zip(pred.waypoints, headings, agents):
-        ego = _rect_corners(x, y, ego_length, ego_width, heading)
-        hit.append(
-            any(
-                rectangles_collide(
-                    ego,
-                    _rect_corners(a.cx, a.cy, a.length, a.width, a.heading),
-                )
-                for a in snapshot
-            )
-        )
-    return {
-        horizon: any(hit[: _HORIZON_LAST_INDEX[horizon] + 1])
-        for horizon in HORIZONS
-    }
+    flags = _horizon_hits([(pred, agents)], ego_length, ego_width)[0]
+    return {h: bool(f) for h, f in zip(HORIZONS, flags)}
 
 
 def collision_rate(
-    samples: Sequence[tuple[TrajectoryPlan, Sequence[Sequence[AgentBox]]]],
+    samples: Sequence[tuple[TrajectoryPlan, Agents]],
     ego_length: float,
     ego_width: float,
 ) -> dict[str, float]:
     """Percentage of colliding samples per horizon, plus their mean."""
     if not samples:
         raise ValueError("collision rate needs at least one sample")
-    counts = {h: 0 for h in HORIZONS}
-    for plan, agents in samples:
-        flags = trajectory_collides(plan, ego_length, ego_width, agents)
-        for h in HORIZONS:
-            counts[h] += 1 if flags[h] else 0
-    rates = {h: 100.0 * counts[h] / len(samples) for h in HORIZONS}
+    counts = _horizon_hits(samples, ego_length, ego_width).sum(axis=0).tolist()
+    rates = {h: 100.0 * c / len(samples) for h, c in zip(HORIZONS, counts)}
     rates["avg"] = sum(rates[h] for h in HORIZONS) / len(HORIZONS)
     return rates
 
@@ -650,31 +778,55 @@ def gt_box_from_dict(d: Mapping) -> tuple[str, GroundTruthBox]:
 def _plan_from_list(raw) -> TrajectoryPlan:
     if not isinstance(raw, (list, tuple)):
         raise ValueError("trajectory must be a list of [x, y] waypoints")
-    return TrajectoryPlan(tuple((float(x), float(y)) for x, y in raw))
+    try:
+        return TrajectoryPlan(raw)
+    except TypeError as err:
+        raise ValueError(
+            f"trajectory waypoints must be [x, y] numbers: {err}"
+        ) from None
 
 
-def _agent_from_dict(d: Mapping) -> AgentBox:
-    return AgentBox(
-        cx=float(_require(d, "cx")),
-        cy=float(_require(d, "cy")),
-        length=float(_require(d, "length")),
-        width=float(_require(d, "width")),
-        heading=float(_require(d, "heading")),
-    )
+_AGENT_FIELDS = ("cx", "cy", "length", "width", "heading")
+_agent_values = operator.itemgetter(*_AGENT_FIELDS)
+
+
+def _agents_from_list(snapshots) -> AgentSnapshots:
+    if not isinstance(snapshots, (list, tuple)):
+        raise ValueError("agents must be a list of per-waypoint snapshots")
+    values: list = []
+    for t, snap in enumerate(snapshots):
+        if not isinstance(snap, (list, tuple)):
+            raise ValueError(
+                f"agents[{t}] must be a list of agent objects, "
+                f"got {type(snap).__name__}"
+            )
+        try:
+            values += map(_agent_values, snap)
+        except KeyError as err:
+            raise ValueError(
+                f"record missing required key {err.args[0]!r}"
+            ) from None
+        except TypeError:
+            raise ValueError(
+                f"agents[{t}] must hold agent objects with keys "
+                f"{', '.join(_AGENT_FIELDS)}"
+            ) from None
+    try:
+        rows = np.array(values, dtype=np.float64)
+    except (TypeError, OverflowError) as err:
+        raise ValueError(f"agent box fields must be numbers: {err}") from None
+    return AgentSnapshots(rows, tuple(len(snap) for snap in snapshots))
 
 
 def planning_record_from_dict(
     d: Mapping,
-) -> tuple[str, TrajectoryPlan, TrajectoryPlan, list[list[AgentBox]] | None]:
+) -> tuple[str, TrajectoryPlan, TrajectoryPlan, AgentSnapshots | None]:
     sample_id = str(_require(d, "sample_id"))
     pred = _plan_from_list(_require(d, "pred"))
     gt = _plan_from_list(_require(d, "gt"))
     agents = None
     if d.get("agents") is not None:
-        snapshots = d["agents"]
-        if not isinstance(snapshots, (list, tuple)):
-            raise ValueError("agents must be a list of per-waypoint snapshots")
-        agents = [[_agent_from_dict(a) for a in snap] for snap in snapshots]
+        agents = _agents_from_list(d["agents"])
     return sample_id, pred, gt, agents
 
 

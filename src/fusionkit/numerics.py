@@ -241,7 +241,6 @@ def _layer_norm_forward(z: np.ndarray, eps: float):
 
 def _layer_norm_backward(g: np.ndarray, cache) -> np.ndarray:
     y, inv = cache
-    n = y.shape[1]
     g_mean = g.mean(axis=1, keepdims=True)
     gy_mean = (g * y).mean(axis=1, keepdims=True)
     return inv * (g - g_mean - y * gy_mean)
@@ -320,7 +319,7 @@ def cross_attention_input_grad(
             g = _layer_norm_backward(g, ln_cache)
         g_residual = g if p.use_residual else None
         d_mixed = _mm(g, layer.wo.data.T)
-        d_qp = np.zeros_like(q_in @ layer.wq.data)
+        d_qp = np.zeros((q_in.shape[0], layer.wq.data.shape[1]))
         for h, attn in enumerate(probs):
             sl = slice(h * hd, (h + 1) * hd)
             d_attn = _mm(d_mixed[:, sl], vp[:, sl].T)

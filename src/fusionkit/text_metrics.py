@@ -88,47 +88,198 @@ class MetricReport:
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    # keys in first-occurrence order, which fixes every summation order below
+    return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
-def _pooled_bleu_stats(pairs: Sequence[EvalPair], max_n: int):
-    matches = [0] * (max_n + 1)
-    totals = [0] * (max_n + 1)
-    cand_len = 0
-    ref_len = 0
-    for pair in pairs:
-        cand = tokenize(pair.candidate)
-        refs = [tokenize(r) for r in pair.references]
-        cand_len += len(cand)
-        ref_len += min(
-            (len(r) for r in refs), key=lambda rl: (abs(rl - len(cand)), rl)
-        )
-        for n in range(1, max_n + 1):
-            counts = _ngram_counts(cand, n)
-            if not counts:
-                continue
-            ceiling: Counter = Counter()
-            for ref in refs:
-                for gram, c in _ngram_counts(ref, n).items():
-                    if c > ceiling[gram]:
-                        ceiling[gram] = c
-            matches[n] += sum(min(c, ceiling[gram]) for gram, c in counts.items())
-            totals[n] += sum(counts.values())
-    return matches, totals, cand_len, ref_len
+def _bleu_row(cand: list[str], refs: list[list[str]], cand_counts, ref_counts):
+    """One pair's BLEU statistics: ``[cand_len, ref_len, m1, t1, m2, t2, ...]``
+    with clipped matches ``m`` and candidate n-gram totals ``t`` per order."""
+    c_len = len(cand)
+    row = [c_len, min((len(r) for r in refs), key=lambda rl: (abs(rl - c_len), rl))]
+    for k, counts in enumerate(cand_counts):
+        per_ref = [rc[k] for rc in ref_counts]
+        matched = 0
+        for gram, c in counts.items():
+            ceiling = 0
+            for rc in per_ref:
+                r = rc.get(gram, 0)
+                if r > ceiling:
+                    ceiling = r
+            matched += c if c < ceiling else ceiling
+        row += (matched, sum(counts.values()))
+    return row
 
 
-def _bleu_from_stats(matches, totals, cand_len, ref_len, max_n, eps) -> float:
+def _bleu_from_stats(stats, max_n: int, eps: float) -> float:
+    cand_len, ref_len = stats[0], stats[1]
     if cand_len == 0:
         return 0.0
     product = 1.0
     for n in range(1, max_n + 1):
-        p = matches[n] / totals[n] if totals[n] > 0 else 0.0
+        matches, totals = stats[2 * n], stats[2 * n + 1]
+        p = matches / totals if totals > 0 else 0.0
         if p == 0.0:
             p = eps
         product *= p
     geo = product ** (1.0 / max_n)
     bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
     return 100.0 * geo * bp
+
+
+def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
+    """LCS length by the bit-parallel recurrence of Allison & Dix (1986),
+    in Hyyro's form: one bit of ``v`` per token of ``a``, and the LCS
+    length is the number of those bits cleared after scanning ``b``."""
+    masks: dict[str, int] = {}
+    for i, tok in enumerate(a):
+        masks[tok] = masks.get(tok, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    v = full
+    for tok in b:
+        u = v & masks.get(tok, 0)
+        v = (v + u) | (v - u)  # carries past bit len(a) never come back down
+    return len(a) - (v & full).bit_count()
+
+
+def _rouge_pair(cand: list[str], refs: list[list[str]], b2: float) -> float:
+    """Best-reference LCS F-measure of one pair."""
+    best = 0.0
+    if not cand:
+        return best
+    for ref in refs:
+        if not ref:
+            continue
+        lcs = _lcs_length(cand, ref)
+        if lcs == 0:
+            continue
+        prec = lcs / len(cand)
+        rec = lcs / len(ref)
+        score = ((1.0 + b2) * prec * rec) / (rec + b2 * prec)
+        if score > best:
+            best = score
+    return best
+
+
+def _cider_pair(cand_counts, ref_counts, dfs, idf_of_df) -> float:
+    """Mean over orders of the mean TF-IDF cosine against each reference.
+
+    ``idf_of_df[d]`` is the IDF of an n-gram held by ``d`` documents; an
+    n-gram no reference holds takes ``d = 1``.
+    """
+    per_n = 0.0
+    for k, df in enumerate(dfs):
+        u = {gram: c * idf_of_df[df.get(gram, 1)] for gram, c in cand_counts[k].items()}
+        ns_u = 0.0
+        for w in u.values():
+            ns_u += w * w
+        acc = 0.0
+        for rc in ref_counts:
+            counts = rc[k]
+            dot = 0.0
+            for gram, w in u.items():
+                c = counts.get(gram)
+                if c is not None:
+                    dot += w * (c * idf_of_df[df[gram]])
+            ns_v = 0.0
+            for gram, c in counts.items():
+                w = c * idf_of_df[df[gram]]
+                ns_v += w * w
+            denom = math.sqrt(ns_u * ns_v)
+            acc += dot / denom if denom > 0.0 else 0.0
+        per_n += acc / len(ref_counts)
+    return per_n / len(dfs)
+
+
+class _Totals:
+    """Running corpus totals for one group of pairs: the whole corpus or
+    the pairs of one task tag."""
+
+    def __init__(self, size: int, max_n: int, with_cider: bool):
+        self.size = size
+        self.bleu = [0] * (2 + 2 * max_n)
+        self.rouge = 0.0
+        self.hits = 0
+        self.cider = 0.0
+        # document frequencies per order; CIDEr's IDF degenerates below
+        # two documents
+        self.dfs = (
+            [Counter() for _ in range(max_n)] if with_cider and size >= 2 else None
+        )
+        # IDF by document frequency, log(N / d) for d in 1..N
+        self.idf_of_df = (
+            [0.0] + [math.log(size / d) for d in range(1, size + 1)]
+            if self.dfs is not None
+            else None
+        )
+
+    def scores(self, smoothing_eps: float) -> dict[str, float | None]:
+        out: dict[str, float | None] = {
+            f"BLEU{n}": _bleu_from_stats(self.bleu, n, smoothing_eps)
+            for n in range(1, 5)
+        }
+        out["CIDEr"] = (
+            100.0 * self.cider / self.size if self.dfs is not None else None
+        )
+        out["ROUGE_L"] = 100.0 * self.rouge / self.size
+        out["ACC"] = 100.0 * self.hits / self.size
+        return out
+
+
+def _score(
+    pairs: Sequence[EvalPair],
+    max_n: int = 4,
+    beta: float = ROUGE_BETA,
+    with_cider: bool = True,
+    by_tag: bool = False,
+) -> dict[str | None, _Totals]:
+    """Every metric in two streaming passes; key None holds the corpus.
+
+    Each text is tokenized once. The first pass collects reference n-gram
+    sets for CIDEr's document frequencies; the second counts n-grams once
+    per text and feeds the same counts to BLEU clipping and CIDEr.
+    """
+    corpus = _Totals(len(pairs), max_n, with_cider)
+    groups: dict[str | None, _Totals] = {None: corpus}
+    members: list[tuple[_Totals, ...]] = []
+    if by_tag:
+        sizes = Counter(p.task_tag for p in pairs if p.task_tag is not None)
+        for tag in sorted(sizes):
+            groups[tag] = _Totals(sizes[tag], max_n, with_cider)
+    for p in pairs:
+        tagged = groups.get(p.task_tag) if p.task_tag is not None else None
+        members.append((corpus,) if tagged is None else (corpus, tagged))
+    texts = [
+        (tokenize(p.candidate), [tokenize(r) for r in p.references]) for p in pairs
+    ]
+
+    if any(g.dfs is not None for g in groups.values()):
+        for (_, refs), owners in zip(texts, members):
+            for n in range(1, max_n + 1):
+                seen = set().union(
+                    *(zip(*[ref[i:] for i in range(n)]) for ref in refs)
+                )
+                for g in owners:
+                    if g.dfs is not None:
+                        g.dfs[n - 1].update(seen)
+
+    b2 = beta * beta
+    orders = range(1, max_n + 1)
+    for p, (cand, refs), owners in zip(pairs, texts, members):
+        cand_counts = [_ngram_counts(cand, n) for n in orders]
+        ref_counts = [[_ngram_counts(ref, n) for n in orders] for ref in refs]
+        row = _bleu_row(cand, refs, cand_counts, ref_counts)
+        rouge = _rouge_pair(cand, refs, b2)
+        hit = _match_any_reference(p)
+        for g in owners:
+            stats = g.bleu
+            for i, v in enumerate(row):
+                stats[i] += v
+            g.rouge += rouge
+            g.hits += hit
+            if g.dfs is not None:
+                g.cider += _cider_pair(cand_counts, ref_counts, g.dfs, g.idf_of_df)
+    return groups
 
 
 def bleu(
@@ -139,8 +290,8 @@ def bleu(
         raise ValueError("BLEU needs at least one pair")
     if not 1 <= max_n <= 4:
         raise ValueError("max_n must be in 1..4")
-    matches, totals, cand_len, ref_len = _pooled_bleu_stats(pairs, max_n)
-    return _bleu_from_stats(matches, totals, cand_len, ref_len, max_n, smoothing_eps)
+    stats = _score(pairs, max_n, with_cider=False)[None].bleu
+    return _bleu_from_stats(stats, max_n, smoothing_eps)
 
 
 def bleu_all(
@@ -149,116 +300,30 @@ def bleu_all(
     """BLEU-1 through BLEU-4 from one pass over the corpus."""
     if not pairs:
         raise ValueError("BLEU needs at least one pair")
-    matches, totals, cand_len, ref_len = _pooled_bleu_stats(pairs, 4)
+    stats = _score(pairs, with_cider=False)[None].bleu
     return {
-        f"BLEU{n}": _bleu_from_stats(matches, totals, cand_len, ref_len, n, smoothing_eps)
-        for n in range(1, 5)
+        f"BLEU{n}": _bleu_from_stats(stats, n, smoothing_eps) for n in range(1, 5)
     }
-
-
-def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    # standard two-row DP table
-    prev = [0] * (len(b) + 1)
-    for i in range(1, len(a) + 1):
-        cur = [0] * (len(b) + 1)
-        ai = a[i - 1]
-        for j in range(1, len(b) + 1):
-            if ai == b[j - 1]:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = cur[j - 1] if cur[j - 1] >= prev[j] else prev[j]
-        prev = cur
-    return prev[len(b)]
 
 
 def rouge_l(pairs: Sequence[EvalPair], beta: float = ROUGE_BETA) -> float:
     """Mean best-reference LCS F-measure, recall-weighted by beta^2."""
     if not pairs:
         raise ValueError("ROUGE-L needs at least one pair")
-    b2 = beta * beta
-    total = 0.0
-    for pair in pairs:
-        cand = tokenize(pair.candidate)
-        best = 0.0
-        for ref_text in pair.references:
-            ref = tokenize(ref_text)
-            if not cand or not ref:
-                continue
-            lcs = _lcs_length(cand, ref)
-            if lcs == 0:
-                continue
-            prec = lcs / len(cand)
-            rec = lcs / len(ref)
-            score = ((1.0 + b2) * prec * rec) / (rec + b2 * prec)
-            if score > best:
-                best = score
-        total += best
-    return 100.0 * total / len(pairs)
+    return 100.0 * _score(pairs, beta=beta, with_cider=False)[None].rouge / len(pairs)
 
 
-def _tfidf_vector(tokens: Sequence[str], n: int, idf: Mapping) -> dict:
-    counts = _ngram_counts(tokens, n)
-    return {gram: c * idf[gram] for gram, c in counts.items()}
-
-
-def _sparse_cosine(u: dict, v: dict) -> float:
-    dot = 0.0
-    for gram, w in u.items():
-        other = v.get(gram)
-        if other is not None:
-            dot += w * other
-    ns_u = 0.0
-    for w in u.values():
-        ns_u += w * w
-    ns_v = 0.0
-    for w in v.values():
-        ns_v += w * w
-    denom = math.sqrt(ns_u * ns_v)
-    return dot / denom if denom > 0.0 else 0.0
+_CIDER_TOO_SMALL = (
+    "CIDEr needs at least 2 evaluation pairs; document frequencies "
+    "degenerate on a single reference document"
+)
 
 
 def cider(pairs: Sequence[EvalPair], max_n: int = CIDER_MAX_N) -> float:
     """Plain CIDEr; the reported value is 100x the raw mean cosine."""
     if len(pairs) < 2:
-        raise ValueError(
-            "CIDEr needs at least 2 evaluation pairs; document frequencies "
-            "degenerate on a single reference document"
-        )
-    n_docs = len(pairs)
-    ref_tokens = [
-        [tokenize(r) for r in pair.references] for pair in pairs
-    ]
-
-    class _Idf(dict):
-        def __missing__(self, gram):
-            return math.log(n_docs)  # unseen in references: df clamps to 1
-
-    idfs: list[_Idf] = []
-    for n in range(1, max_n + 1):
-        df: Counter = Counter()
-        for refs in ref_tokens:
-            seen: set = set()
-            for ref in refs:
-                seen.update(_ngram_counts(ref, n).keys())
-            df.update(seen)
-        idf = _Idf()
-        for gram, d in df.items():
-            idf[gram] = math.log(n_docs / d)
-        idfs.append(idf)
-
-    total = 0.0
-    for pair, refs in zip(pairs, ref_tokens):
-        cand = tokenize(pair.candidate)
-        per_n = 0.0
-        for n in range(1, max_n + 1):
-            idf = idfs[n - 1]
-            cand_vec = _tfidf_vector(cand, n, idf)
-            acc = 0.0
-            for ref in refs:
-                acc += _sparse_cosine(cand_vec, _tfidf_vector(ref, n, idf))
-            per_n += acc / len(refs)
-        total += per_n / max_n
-    return 100.0 * total / n_docs
+        raise ValueError(_CIDER_TOO_SMALL)
+    return 100.0 * _score(pairs, max_n)[None].cider / len(pairs)
 
 
 def _default_normalizer(text: str) -> str:
@@ -311,41 +376,20 @@ def compute_caption_report(
     """
     if not pairs:
         raise ValueError("cannot evaluate an empty corpus")
-    scores: dict[str, float | None] = dict(bleu_all(pairs, smoothing_eps))
-    try:
-        scores["CIDEr"] = cider(pairs)
-        cider_note = None
-    except ValueError as err:
-        scores["CIDEr"] = None
-        cider_note = str(err)
-    scores["ROUGE_L"] = rouge_l(pairs)
-    scores["ACC"] = 100.0 * sum(
-        1 for p in pairs if _match_any_reference(p)
-    ) / len(pairs)
-
+    groups = _score(pairs, by_tag=True)
+    corpus = groups.pop(None)
     metadata: dict[str, object] = {
         "bleu_smoothing_eps": smoothing_eps,
         "rouge_beta": ROUGE_BETA,
         "cider_scale": "100x raw mean TF-IDF cosine",
     }
-    if cider_note:
-        metadata["cider_note"] = cider_note
-
-    tags = sorted({p.task_tag for p in pairs if p.task_tag is not None})
-    if tags:
-        per_task: dict[str, dict] = {}
-        for tag in tags:
-            sub = [p for p in pairs if p.task_tag == tag]
-            sub_scores: dict[str, float | None] = dict(bleu_all(sub, smoothing_eps))
-            try:
-                sub_scores["CIDEr"] = cider(sub)
-            except ValueError:
-                sub_scores["CIDEr"] = None
-            sub_scores["ROUGE_L"] = rouge_l(sub)
-            sub_scores["ACC"] = 100.0 * sum(
-                1 for p in sub if _match_any_reference(p)
-            ) / len(sub)
-            per_task[tag] = {"scores": sub_scores, "pair_count": len(sub)}
-        metadata["per_task"] = per_task
-
-    return MetricReport(scores=scores, pair_count=len(pairs), metadata=metadata)
+    if corpus.dfs is None:
+        metadata["cider_note"] = _CIDER_TOO_SMALL
+    if groups:
+        metadata["per_task"] = {
+            tag: {"scores": g.scores(smoothing_eps), "pair_count": g.size}
+            for tag, g in groups.items()
+        }
+    return MetricReport(
+        scores=corpus.scores(smoothing_eps), pair_count=len(pairs), metadata=metadata
+    )

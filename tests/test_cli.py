@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from fusionkit.cli import demo_params, main
+from fusionkit.cli import _make_client, demo_params, main
+from fusionkit.config import Config
 from fusionkit.driving_eval import ora_sample_to_dict
 from fusionkit.interactor import (
     BevFeatureMap,
@@ -232,6 +234,27 @@ def test_gen_risk_qa_missing_endpoint_exit_2(tmp_path, monkeypatch, capsys) -> N
     capsys.readouterr()
 
 
+def test_make_client_keeps_api_key_with_endpoint(monkeypatch) -> None:
+    monkeypatch.setenv("FK_API_KEY", "secret")
+    monkeypatch.delenv("FK_API_ENDPOINT", raising=False)
+    client = _make_client(
+        argparse.Namespace(mock=None),
+        Config(endpoint="http://flag.example/v1", timeout=7.5),
+    )
+    assert client.endpoint == "http://flag.example/v1"
+    assert client.api_key == "secret"
+    assert client.timeout == 7.5
+
+
+def test_make_client_env_endpoint_takes_config_timeout(monkeypatch) -> None:
+    monkeypatch.setenv("FK_API_ENDPOINT", "http://env.example/v1")
+    monkeypatch.setenv("FK_API_KEY", "k2")
+    client = _make_client(argparse.Namespace(mock=None), Config(timeout=3.0))
+    assert client.endpoint == "http://env.example/v1"
+    assert client.api_key == "k2"
+    assert client.timeout == 3.0
+
+
 def test_gen_risk_qa_all_scenes_failed_exit_3(tmp_path, capsys) -> None:
     # empty replay directory: every completion misses
     replay = tmp_path / "replay"
@@ -360,6 +383,32 @@ def test_eval_planning_collision_with_agents(tmp_path, capsys) -> None:
     out = capsys.readouterr().out
     cells = out.splitlines()[1].split(",")
     assert cells[4:] == ["0.0000", "100.0000", "100.0000", "66.6667"]
+
+
+AGENT = {"cx": 2.0, "cy": 0.0, "length": 4.0, "width": 2.0, "heading": 0.0}
+
+
+@pytest.mark.parametrize(
+    "agents, reason",
+    [
+        ([None, [AGENT], [], [], [], []], "agents[0] must be a list"),
+        ([[], [AGENT, 7], [], [], [], []], "agents[1] must hold agent objects"),
+        ([[], [], {"cx": 1.0}, [], [], []], "agents[2] must be a list"),
+    ],
+    ids=["null-snapshot", "non-dict-agent", "non-list-snapshot"],
+)
+def test_eval_planning_malformed_agents_exit_3(tmp_path, capsys, agents, reason):
+    plan = [[0.5 * i, 0.0] for i in range(1, 7)]
+    pred = tmp_path / "pred.jsonl"
+    gt = tmp_path / "gt.jsonl"
+    write_jsonl(pred, [{"sample_id": "s1", "trajectory": plan}])
+    write_jsonl(gt, [{"sample_id": "s1", "trajectory": plan, "agents": agents}])
+    rc = main(["eval", "planning", "--pred", str(pred), "--gt", str(gt)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: sample s1: ")
+    assert reason in err
+    assert "Traceback" not in err
 
 
 def test_eval_ora_counting_fixture(tmp_path, capsys) -> None:

@@ -1,10 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from fusionkit.driving_eval import (
     AgentBox,
+    AgentSnapshots,
     Detection,
     GroundTruthBox,
     NormalizedBox,
@@ -329,6 +331,24 @@ def test_collision_rate_counts_samples():
     assert rates == {"1s": 50.0, "2s": 50.0, "3s": 50.0, "avg": 50.0}
     with pytest.raises(ValueError):
         collision_rate([], 4.0, 2.0)
+
+
+def test_agent_snapshots_rows_and_views():
+    a = AgentBox(cx=1.0, cy=2.0, length=4.0, width=2.0, heading=0.1)
+    b = AgentBox(cx=-1.0, cy=0.5, length=3.0, width=1.5, heading=0.0)
+    snaps = AgentSnapshots.from_boxes([[a], [], [a, b]])
+    assert len(snaps) == 3 and snaps.sizes == (1, 0, 2)
+    assert snaps.rows.dtype == np.float64 and snaps.rows.shape == (3, 5)
+    assert snaps[0] == [a] and snaps[1] == [] and snaps[2] == [a, b]
+    assert snaps[-1] == [a, b]
+    with pytest.raises(IndexError):
+        snaps[3]
+    with pytest.raises(ValueError, match="finite"):
+        AgentSnapshots([(0.0, 0.0, 1.0, 1.0, float("nan"))], (1,))
+    with pytest.raises(ValueError, match="positive"):
+        AgentSnapshots([(0.0, 0.0, 0.0, 1.0, 0.0)], (1,))
+    with pytest.raises(ValueError, match="add up"):
+        AgentSnapshots([(0.0, 0.0, 1.0, 1.0, 0.0)], (2,))
 
 
 # --------------------------------------------------------------------- ORA
