@@ -3,8 +3,8 @@ driving features, plus the evaluation and data tooling around it.
 
 Subpackages are deliberately flat:
 
-- ``matrix``        dense float64 matrix container + FKMX/CSV on-disk formats
-- ``numerics``      matmul, softmax, MLP, stacked cross-attention, gradients
+- ``matrix``        dense float64 matrix container + FKMX on-disk format
+- ``numerics``      matmul, cosine, MLP, stacked cross-attention, gradients
 - ``interactor``    relevance scoring, top-k selection, fusion, token budget
 - ``text_metrics``  corpus BLEU / ROUGE-L / CIDEr / accuracy / MAE
 - ``driving_eval``  box IoU + grounding mAP, open-loop L2 and collision, ORA

@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from collections import Counter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -38,6 +37,7 @@ from .config import Config, ConfigError, load_config, provenance_block
 from .driving_eval import (
     HORIZONS,
     WAYPOINT_COUNT,
+    align_ids,
     collision_rate,
     detection_from_dict,
     grounding_map_report,
@@ -306,33 +306,26 @@ def cmd_gen_risk_qa(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ cmd_eval
 
 
-def _align_ids(pred_ids: Sequence[str], gt_ids: Sequence[str]) -> None:
-    missing = sorted(set(gt_ids) - set(pred_ids))
-    extra = sorted(set(pred_ids) - set(gt_ids))
-    if missing or extra:
-        raise ValidationError(
-            f"prediction ids do not match GT ids "
-            f"(missing={missing}, extra={extra})"
-        )
-    dupes = sorted(i for i, c in Counter(pred_ids).items() if c > 1)
-    if dupes:
-        raise ValidationError(f"duplicate prediction ids: {dupes}")
-
-
 def _eval_caption(args: argparse.Namespace, cfg: Config) -> tuple[str, dict]:
     preds = _read_jsonl(args.pred)
     gts = _read_jsonl(args.gt)
     try:
         pred_map = {str(r["id"]): str(r["caption"]) for r in preds}
-        gt_map = {
-            str(r["id"]): tuple(
-                str(s) for s in (r.get("references") or [r["caption"]])
-            )
-            for r in gts
-        }
+        gt_map = {}
+        for i, r in enumerate(gts):
+            gt_id = str(r["id"])
+            try:
+                gt_map[gt_id] = tuple(
+                    str(s) for s in (r.get("references") or [r["caption"]])
+                )
+            except TypeError:
+                raise ValidationError(
+                    f"{args.gt} record {i}: references must be a list of "
+                    f"strings, got {r['references']!r}"
+                ) from None
     except KeyError as err:
         raise ValidationError(f"caption records need key {err}") from err
-    _align_ids([str(r["id"]) for r in preds], list(gt_map))
+    align_ids([str(r["id"]) for r in preds], list(gt_map))
     pairs = [
         EvalPair(id=i, candidate=pred_map[i], references=gt_map[i])
         for i in gt_map
@@ -359,14 +352,18 @@ def _eval_caption(args: argparse.Namespace, cfg: Config) -> tuple[str, dict]:
 
 
 def _eval_grounding(args: argparse.Namespace, cfg: Config) -> tuple[str, dict]:
-    pred_map: dict[str, list] = {}
-    for row in _read_jsonl(args.pred):
-        image_id, det = detection_from_dict(row)
-        pred_map.setdefault(image_id, []).append(det)
-    gt_map: dict[str, list] = {}
-    for row in _read_jsonl(args.gt):
-        image_id, gt = gt_box_from_dict(row)
-        gt_map.setdefault(image_id, []).append(gt)
+    def load(path: str, decode) -> dict[str, list]:
+        out: dict[str, list] = {}
+        for i, row in enumerate(_read_jsonl(path)):
+            try:
+                image_id, item = decode(row)
+            except ValueError as err:
+                raise ValidationError(f"{path} record {i}: {err}") from err
+            out.setdefault(image_id, []).append(item)
+        return out
+
+    pred_map = load(args.pred, detection_from_dict)
+    gt_map = load(args.gt, gt_box_from_dict)
     try:
         report = grounding_map_report(
             pred_map, gt_map, cfg.iou_thresholds, cfg.ap_interpolation
@@ -394,7 +391,7 @@ def _eval_planning(args: argparse.Namespace, cfg: Config) -> tuple[str, dict]:
         gt_rows = {str(r["sample_id"]): r for r in gts}
     except KeyError as err:
         raise ValidationError(f"planning records need key {err}") from err
-    _align_ids([str(r["sample_id"]) for r in preds], list(gt_rows))
+    align_ids([str(r["sample_id"]) for r in preds], list(gt_rows))
 
     l2_sums = {h: 0.0 for h in (*HORIZONS, "avg")}
     samples = []

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -31,9 +32,8 @@ __all__ = [
     "OraReport",
     "GroundingReport",
     "iou",
-    "grounding_map",
+    "align_ids",
     "grounding_map_report",
-    "risk_grounding_map",
     "l2_error",
     "trajectory_collides",
     "collision_rate",
@@ -281,35 +281,6 @@ def grounding_map_report(
         gt_count=gt_count,
         prediction_count=pred_count,
     )
-
-
-def grounding_map(
-    preds: Mapping[str, Sequence[Detection]],
-    gts: Mapping[str, Sequence[GroundTruthBox]],
-    iou_thresholds: Sequence[float] = (0.5,),
-    interpolation: str = "all_point",
-) -> float:
-    return grounding_map_report(preds, gts, iou_thresholds, interpolation).map
-
-
-RISK_TARGET_LABEL = "risk-target"
-
-
-def risk_grounding_map(
-    preds: Mapping[str, Sequence[tuple[NormalizedBox, float]]],
-    gts: Mapping[str, Sequence[NormalizedBox]],
-    iou_thresholds: Sequence[float] = (0.5,),
-) -> float:
-    """Single-class mAP for High-risk target boxes."""
-    det_map = {
-        image_id: [Detection(box, score, RISK_TARGET_LABEL) for box, score in dets]
-        for image_id, dets in preds.items()
-    }
-    gt_map = {
-        image_id: [GroundTruthBox(box, RISK_TARGET_LABEL) for box in boxes]
-        for image_id, boxes in gts.items()
-    }
-    return grounding_map(det_map, gt_map, iou_thresholds)
 
 
 # --------------------------------------------------------------- planning
@@ -673,6 +644,23 @@ class OraReport:
         }
 
 
+def align_ids(pred_ids: Sequence[str], gt_ids: Sequence[str]) -> None:
+    """Require the prediction ids to name each GT id exactly once."""
+    preds, gts = set(pred_ids), set(gt_ids)
+    missing = sorted(gts - preds)
+    extra = sorted(preds - gts)
+    if missing or extra:
+        raise ValueError(
+            f"prediction ids do not match GT ids "
+            f"(missing={missing}, extra={extra})"
+        )
+    for what, ids, distinct in (("prediction", pred_ids, preds),
+                                ("GT", gt_ids, gts)):
+        if len(distinct) != len(ids):
+            dupes = sorted(i for i, c in Counter(ids).items() if c > 1)
+            raise ValueError(f"duplicate {what} ids: {dupes}")
+
+
 def _norm_object(text: str) -> str:
     return text.strip().lower()
 
@@ -693,17 +681,8 @@ def ora_score(
         raise ValueError(f"gating must be one of {ORA_GATING_MODES}")
     if not gts:
         raise ValueError("ora_score needs at least one sample")
-    pred_ids = [p.sample_id for p in preds]
-    gt_ids = [g.sample_id for g in gts]
-    if sorted(pred_ids) != sorted(gt_ids):
-        missing = sorted(set(gt_ids) - set(pred_ids))
-        extra = sorted(set(pred_ids) - set(gt_ids))
-        raise ValueError(
-            f"prediction ids do not match GT ids (missing={missing}, extra={extra})"
-        )
+    align_ids([p.sample_id for p in preds], [g.sample_id for g in gts])
     by_id = {p.sample_id: p for p in preds}
-    if len(by_id) != len(preds):
-        raise ValueError("duplicate prediction ids")
 
     exist_hits = 0
     level_hits = cate_hits = object_hits = 0
@@ -755,17 +734,20 @@ def _require(d: Mapping, key: str):
 def box_from_list(raw) -> NormalizedBox:
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise ValueError(f"box must be a 4-item list, got {raw!r}")
-    return NormalizedBox(*(int(v) for v in raw))
+    try:
+        return NormalizedBox(*(int(v) for v in raw))
+    except TypeError:
+        raise ValueError(f"box values must be numbers, got {raw!r}") from None
 
 
 def detection_from_dict(d: Mapping) -> tuple[str, Detection]:
     image_id = str(_require(d, "image_id"))
-    det = Detection(
-        box=box_from_list(_require(d, "box")),
-        score=float(_require(d, "score")),
-        label=str(_require(d, "label")),
-    )
-    return image_id, det
+    box = box_from_list(_require(d, "box"))
+    try:
+        score = float(_require(d, "score"))
+    except TypeError:
+        raise ValueError(f"score must be a number, got {d['score']!r}") from None
+    return image_id, Detection(box=box, score=score, label=str(_require(d, "label")))
 
 
 def gt_box_from_dict(d: Mapping) -> tuple[str, GroundTruthBox]:
@@ -793,6 +775,11 @@ _agent_values = operator.itemgetter(*_AGENT_FIELDS)
 def _agents_from_list(snapshots) -> AgentSnapshots:
     if not isinstance(snapshots, (list, tuple)):
         raise ValueError("agents must be a list of per-waypoint snapshots")
+    if len(snapshots) != WAYPOINT_COUNT:
+        raise ValueError(
+            f"agent snapshots misaligned: got {len(snapshots)}, "
+            f"need {WAYPOINT_COUNT} (one per waypoint)"
+        )
     values: list = []
     for t, snap in enumerate(snapshots):
         if not isinstance(snap, (list, tuple)):
@@ -813,9 +800,14 @@ def _agents_from_list(snapshots) -> AgentSnapshots:
             ) from None
     try:
         rows = np.array(values, dtype=np.float64)
+        return AgentSnapshots(rows, tuple(len(snap) for snap in snapshots))
     except (TypeError, OverflowError) as err:
         raise ValueError(f"agent box fields must be numbers: {err}") from None
-    return AgentSnapshots(rows, tuple(len(snap) for snap in snapshots))
+    except ValueError:
+        # numpy reads null as NaN, which AgentSnapshots calls not finite
+        if any(v is None for agent in values for v in agent):
+            raise ValueError("agent box fields must be numbers, got null") from None
+        raise
 
 
 def planning_record_from_dict(

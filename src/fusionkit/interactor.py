@@ -4,7 +4,7 @@ The pipeline scores every visual token against the instruction embedding
 by cosine similarity, keeps the top-k tokens per source, lets the kept
 tokens cross-attend into their full source sequence, and concatenates
 the per-view results followed by the bird's-eye-view result into one
-fused sequence. A small toy decoder closes the loop for demos.
+fused sequence.
 
 Determinism: scoring, selection and attention are pure functions of
 their inputs; ties in selection break toward the lower original index.
@@ -18,13 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .matrix import Matrix, ShapeError
-from .numerics import (
-    CrossAttnParams,
-    MlpParams,
-    cosine_similarity_matrix,
-    cross_attention,
-    mlp_forward,
-)
+from .numerics import CrossAttnParams, cosine_similarity_matrix, cross_attention
 
 DEFAULT_VIEW_NAMES = (
     "front",
@@ -125,10 +119,6 @@ class SelectionConfig:
     k_bev: int = 300
     reduction: str = "max"
 
-    # fixed policy, stated for documentation: equal scores resolve toward
-    # the lower original token index
-    TIE_RULE = "ascending_index"
-
     def __post_init__(self) -> None:
         if self.k_img < 1 or self.k_bev < 1:
             raise ValueError("keep counts must be at least 1")
@@ -167,11 +157,6 @@ class FusedTokenSequence:
             raise ShapeError("provenance must tag every fused token")
 
 
-@dataclass(frozen=True, eq=False)
-class ToyDecoderOutput:
-    response_tokens: Matrix
-
-
 @dataclass(frozen=True)
 class BudgetReport:
     """Fused-versus-raw token accounting for one input configuration."""
@@ -193,11 +178,6 @@ class BudgetReport:
             "raw_length": self.raw_length,
             "ratio": self.ratio,
         }
-
-
-def project_features(raw: Matrix, p: MlpParams) -> Matrix:
-    """Project raw backbone features into the instruction embedding space."""
-    return mlp_forward(raw, p)
 
 
 def score_tokens(
@@ -324,25 +304,3 @@ def token_budget(
         raw_length=raw,
     )
 
-
-def toy_pipeline(
-    inst: InstructionEmbedding,
-    fused: FusedTokenSequence,
-    decoder: CrossAttnParams,
-    n_resp: int,
-) -> ToyDecoderOutput:
-    """Toy response decoder over instruction + fused tokens.
-
-    Queries are zero vectors with a positional offset r / n_resp written
-    into component 0, cross-attending into the concatenation of the
-    instruction tokens and the fused tokens.
-    """
-    if n_resp < 1:
-        raise ValueError("n_resp must be at least 1")
-    if inst.d != fused.tokens.cols:
-        raise ShapeError("instruction and fused widths differ")
-    memory = Matrix(np.concatenate([inst.tokens.data, fused.tokens.data], axis=0))
-    queries = np.zeros((n_resp, inst.d))
-    queries[:, 0] = np.arange(n_resp) / n_resp
-    out = cross_attention(Matrix(queries), memory, memory, decoder)
-    return ToyDecoderOutput(response_tokens=out)

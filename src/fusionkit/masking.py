@@ -25,7 +25,6 @@ from .interactor import ViewFeatureSet
 from .matrix import Matrix
 
 __all__ = [
-    "MASK_MODES",
     "METRIC_COLUMNS",
     "CSV_HEADER",
     "MaskSpec",
@@ -39,7 +38,6 @@ __all__ = [
     "token_stats_downstream",
 ]
 
-MASK_MODES = ("mask", "blind")
 METRIC_COLUMNS = ("MAE", "ACC", "mAP", "BLEU")
 CSV_HEADER = "Exp,Mask Rate,MAE,ACC,mAP,BLEU"
 
@@ -50,12 +48,9 @@ class MaskSpec:
 
     candidate_indices: Mapping[str, Sequence[int]]
     rate: int
-    mode: str = "mask"
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode not in MASK_MODES:
-            raise ValueError(f"mode must be one of {MASK_MODES}")
         if not isinstance(self.rate, int) or not 0 <= self.rate <= 100:
             raise ValueError("rate must be an integer percentage in [0, 100]")
         frozen = {
@@ -91,8 +86,6 @@ def apply_token_mask(features: ViewFeatureSet, spec: MaskSpec) -> ViewFeatureSet
     the sorted candidate list is permuted by PCG64(SeedSequence((seed,
     view_index))) and the permutation's prefix is taken.
     """
-    if spec.mode != "mask":
-        raise ValueError("apply_token_mask requires mode='mask'")
     _check_candidates(features, spec)
     new_views: list[Matrix] = []
     for view_index, (name, view) in enumerate(
@@ -196,7 +189,6 @@ def run_mask_experiment(
                     MaskSpec(
                         candidate_indices=cfg.candidate_indices,
                         rate=rate,
-                        mode="mask",
                         seed=row_seed,
                     ),
                 )

@@ -1,15 +1,13 @@
-"""Dense float64 matrix container and its on-disk formats.
+"""Dense float64 matrix container and its on-disk format.
 
 Every numerical routine in this package operates on :class:`Matrix`. The
 wrapped numpy buffer is always 2-D, C-contiguous, float64 and marked
 read-only, so values can be shared freely between threads and reused as
 dictionary-free caches without defensive copies.
 
-Two serializations are provided:
-
-- FKMX, a tiny binary container: magic ``b"FKMX"``, then rows and cols as
-  little-endian u32, then the row-major float64 payload (little-endian).
-- CSV, one row per line, full round-trip precision, for eyeballing.
+The serialization is FKMX, a tiny binary container: magic ``b"FKMX"``,
+then rows and cols as little-endian u32, then the row-major float64
+payload (little-endian).
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -70,9 +67,6 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def row(self, i: int) -> np.ndarray:
-        return self.data[i]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -90,10 +84,6 @@ class Matrix:
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls(np.eye(n))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[float]]) -> "Matrix":
-        return cls(np.array(rows, dtype=np.float64))
 
 
 def dump_fkmx(m: Matrix) -> bytes:
@@ -135,30 +125,3 @@ def save_fkmx(m: Matrix, path: str | Path) -> None:
 def load_fkmx(path: str | Path) -> Matrix:
     return parse_fkmx(Path(path).read_bytes())
 
-
-def to_csv(m: Matrix) -> str:
-    """Render as CSV with round-trip float precision (debugging aid)."""
-    lines = [",".join(f"{v:.17g}" for v in row) for row in m.data]
-    return "\n".join(lines) + "\n"
-
-
-def from_csv(text: str) -> Matrix:
-    rows = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        rows.append([float(cell) for cell in line.split(",")])
-    if not rows:
-        raise ShapeError("CSV text holds no rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ShapeError("CSV rows have inconsistent lengths")
-    return Matrix(np.array(rows, dtype=np.float64))
-
-
-def save_csv(m: Matrix, path: str | Path) -> None:
-    Path(path).write_text(to_csv(m), encoding="utf-8")
-
-
-def load_csv(path: str | Path) -> Matrix:
-    return from_csv(Path(path).read_text(encoding="utf-8"))

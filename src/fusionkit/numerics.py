@@ -1,5 +1,5 @@
-"""Matrix kernels: matmul, row softmax, a two-layer MLP, a stacked
-cross-attention block, cosine similarity, and a central-difference
+"""Matrix kernels: matmul, a two-layer MLP, a stacked cross-attention
+block (row softmax inside), cosine similarity, and a central-difference
 gradient oracle.
 
 Everything is computed in float64. Reductions accumulate in ascending
@@ -13,8 +13,8 @@ interactive budgets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "CrossAttnLayer",
     "CrossAttnParams",
     "matmul",
-    "softmax_rows",
     "mlp_forward",
     "mlp_input_grad",
     "cross_attention",
@@ -48,6 +47,7 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    # per-row max subtraction keeps exp finite for entries up to about 700
     shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
@@ -58,15 +58,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
     return Matrix(_mm(a.data, b.data))
-
-
-def softmax_rows(m: Matrix) -> Matrix:
-    """Row-wise softmax with per-row max subtraction for stability.
-
-    Each output row is nonnegative and sums to 1 within 1e-12 for inputs
-    with entries of magnitude up to about 700.
-    """
-    return Matrix(_softmax_rows(m.data))
 
 
 def _frozen_vector(values, what: str) -> np.ndarray:
@@ -176,15 +167,11 @@ class CrossAttnParams:
     """A stack of cross-attention layers applied query-chained.
 
     Layer i+1 consumes layer i's output as its query; keys and values stay
-    fixed to the original inputs for every layer. Residual connections and
-    layer normalization are off by default and can be switched on.
+    fixed to the original inputs for every layer.
     """
 
     layers: tuple[CrossAttnLayer, ...]
     num_heads: int = 1
-    use_residual: bool = False
-    use_layer_norm: bool = False
-    layer_norm_eps: float = 1e-5
 
     def __post_init__(self) -> None:
         layers = tuple(self.layers)
@@ -231,21 +218,6 @@ class CrossAttnParams:
         return cls(layers, num_heads=num_heads)
 
 
-def _layer_norm_forward(z: np.ndarray, eps: float):
-    mu = z.mean(axis=1, keepdims=True)
-    var = ((z - mu) ** 2).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (z - mu) * inv
-    return y, (y, inv)
-
-
-def _layer_norm_backward(g: np.ndarray, cache) -> np.ndarray:
-    y, inv = cache
-    g_mean = g.mean(axis=1, keepdims=True)
-    gy_mean = (g * y).mean(axis=1, keepdims=True)
-    return inv * (g - g_mean - y * gy_mean)
-
-
 def _attn_layer_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                         layer: CrossAttnLayer, p: CrossAttnParams):
     d = layer.d
@@ -262,14 +234,7 @@ def _attn_layer_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
         attn = _softmax_rows(logits)
         mixed[:, sl] = _mm(attn, vp[:, sl])
         probs.append(attn)
-    out = _mm(mixed, layer.wo.data)
-    if p.use_residual:
-        out = out + q
-    ln_cache = None
-    if p.use_layer_norm:
-        out, ln_cache = _layer_norm_forward(out, p.layer_norm_eps)
-    cache = (q, kp, vp, probs, ln_cache)
-    return out, cache
+    return _mm(mixed, layer.wo.data), (q, kp, vp, probs)
 
 
 def cross_attention(q: Matrix, k: Matrix, v: Matrix, p: CrossAttnParams) -> Matrix:
@@ -314,10 +279,7 @@ def cross_attention_input_grad(
 
     g = upstream.data
     for layer, cache in zip(reversed(p.layers), reversed(caches)):
-        q_in, kp, vp, probs, ln_cache = cache
-        if p.use_layer_norm:
-            g = _layer_norm_backward(g, ln_cache)
-        g_residual = g if p.use_residual else None
+        q_in, kp, vp, probs = cache
         d_mixed = _mm(g, layer.wo.data.T)
         d_qp = np.zeros((q_in.shape[0], layer.wq.data.shape[1]))
         for h, attn in enumerate(probs):
@@ -326,8 +288,6 @@ def cross_attention_input_grad(
             d_logits = attn * (d_attn - (d_attn * attn).sum(axis=1, keepdims=True))
             d_qp[:, sl] = _mm(d_logits, kp[:, sl]) / scale
         g = _mm(d_qp, layer.wq.data.T)
-        if g_residual is not None:
-            g = g + g_residual
     return Matrix(g)
 
 

@@ -643,8 +643,15 @@ def record_from_dict(d: Mapping) -> UnifiedRecord:
 
     Either 'trajectory' (six [x, y] waypoints) or 'trajectory_points'
     (timestamped [t, x, y] samples, resampled onto the grid) may be
-    present, not both.
+    present, not both. A field of the wrong JSON type raises ValueError.
     """
+    try:
+        return _record_from_dict(d)
+    except (TypeError, AttributeError) as err:
+        raise ValueError(f"record field has the wrong type: {err}") from None
+
+
+def _record_from_dict(d: Mapping) -> UnifiedRecord:
     if "id" not in d:
         raise ValueError("record missing required key 'id'")
     if "conversation" not in d:

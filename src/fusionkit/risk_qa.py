@@ -114,21 +114,25 @@ class Scene:
 
 
 def scene_from_dict(d: Mapping) -> Scene:
-    """Build a Scene from one JSONL record."""
+    """Build a Scene from one JSONL record; a field of the wrong JSON type
+    raises ValueError."""
     if "scene_id" not in d:
         raise ValueError("scene record is missing 'scene_id'")
     objects = []
-    for raw in d.get("objects", ()):
-        box = raw.get("box")
-        objects.append(
-            SceneObject(
-                category=str(raw["category"]),
-                bearing=str(raw["bearing"]),
-                distance=int(raw["distance"]),
-                view=str(raw.get("view", "front")),
-                box=box_from_list(box) if box is not None else None,
+    try:
+        for raw in d.get("objects", ()):
+            box = raw.get("box")
+            objects.append(
+                SceneObject(
+                    category=str(raw["category"]),
+                    bearing=str(raw["bearing"]),
+                    distance=int(raw["distance"]),
+                    view=str(raw.get("view", "front")),
+                    box=box_from_list(box) if box is not None else None,
+                )
             )
-        )
+    except (TypeError, AttributeError) as err:
+        raise ValueError(f"scene object has the wrong type: {err}") from None
     return Scene(scene_id=str(d["scene_id"]), objects=tuple(objects))
 
 
@@ -618,13 +622,8 @@ def run_pipeline(
     if not scenes:
         return [], [], RunReport()
 
-    if cfg.max_in_flight == 1 or len(scenes) == 1:
-        results = [_run_scene(s, client, cfg) for s in scenes]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
-            results = list(
-                pool.map(lambda s: _run_scene(s, client, cfg), scenes)
-            )
+    with ThreadPoolExecutor(max_workers=min(cfg.max_in_flight, len(scenes))) as pool:
+        results = list(pool.map(lambda s: _run_scene(s, client, cfg), scenes))
 
     pairs: list[QaPair] = []
     targets: list[GroundingTarget] = []

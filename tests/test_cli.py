@@ -394,8 +394,12 @@ AGENT = {"cx": 2.0, "cy": 0.0, "length": 4.0, "width": 2.0, "heading": 0.0}
         ([None, [AGENT], [], [], [], []], "agents[0] must be a list"),
         ([[], [AGENT, 7], [], [], [], []], "agents[1] must hold agent objects"),
         ([[], [], {"cx": 1.0}, [], [], []], "agents[2] must be a list"),
+        ([[AGENT], [], [], [], []], "agent snapshots misaligned: got 5, need 6"),
+        ([[], [], [], [{**AGENT, "cx": None}], [], []],
+         "agent box fields must be numbers"),
     ],
-    ids=["null-snapshot", "non-dict-agent", "non-list-snapshot"],
+    ids=["null-snapshot", "non-dict-agent", "non-list-snapshot",
+         "five-snapshots", "null-field"],
 )
 def test_eval_planning_malformed_agents_exit_3(tmp_path, capsys, agents, reason):
     plan = [[0.5 * i, 0.0] for i in range(1, 7)]
@@ -451,6 +455,70 @@ def test_eval_ora_id_mismatch_exit_3(tmp_path, capsys) -> None:
     assert rc == 3
     err = capsys.readouterr().err
     assert "'b'" in err and "'a'" in err
+
+
+def test_eval_ora_duplicate_prediction_id_exit_3(tmp_path, capsys) -> None:
+    pred = tmp_path / "pred.jsonl"
+    gt = tmp_path / "gt.jsonl"
+    write_jsonl(pred, [{"sample_id": "1", "exist": False}] * 2)
+    write_jsonl(gt, [{"sample_id": "1", "exist": False}])
+    rc = main(["eval", "ora", "--pred", str(pred), "--gt", str(gt)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "validation error: duplicate prediction ids: ['1']\n")
+
+
+BOX = {"image_id": "i1", "box": [0, 0, 9, 9], "label": "car"}
+DET = {**BOX, "score": 0.5}
+ORA = {"sample_id": "1", "exist": False}
+RECORD = {"id": "r1", "conversation": [{"role": "human", "value": "Hi"}]}
+SCENE_OBJECT = {"category": "car", "bearing": "ahead", "distance": 5}
+
+
+@pytest.mark.parametrize(
+    "command, record, gt",
+    [
+        ("grounding", {**DET, "box": [0, 0, None, 9]}, BOX),
+        ("grounding", {**DET, "score": None}, BOX),
+        ("grounding", DET, {**BOX, "box": [0, 0, None, 9]}),
+        ("caption", {"id": "1", "caption": "a"}, {"id": "1", "references": 5}),
+        ("ora", {**ORA, "grounding": [1, 2, None, 4]}, ORA),
+        ("refine", {**RECORD, "conversation": ["Hi"]}, None),
+        ("refine", {**RECORD, "trajectory": [1, 2, 3]}, None),
+        ("refine", {**RECORD, "ego_status": 5}, None),
+        ("gen-risk-qa", {"scene_id": "s1", "objects": ["car"]}, None),
+        ("gen-risk-qa", {"scene_id": "s1", "objects": [
+            {**SCENE_OBJECT, "box": [0, 0, None, 9]}]}, None),
+    ],
+    ids=["grounding-null-coord", "grounding-null-score", "grounding-gt-null-coord",
+         "caption-int-references", "ora-null-grounding", "refine-string-turn",
+         "refine-flat-trajectory", "refine-int-ego-status",
+         "risk-qa-string-object", "risk-qa-null-coord"],
+)
+def test_wrong_typed_json_exit_3(tmp_path, capsys, command, record, gt) -> None:
+    first = tmp_path / "in.jsonl"
+    write_jsonl(first, [record])
+    report = tmp_path / "report.json"
+    if command == "refine":
+        argv = ["refine", "--input", str(first), "--report", str(report),
+                "--output", str(tmp_path / "out.jsonl")]
+    elif command == "gen-risk-qa":
+        argv = ["gen-risk-qa", "--scenes", str(first), "--mock", str(tmp_path),
+                "--out-qa", str(tmp_path / "qa.jsonl"),
+                "--out-grounding", str(tmp_path / "g.jsonl")]
+    else:
+        second = tmp_path / "gt.jsonl"
+        write_jsonl(second, [gt])
+        argv = ["eval", command, "--pred", str(first), "--gt", str(second)]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "Traceback" not in err
+    if command == "refine":
+        invalid = json.loads(report.read_text())["validation_errors"]
+        assert [(e["record_index"], e["id"]) for e in invalid] == [(0, "r1")]
+    else:
+        assert "record 0: " in err
 
 
 # --------------------------------------------------------- interactor-demo

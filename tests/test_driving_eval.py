@@ -15,7 +15,6 @@ from fusionkit.driving_eval import (
     _rect_corners,
     collision_rate,
     detection_from_dict,
-    grounding_map,
     grounding_map_report,
     gt_box_from_dict,
     iou,
@@ -25,7 +24,6 @@ from fusionkit.driving_eval import (
     ora_score,
     planning_record_from_dict,
     rectangles_collide,
-    risk_grounding_map,
     trajectory_collides,
 )
 from oracles import (
@@ -128,7 +126,7 @@ def test_map_perfect_predictions():
         "a": [Detection(NormalizedBox(0, 0, 9, 9), 0.9, "car")],
         "b": [Detection(NormalizedBox(10, 10, 29, 29), 0.8, "bus")],
     }
-    assert grounding_map(preds, gts) == 100.0
+    assert grounding_map_report(preds, gts).map == 100.0
 
 
 def test_map_hand_fixture():
@@ -149,7 +147,7 @@ def test_map_hand_fixture():
     # PR points: (0.5, 1.0), (0.5, 0.5), (1.0, 2/3)
     # all-point AP = 0.5 * 1.0 + 0.5 * (2/3)
     expected = 100.0 * (0.5 + 0.5 * 2.0 / 3.0)
-    assert grounding_map(preds, gts) == pytest.approx(expected, abs=1e-12)
+    assert grounding_map_report(preds, gts).map == pytest.approx(expected, abs=1e-12)
 
 
 def test_map_eleven_point_differs_from_all_point():
@@ -168,7 +166,7 @@ def test_map_eleven_point_differs_from_all_point():
     }
     # eleven-point: recalls 0.0-0.5 read precision 1.0, 0.6-1.0 read 2/3
     expected = 100.0 * (6 * 1.0 + 5 * (2.0 / 3.0)) / 11.0
-    got = grounding_map(preds, gts, interpolation="eleven_point")
+    got = grounding_map_report(preds, gts, interpolation="eleven_point").map
     assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -201,25 +199,19 @@ def test_map_ignores_classes_absent_from_gt():
             Detection(NormalizedBox(0, 0, 9, 9), 0.9, "unicorn"),
         ]
     }
-    assert grounding_map(preds, gts) == 100.0
+    assert grounding_map_report(preds, gts).map == 100.0
 
 
 def test_map_unknown_image_id_rejected():
     gts = {"a": [GroundTruthBox(NormalizedBox(0, 0, 9, 9), "car")]}
     preds = {"zz": [Detection(NormalizedBox(0, 0, 9, 9), 0.9, "car")]}
     with pytest.raises(ValueError, match="zz"):
-        grounding_map(preds, gts)
+        grounding_map_report(preds, gts)
 
 
 def test_map_empty_gt_rejected():
     with pytest.raises(ValueError):
-        grounding_map({}, {"a": []})
-
-
-def test_risk_grounding_single_class():
-    gts = {"s1": [NormalizedBox(10, 10, 40, 40)]}
-    preds = {"s1": [(NormalizedBox(10, 10, 40, 40), 0.95)]}
-    assert risk_grounding_map(preds, gts) == 100.0
+        grounding_map_report({}, {"a": []})
 
 
 # ---------------------------------------------------------------- planning

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionkit.cli import ValidationError, _align_ids
 from fusionkit.driving_eval import (
     AgentBox,
     TrajectoryPlan,
@@ -23,6 +22,7 @@ from fusionkit.driving_eval import (
     _ego_headings,
     _rect_corners,
     _rectangles_collide_rows,
+    align_ids,
     collision_rate,
     rectangles_collide,
     trajectory_collides,
@@ -269,8 +269,8 @@ def reference_alignment_error(pred_ids, gt_ids):
 
 def alignment_error(pred_ids, gt_ids):
     try:
-        _align_ids(pred_ids, gt_ids)
-    except ValidationError as err:
+        align_ids(pred_ids, gt_ids)
+    except ValueError as err:
         return str(err)
     return None
 
@@ -283,6 +283,7 @@ def test_align_ids_messages():
         "prediction ids do not match GT ids (missing=[], extra=['y', 'z'])")
     assert alignment_error(["b", "a", "b", "a", "c", "a"], ["c", "b", "a"]) == (
         "duplicate prediction ids: ['a', 'b']")
+    assert alignment_error(["a"], ["a", "a"]) == "duplicate GT ids: ['a']"
 
 
 ids = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fusionkit.matrix import Matrix, ShapeError
-from fusionkit.numerics import CrossAttnParams, MlpParams
+from fusionkit.numerics import CrossAttnParams
 from fusionkit.interactor import (
     BevFeatureMap,
     BudgetReport,
@@ -14,11 +14,9 @@ from fusionkit.interactor import (
     ViewFeatureSet,
     fuse,
     interact,
-    project_features,
     score_tokens,
     select_topk,
     token_budget,
-    toy_pipeline,
 )
 
 from oracles import full_sort_topk
@@ -140,15 +138,6 @@ def test_select_topk_validation():
 # ---------------------------------------------------------------- fuse etc
 
 
-def test_project_features_delegates_to_mlp():
-    rng = np.random.default_rng(2)
-    p = MlpParams.random(4, 8, 6, rng)
-    x = Matrix(rng.standard_normal((5, 4)))
-    assert project_features(x, p) == __import__(
-        "fusionkit.numerics", fromlist=["mlp_forward"]
-    ).mlp_forward(x, p)
-
-
 def test_fuse_length_and_provenance_order():
     rng = np.random.default_rng(3)
     views, bev, inst = make_inputs(rng, n_views=3, tokens=12, bev_tokens=20)
@@ -244,20 +233,3 @@ def test_budget_matches_real_fuse_lengths():
     report = token_budget(cfg, views.token_counts, bev.tokens.rows)
     assert fused.tokens.rows == report.fused_length
 
-
-# ------------------------------------------------------------ toy pipeline
-
-
-def test_toy_pipeline_shapes_and_determinism():
-    rng = np.random.default_rng(10)
-    views, bev, inst = make_inputs(rng)
-    cfg = SelectionConfig(k_img=4, k_bev=6)
-    attn = CrossAttnParams.random(6, rng=np.random.default_rng(11))
-    fused = fuse(views, bev, inst, cfg, attn, attn)
-    decoder = CrossAttnParams.random(6, rng=np.random.default_rng(12))
-    out1 = toy_pipeline(inst, fused, decoder, n_resp=5)
-    out2 = toy_pipeline(inst, fused, decoder, n_resp=5)
-    assert out1.response_tokens.shape == (5, 6)
-    assert out1.response_tokens == out2.response_tokens
-    with pytest.raises(ValueError):
-        toy_pipeline(inst, fused, decoder, n_resp=0)

@@ -43,8 +43,6 @@ def test_mask_spec_validation() -> None:
         MaskSpec(candidate_indices={}, rate=101)
     with pytest.raises(ValueError):
         MaskSpec(candidate_indices={}, rate=-1)
-    with pytest.raises(ValueError):
-        MaskSpec(candidate_indices={}, rate=10, mode="erase")
 
 
 def test_unknown_view_and_out_of_range_index_rejected() -> None:

@@ -8,13 +8,9 @@ from fusionkit.matrix import (
     NotFiniteError,
     ShapeError,
     dump_fkmx,
-    from_csv,
-    load_csv,
     load_fkmx,
     parse_fkmx,
-    save_csv,
     save_fkmx,
-    to_csv,
 )
 
 
@@ -94,18 +90,3 @@ def test_fkmx_rejects_bad_streams():
     with pytest.raises(NotFiniteError):
         parse_fkmx(nan_blob)
 
-
-def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(11)
-    m = Matrix(rng.standard_normal((4, 7)) * 1e3)
-    assert from_csv(to_csv(m)) == m
-    path = tmp_path / "m.csv"
-    save_csv(m, path)
-    assert load_csv(path) == m
-
-
-def test_csv_rejects_ragged_and_empty():
-    with pytest.raises(ShapeError):
-        from_csv("1.0,2.0\n3.0\n")
-    with pytest.raises(ShapeError):
-        from_csv("\n")

@@ -15,7 +15,7 @@ from fusionkit.numerics import (
     matmul,
     mlp_forward,
     mlp_input_grad,
-    softmax_rows,
+    _softmax_rows,
 )
 
 from oracles import (
@@ -57,17 +57,18 @@ def test_matmul_shape_mismatch():
 
 
 # ----------------------------------------------------------------- softmax
+# the row softmax inside cross_attention
 
 
 def test_softmax_fixture_quarter_three_quarters():
-    out = softmax_rows(Matrix([[0.0, math.log(3.0)]])).data
+    out = _softmax_rows(np.array([[0.0, math.log(3.0)]]))
     assert out[0] == pytest.approx([0.25, 0.75], abs=1e-12)
 
 
 def test_softmax_rows_sum_to_one_and_match_oracle():
     rng = np.random.default_rng(3)
     x = rng.uniform(-700.0, 700.0, size=(20, 9))
-    out = softmax_rows(Matrix(x)).data
+    out = _softmax_rows(x)
     assert np.all(out >= 0.0)
     assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-12
     want = np.array(naive_softmax_rows(x.tolist()))
@@ -76,9 +77,9 @@ def test_softmax_rows_sum_to_one_and_match_oracle():
 
 def test_softmax_is_deterministic():
     rng = np.random.default_rng(4)
-    m = Matrix(rng.standard_normal((8, 8)))
-    first = softmax_rows(m).data
-    second = softmax_rows(m).data
+    x = rng.standard_normal((8, 8))
+    first = _softmax_rows(x)
+    second = _softmax_rows(x)
     assert np.array_equal(first, second)
 
 
@@ -253,22 +254,11 @@ def test_mlp_analytic_grad_matches_finite_difference():
     assert rel_err(analytic, fd) < 1e-4
 
 
-@pytest.mark.parametrize("num_heads,residual,layer_norm", [
-    (1, False, False),
-    (2, False, False),
-    (1, True, False),
-    (1, True, True),
-])
-def test_cross_attention_analytic_grad_matches_fd(num_heads, residual, layer_norm):
-    rng = np.random.default_rng(15 + num_heads + 2 * residual + 4 * layer_norm)
+@pytest.mark.parametrize("num_heads", [1, 2])
+def test_cross_attention_analytic_grad_matches_fd(num_heads):
+    rng = np.random.default_rng(15 + num_heads)
     d = 8
-    base = CrossAttnParams.random(d, num_layers=2, num_heads=num_heads, rng=rng)
-    p = CrossAttnParams(
-        base.layers,
-        num_heads=num_heads,
-        use_residual=residual,
-        use_layer_norm=layer_norm,
-    )
+    p = CrossAttnParams.random(d, num_layers=2, num_heads=num_heads, rng=rng)
     q = Matrix(rng.standard_normal((3, d)))
     kv = Matrix(rng.standard_normal((6, d)))
     upstream = Matrix(rng.standard_normal((3, d)))
