@@ -114,17 +114,24 @@ def _read_text(path: str) -> str:
 
 
 def _read_jsonl(path: str) -> list[dict]:
+    # One line at a time: holding the whole text and its split lines beside
+    # the parsed rows left the heap fragmented after an 18 MB planning file.
+    try:
+        handle = open(path, encoding="utf-8")
+    except OSError as err:
+        raise InputError(f"cannot read {path}: {err}") from err
     rows: list[dict] = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise InputError(f"{path}:{lineno}: not valid JSON: {err}") from err
-        if not isinstance(row, dict):
-            raise InputError(f"{path}:{lineno}: each line must hold an object")
-        rows.append(row)
+    with handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise InputError(f"{path}:{lineno}: not valid JSON: {err}") from err
+            if not isinstance(row, dict):
+                raise InputError(f"{path}:{lineno}: each line must hold an object")
+            rows.append(row)
     return rows
 
 
@@ -314,15 +321,13 @@ def _eval_caption(args: argparse.Namespace, cfg: Config) -> tuple[str, dict]:
         gt_map = {}
         for i, r in enumerate(gts):
             gt_id = str(r["id"])
-            try:
-                gt_map[gt_id] = tuple(
-                    str(s) for s in (r.get("references") or [r["caption"]])
-                )
-            except TypeError:
+            refs = r.get("references") or [r["caption"]]
+            if not (isinstance(refs, list) and all(isinstance(x, str) for x in refs)):
                 raise ValidationError(
                     f"{args.gt} record {i}: references must be a list of "
-                    f"strings, got {r['references']!r}"
-                ) from None
+                    f"strings, got {refs!r}"
+                )
+            gt_map[gt_id] = tuple(refs)
     except KeyError as err:
         raise ValidationError(f"caption records need key {err}") from err
     align_ids([str(r["id"]) for r in preds], list(gt_map))

@@ -731,13 +731,19 @@ def _require(d: Mapping, key: str):
     return d[key]
 
 
+def _grid_coordinate(v) -> bool:
+    # an int, or a float holding an integer such as 9.0; never a bool
+    if isinstance(v, bool):
+        return False
+    return isinstance(v, int) or (isinstance(v, float) and v.is_integer())
+
+
 def box_from_list(raw) -> NormalizedBox:
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise ValueError(f"box must be a 4-item list, got {raw!r}")
-    try:
-        return NormalizedBox(*(int(v) for v in raw))
-    except TypeError:
-        raise ValueError(f"box values must be numbers, got {raw!r}") from None
+    if not all(_grid_coordinate(v) for v in raw):
+        raise ValueError(f"box values must be integers, got {raw!r}")
+    return NormalizedBox(*(int(v) for v in raw))
 
 
 def detection_from_dict(d: Mapping) -> tuple[str, Detection]:

@@ -643,12 +643,15 @@ def record_from_dict(d: Mapping) -> UnifiedRecord:
 
     Either 'trajectory' (six [x, y] waypoints) or 'trajectory_points'
     (timestamped [t, x, y] samples, resampled onto the grid) may be
-    present, not both. A field of the wrong JSON type raises ValueError.
+    present, not both. A field of the wrong JSON type or a missing nested
+    key (a turn without 'role', say) raises ValueError.
     """
     try:
         return _record_from_dict(d)
     except (TypeError, AttributeError) as err:
         raise ValueError(f"record field has the wrong type: {err}") from None
+    except KeyError as err:
+        raise ValueError(f"record field is missing key {err}") from None
 
 
 def _record_from_dict(d: Mapping) -> UnifiedRecord:

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from fusionkit.cli import _make_client, demo_params, main
+from fusionkit.cli import InputError, _make_client, _read_jsonl, demo_params, main
 from fusionkit.config import Config
 from fusionkit.driving_eval import ora_sample_to_dict
 from fusionkit.interactor import (
@@ -145,6 +145,24 @@ def test_refine_validation_failure_exit_3(tmp_path) -> None:
     assert doc["validation_errors"][0]["id"] == "c"
     # valid records still refined
     assert len(out.read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize("missing", ["role", "value"])
+def test_refine_turn_missing_key_names_record(tmp_path, missing) -> None:
+    turn = {"role": "human", "value": "Hi"}
+    del turn[missing]
+    src = tmp_path / "in.jsonl"
+    write_jsonl(src, [{"id": "ok", "conversation": [{"role": "human", "value": "Hi"}]},
+                      {"id": "bad", "conversation": [turn]}])
+    out = tmp_path / "out.jsonl"
+    rep = tmp_path / "rep.json"
+    rc = main(["refine", "--input", str(src), "--output", str(out),
+               "--report", str(rep)])
+    assert rc == 3
+    invalid = json.loads(rep.read_text())["validation_errors"]
+    assert [(e["record_index"], e["id"]) for e in invalid] == [(1, "bad")]
+    assert repr(missing) in invalid[0]["error"]
+    assert [json.loads(line)["id"] for line in out.read_text().splitlines()] == ["ok"]
 
 
 def test_refine_empty_input(tmp_path) -> None:
@@ -285,6 +303,18 @@ def test_gen_risk_qa_empty_scenes(tmp_path, capsys) -> None:
 
 
 # -------------------------------------------------------------------- eval
+
+
+def test_read_jsonl_splits_on_newlines_only(tmp_path) -> None:
+    # U+2028 and U+0085 are legal unescaped inside JSON strings
+    path = tmp_path / "in.jsonl"
+    path.write_text('{"a": "x\u2028y"}\r\n\n{"a": "z\u0085"}\n', encoding="utf-8")
+    assert _read_jsonl(str(path)) == [{"a": "x\u2028y"}, {"a": "z\u0085"}]
+    path.write_text('{"a": 1}\n\n{"a": \n', encoding="utf-8")
+    with pytest.raises(InputError, match=r"in\.jsonl:3: not valid JSON"):
+        _read_jsonl(str(path))
+    with pytest.raises(InputError, match="cannot read"):
+        _read_jsonl(str(tmp_path / "absent.jsonl"))
 
 
 def test_eval_caption_identical_corpus_scores_100(tmp_path, capsys) -> None:
@@ -481,7 +511,12 @@ SCENE_OBJECT = {"category": "car", "bearing": "ahead", "distance": 5}
         ("grounding", {**DET, "box": [0, 0, None, 9]}, BOX),
         ("grounding", {**DET, "score": None}, BOX),
         ("grounding", DET, {**BOX, "box": [0, 0, None, 9]}),
+        ("grounding", {**DET, "box": [0, 0, 9.9, 9]}, BOX),
+        ("grounding", {**DET, "box": [0, 0, True, 9]}, BOX),
         ("caption", {"id": "1", "caption": "a"}, {"id": "1", "references": 5}),
+        ("caption", {"id": "1", "caption": "a cat"},
+         {"id": "1", "references": "a cat"}),
+        ("caption", {"id": "1", "caption": "None"}, {"id": "1", "references": [None]}),
         ("ora", {**ORA, "grounding": [1, 2, None, 4]}, ORA),
         ("refine", {**RECORD, "conversation": ["Hi"]}, None),
         ("refine", {**RECORD, "trajectory": [1, 2, 3]}, None),
@@ -491,7 +526,10 @@ SCENE_OBJECT = {"category": "car", "bearing": "ahead", "distance": 5}
             {**SCENE_OBJECT, "box": [0, 0, None, 9]}]}, None),
     ],
     ids=["grounding-null-coord", "grounding-null-score", "grounding-gt-null-coord",
-         "caption-int-references", "ora-null-grounding", "refine-string-turn",
+         "grounding-fractional-coord", "grounding-bool-coord",
+         "caption-int-references", "caption-string-references",
+         "caption-null-reference",
+         "ora-null-grounding", "refine-string-turn",
          "refine-flat-trajectory", "refine-int-ego-status",
          "risk-qa-string-object", "risk-qa-null-coord"],
 )

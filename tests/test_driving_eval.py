@@ -13,6 +13,7 @@ from fusionkit.driving_eval import (
     OraSample,
     TrajectoryPlan,
     _rect_corners,
+    box_from_list,
     collision_rate,
     detection_from_dict,
     grounding_map_report,
@@ -47,6 +48,13 @@ def test_box_validation():
     with pytest.raises(TypeError):
         NormalizedBox(0.5, 0, 4, 10)
     assert NormalizedBox(3, 3, 3, 3).area == 1
+
+
+def test_box_from_list_takes_integral_numbers_only():
+    assert box_from_list([0, 0, 9.0, 9]) == NormalizedBox(0, 0, 9, 9)
+    for bad in ([0, 0, 9.9, 9], [0, 0, True, 9], [0, 0, "9", 9], [0, 0, None, 9]):
+        with pytest.raises(ValueError, match="must be integers"):
+            box_from_list(bad)
 
 
 def test_iou_half_exactly():

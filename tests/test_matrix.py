@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionkit.matrix import (
     FKMX_MAGIC,
@@ -90,3 +94,76 @@ def test_fkmx_rejects_bad_streams():
     with pytest.raises(NotFiniteError):
         parse_fkmx(nan_blob)
 
+
+
+# ------------------------------------------------- FKMX property tests
+
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def matrices(draw) -> Matrix:
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    values = draw(st.lists(finite, min_size=rows * cols, max_size=rows * cols))
+    return Matrix(np.array(values).reshape(rows, cols))
+
+
+def parse_or_known_error(blob: bytes) -> Matrix | None:
+    # anything outside the three documented error types escapes and fails
+    try:
+        return parse_fkmx(blob)
+    except (FkmxFormatError, NotFiniteError, ShapeError):
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_fkmx_round_trip_property(m):
+    back = parse_fkmx(dump_fkmx(m))
+    assert back.shape == m.shape
+    assert back.data.tobytes() == m.data.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_fkmx_truncation_is_a_format_error(m, data):
+    blob = dump_fkmx(m)
+    cut = data.draw(st.integers(0, len(blob) - 1))
+    with pytest.raises(FkmxFormatError):
+        parse_fkmx(blob[:cut])
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.binary(min_size=4, max_size=4).filter(lambda b: b != FKMX_MAGIC))
+def test_fkmx_bad_magic_is_a_format_error(m, magic):
+    with pytest.raises(FkmxFormatError):
+        parse_fkmx(magic + dump_fkmx(m)[4:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+       st.binary(max_size=16))
+def test_fkmx_header_payload_mismatch_is_a_format_error(m, rows, cols, extra):
+    payload = dump_fkmx(m)[12:] + extra
+    blob = FKMX_MAGIC + struct.pack("<II", rows, cols) + payload
+    if rows * cols * 8 == len(payload) and rows and cols:
+        back = parse_or_known_error(blob)  # the extra bytes may hold a NaN
+        assert back is None or back.data.tobytes() == payload
+    else:
+        with pytest.raises(FkmxFormatError):
+            parse_fkmx(blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=64),
+    st.builds(lambda head, body: FKMX_MAGIC + head + body,
+              st.binary(min_size=8, max_size=8), st.binary(max_size=64)),
+    st.builds(lambda r, c, body: FKMX_MAGIC + struct.pack("<II", r, c) + body,
+              st.integers(0, 4), st.integers(0, 4), st.binary(max_size=128)),
+))
+def test_fkmx_arbitrary_bytes_raise_only_known_errors(blob):
+    m = parse_or_known_error(blob)
+    if m is not None:
+        assert dump_fkmx(m) == blob

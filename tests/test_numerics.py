@@ -1,8 +1,18 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from fusionkit import numerics
+from fusionkit.interactor import (
+    BevFeatureMap,
+    InstructionEmbedding,
+    SelectionConfig,
+    ViewFeatureSet,
+    fuse,
+)
 from fusionkit.matrix import Matrix, ShapeError
 from fusionkit.numerics import (
     CrossAttnLayer,
@@ -15,6 +25,7 @@ from fusionkit.numerics import (
     matmul,
     mlp_forward,
     mlp_input_grad,
+    _mm,
     _softmax_rows,
 )
 
@@ -54,6 +65,132 @@ def test_matmul_identity_is_exact():
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
         matmul(Matrix.zeros(2, 3), Matrix.zeros(4, 2))
+
+
+# ------------------------------------------------------------- _mm kernel
+# The blocked, threaded `_mm` must reproduce the plain ascending-k loop it
+# replaced bit for bit: `_mm_loop` below is that loop, kept verbatim.
+
+
+def _mm_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Accumulate over k in ascending order: per output element this is the
+    # exact op sequence of `acc += a[i][k] * b[k][j]` that a naive triple
+    # loop produces, so results match such an oracle bitwise.
+    m, k = a.shape
+    _, n = b.shape
+    out = np.zeros((m, n))
+    for kk in range(k):
+        out += a[:, kk, np.newaxis] * b[kk]
+    return out
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    # tobytes tells -0.0 from +0.0, which array_equal does not
+    assert got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+_P, _KC, _T = numerics._PANEL, numerics._KC, numerics._THREAD_MIN_MACS
+
+KERNEL_SHAPES = [  # (m, k, n)
+    (1, 1, 1), (1, 7, 9), (9, 7, 1), (6, 1, 6), (1, 1, 40), (40, 1, 1),
+    (3, 5, 8), (8, 5, 3), (6, 6, 6),
+    # k across the chunk of products taken per numpy call
+    (5, _KC - 1, 7), (5, _KC, 7), (5, _KC + 1, 7), (7, 2 * _KC + 3, 5),
+    # output sizes across one panel, on either side of the diagonal
+    (1, 3, _P - 1), (1, 3, _P + 1), (_P + 1, 3, 1), (3, 2, _P // 3 + 1),
+    (_P // 64 + 3, 5, 64), (181, 2, 181),
+    # multiply-adds on either side of the threading threshold
+    (100, 2, _T // 200 - 1), (100, 2, _T // 200), (_T // 200, 2, 100),
+    (37, 9, _T // 333 + 5),
+]
+
+
+@pytest.mark.parametrize("m, k, n", KERNEL_SHAPES)
+def test_mm_matches_ascending_loop_bitwise(m, k, n):
+    rng = np.random.default_rng([m, k, n])
+    a = rng.standard_normal((m, k))
+    b = rng.standard_normal((k, n))
+    want = _mm_loop(a, b)
+    assert_same_bits(_mm(a, b), want)
+    if m * k * n <= 400:
+        assert_same_bits(_mm(a, b), np.array(naive_matmul(a.tolist(), b.tolist())))
+
+
+@pytest.mark.parametrize("m, k, n", [(3, 5, 8), (8, 5, 3), (90, 64, 576),
+                                     (300, 70, 64), (120, 64, 120)])
+def test_mm_on_transposed_and_strided_operands(m, k, n):
+    rng = np.random.default_rng([m, k, n, 1])
+    at = rng.standard_normal((k, m))
+    bt = rng.standard_normal((n, 2 * k))[:, ::2]
+    assert not at.T.flags.c_contiguous and not bt.T.flags.c_contiguous
+    want = _mm_loop(at.T, bt.T)
+    assert_same_bits(_mm(at.T, bt.T), want)
+    assert_same_bits(_mm(np.ascontiguousarray(at.T), np.ascontiguousarray(bt.T)), want)
+
+
+@pytest.mark.parametrize("m, n", [(3, 5), (5, 3), (200, _P // 100)])
+def test_mm_negative_zero_products_sum_to_positive_zero(m, n):
+    # an all -0.0 column of products must give +0.0, as the loop's
+    # +0.0 seed does; seeding with the first product would give -0.0
+    a = np.ones((m, 9))
+    b = np.full((9, n), -0.0)
+    got = _mm(a, b)
+    assert not np.signbit(got).any()
+    assert_same_bits(got, _mm_loop(a, b))
+    assert_same_bits(_mm(-a, -b), _mm_loop(-a, -b))
+
+
+def test_mm_keeps_cancellation_order():
+    # ascending k: (0 + 1e16) + 1 rounds back to 1e16, then -1e16 gives 0
+    a = np.array([[1e16, 1.0, -1e16]])
+    assert _mm(a, np.ones((3, 1)))[0, 0] == 0.0
+    rng = np.random.default_rng(8)
+    values = np.array([1e16, 1.0, -1e16, 3.0, -2.5, 1e-300, -0.0])
+    for m, k, n in [(4, 7, 9), (60, 13, 1000), (1000, 13, 60), (250, 35, 250)]:
+        a = rng.choice(values, size=(m, k))
+        b = rng.choice(values, size=(k, n))
+        assert_same_bits(_mm(a, b), _mm_loop(a, b))
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_mm_pool_size_does_not_change_bits(monkeypatch, workers):
+    # 8 workers on fewer cores, switching threads as often as possible
+    rng = np.random.default_rng(21)
+    q = rng.standard_normal((300, 64))
+    k = rng.standard_normal((2500, 64))
+    attn = rng.standard_normal((300, 2500))
+    w = rng.standard_normal((64, 64))
+    pairs = [(q, k.T), (attn, k), (k, w)]
+    default = [_mm(x, y) for x, y in pairs]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        with ThreadPoolExecutor(workers) as pool:
+            monkeypatch.setattr(numerics, "_pool", pool)
+            other = [_mm(x, y) for x, y in pairs]
+    finally:
+        sys.setswitchinterval(interval)
+    for x, y in zip(default, other):
+        assert_same_bits(x, y)
+
+
+def test_paper_scale_fuse_matches_loop_kernel(monkeypatch):
+    rng = np.random.default_rng(12)
+    d = 64
+    views = ViewFeatureSet(tuple(Matrix(rng.standard_normal((576, d)))
+                                 for _ in range(6)))
+    bev = BevFeatureMap(Matrix(rng.standard_normal((2500, d))), (50, 50))
+    inst = InstructionEmbedding(Matrix(rng.standard_normal((4, d))))
+    attn_mv = CrossAttnParams.random(d, 2, 1, rng)
+    attn_bev = CrossAttnParams.random(d, 2, 1, rng)
+    cfg = SelectionConfig(k_img=90, k_bev=300)
+    got = fuse(views, bev, inst, cfg, attn_mv, attn_bev)
+    monkeypatch.setattr(numerics, "_mm", _mm_loop)
+    want = fuse(views, bev, inst, cfg, attn_mv, attn_bev)
+    assert got.provenance == want.provenance
+    assert got.tokens.data.tobytes() == want.tokens.data.tobytes()
 
 
 # ----------------------------------------------------------------- softmax
