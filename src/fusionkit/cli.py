@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .chat import (
 from .config import Config, ConfigError, load_config, provenance_block
 from .driving_eval import (
     HORIZONS,
-    WAYPOINT_COUNT,
     align_ids,
     collision_rate,
     detection_from_dict,
@@ -67,7 +66,12 @@ from .matrix import FkmxFormatError, Matrix, ShapeError, load_fkmx, save_fkmx
 from .numerics import CrossAttnParams
 from .refinery import record_from_dict, record_to_dict, refine_records
 from .risk_qa import PipelineConfig, run_pipeline, scene_from_dict
-from .text_metrics import EvalPair, compute_caption_report
+from .text_metrics import (
+    EvalPair,
+    caption_gt_from_dict,
+    caption_pred_from_dict,
+    compute_caption_report,
+)
 
 __all__ = ["main", "entrypoint", "demo_params"]
 
@@ -82,6 +86,8 @@ PLANNING_CSV_HEADER = (
     "L2_1s,L2_2s,L2_3s,L2_avg,COLL_1s,COLL_2s,COLL_3s,COLL_avg"
 )
 ORA_CSV_HEADER = "exist,level,cate,object"
+
+T = TypeVar("T")
 
 
 class UsageError(Exception):
@@ -113,14 +119,18 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {err}") from err
 
 
-def _read_jsonl(path: str) -> list[dict]:
-    # One line at a time: holding the whole text and its split lines beside
-    # the parsed rows left the heap fragmented after an 18 MB planning file.
+def _read_jsonl(path: str, decode: Callable[[dict], T]) -> list[T]:
+    """``decode`` applied to each JSON object line of ``path`` as it is read.
+
+    A line that is not a JSON object exits 2; a ValueError from ``decode``
+    exits 3 as ``<path> record <i>: <reason>``, counting records from 0.
+    Only the decoded values are kept, never a whole file of parsed rows.
+    """
     try:
         handle = open(path, encoding="utf-8")
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from err
-    rows: list[dict] = []
+    out: list[T] = []
     with handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
@@ -131,8 +141,11 @@ def _read_jsonl(path: str) -> list[dict]:
                 raise InputError(f"{path}:{lineno}: not valid JSON: {err}") from err
             if not isinstance(row, dict):
                 raise InputError(f"{path}:{lineno}: each line must hold an object")
-            rows.append(row)
-    return rows
+            try:
+                out.append(decode(row))
+            except ValueError as err:
+                raise ValidationError(f"{path} record {len(out)}: {err}") from err
+    return out
 
 
 def _write_text(path: str, text: str) -> None:
@@ -210,20 +223,22 @@ def cmd_refine(args: argparse.Namespace) -> int:
         args, short_answer_threshold=args.short_threshold, seed=args.seed
     )
     image_size = _parse_size(args.image_size) if args.image_size else None
-    raw_rows = _read_jsonl(args.input)
 
-    records = []
-    validation_errors: list[dict] = []
-    for i, row in enumerate(raw_rows):
+    def decode(row: dict):
+        # an invalid record becomes an error entry, listed in the report
         if args.source and "source_dataset" not in row:
             row = {**row, "source_dataset": args.source}
         try:
-            records.append(record_from_dict(row))
+            return record_from_dict(row)
         except ValueError as err:
-            validation_errors.append(
-                {"record_index": i, "id": str(row.get("id", "")),
-                 "error": str(err)}
-            )
+            return {"id": str(row.get("id", "")), "error": str(err)}
+
+    decoded = _read_jsonl(args.input, decode)
+    records = [r for r in decoded if not isinstance(r, dict)]
+    validation_errors = [
+        {"record_index": i, **r} for i, r in enumerate(decoded)
+        if isinstance(r, dict)
+    ]
 
     refined, report = refine_records(
         records,
@@ -242,7 +257,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
         _write_text(args.report, _json_doc(doc))
     print(
         f"refine: {report.kept} kept, {report.dropped} dropped, "
-        f"{len(validation_errors)} invalid of {len(raw_rows)} records"
+        f"{len(validation_errors)} invalid of {len(decoded)} records"
     )
     return EXIT_VALIDATION if validation_errors else EXIT_OK
 
@@ -274,12 +289,7 @@ def cmd_gen_risk_qa(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     client = _make_client(args, cfg)
-    scenes = []
-    for i, row in enumerate(_read_jsonl(args.scenes)):
-        try:
-            scenes.append(scene_from_dict(row))
-        except (ValueError, KeyError) as err:
-            raise ValidationError(f"scene record {i}: {err}") from err
+    scenes = _read_jsonl(args.scenes, scene_from_dict)
 
     pairs, targets, report = run_pipeline(
         scenes,
@@ -314,26 +324,13 @@ def cmd_gen_risk_qa(args: argparse.Namespace) -> int:
 
 
 def _eval_caption(args: argparse.Namespace, cfg: Config) -> tuple[str, dict]:
-    preds = _read_jsonl(args.pred)
-    gts = _read_jsonl(args.gt)
-    try:
-        pred_map = {str(r["id"]): str(r["caption"]) for r in preds}
-        gt_map = {}
-        for i, r in enumerate(gts):
-            gt_id = str(r["id"])
-            refs = r.get("references") or [r["caption"]]
-            if not (isinstance(refs, list) and all(isinstance(x, str) for x in refs)):
-                raise ValidationError(
-                    f"{args.gt} record {i}: references must be a list of "
-                    f"strings, got {refs!r}"
-                )
-            gt_map[gt_id] = tuple(refs)
-    except KeyError as err:
-        raise ValidationError(f"caption records need key {err}") from err
-    align_ids([str(r["id"]) for r in preds], list(gt_map))
+    preds = _read_jsonl(args.pred, caption_pred_from_dict)
+    gts = _read_jsonl(args.gt, caption_gt_from_dict)
+    align_ids([i for i, _ in preds], [i for i, _ in gts])
+    candidates = dict(preds)
     pairs = [
-        EvalPair(id=i, candidate=pred_map[i], references=gt_map[i])
-        for i in gt_map
+        EvalPair(id=i, candidate=candidates[i], references=refs)
+        for i, refs in gts
     ]
     report = compute_caption_report(pairs)
     scale = 1.0 if cfg.metric_scale_100 else 0.01
@@ -357,18 +354,14 @@ def _eval_caption(args: argparse.Namespace, cfg: Config) -> tuple[str, dict]:
 
 
 def _eval_grounding(args: argparse.Namespace, cfg: Config) -> tuple[str, dict]:
-    def load(path: str, decode) -> dict[str, list]:
-        out: dict[str, list] = {}
-        for i, row in enumerate(_read_jsonl(path)):
-            try:
-                image_id, item = decode(row)
-            except ValueError as err:
-                raise ValidationError(f"{path} record {i}: {err}") from err
+    def by_image(items: list[tuple[str, T]]) -> dict[str, list[T]]:
+        out: dict[str, list[T]] = {}
+        for image_id, item in items:
             out.setdefault(image_id, []).append(item)
         return out
 
-    pred_map = load(args.pred, detection_from_dict)
-    gt_map = load(args.gt, gt_box_from_dict)
+    pred_map = by_image(_read_jsonl(args.pred, detection_from_dict))
+    gt_map = by_image(_read_jsonl(args.gt, gt_box_from_dict))
     try:
         report = grounding_map_report(
             pred_map, gt_map, cfg.iou_thresholds, cfg.ap_interpolation
@@ -389,32 +382,17 @@ def _eval_grounding(args: argparse.Namespace, cfg: Config) -> tuple[str, dict]:
 
 
 def _eval_planning(args: argparse.Namespace, cfg: Config) -> tuple[str, dict]:
-    preds = _read_jsonl(args.pred)
-    gts = _read_jsonl(args.gt)
-    try:
-        pred_map = {str(r["sample_id"]): r["trajectory"] for r in preds}
-        gt_rows = {str(r["sample_id"]): r for r in gts}
-    except KeyError as err:
-        raise ValidationError(f"planning records need key {err}") from err
-    align_ids([str(r["sample_id"]) for r in preds], list(gt_rows))
+    preds = _read_jsonl(args.pred, planning_record_from_dict)
+    gts = _read_jsonl(args.gt, planning_record_from_dict)
+    align_ids([p[0] for p in preds], [g[0] for g in gts])
+    pred_plans = {sample_id: plan for sample_id, plan, _ in preds}
 
     l2_sums = {h: 0.0 for h in (*HORIZONS, "avg")}
     samples = []
-    for sample_id, gt_row in gt_rows.items():
-        merged = {
-            "sample_id": sample_id,
-            "pred": pred_map[sample_id],
-            "gt": gt_row["trajectory"],
-            "agents": gt_row.get("agents"),
-        }
-        try:
-            _, pred_plan, gt_plan, agents = planning_record_from_dict(merged)
-        except ValueError as err:
-            raise ValidationError(f"sample {sample_id}: {err}") from err
+    for sample_id, gt_plan, agents in gts:
+        pred_plan = pred_plans[sample_id]
         for h, v in l2_error(pred_plan, gt_plan, cfg.l2_mode).items():
             l2_sums[h] += v
-        if agents is None:
-            agents = [[] for _ in range(WAYPOINT_COUNT)]
         samples.append((pred_plan, agents))
 
     n = len(samples)
@@ -442,17 +420,10 @@ def _eval_planning(args: argparse.Namespace, cfg: Config) -> tuple[str, dict]:
 
 
 def _eval_ora(args: argparse.Namespace, cfg: Config) -> tuple[str, dict]:
-    def load(path: str) -> list:
-        out = []
-        for i, row in enumerate(_read_jsonl(path)):
-            try:
-                out.append(ora_sample_from_dict(row))
-            except ValueError as err:
-                raise ValidationError(f"{path} record {i}: {err}") from err
-        return out
-
+    preds = _read_jsonl(args.pred, ora_sample_from_dict)
+    gts = _read_jsonl(args.gt, ora_sample_from_dict)
     try:
-        report = ora_score(load(args.pred), load(args.gt), cfg.ora_gating)
+        report = ora_score(preds, gts, cfg.ora_gating)
     except ValueError as err:
         raise ValidationError(str(err)) from err
     csv_text = (

@@ -2,13 +2,14 @@
 
 Boxes live on the inclusive integer grid [0, 999]^2; IoU is exact
 integer arithmetic with a single final division. Planning trajectories
-are six (x, y) waypoints on a fixed 0.5 s grid covering 3 s. Collision
-checks run a separating-axis test on oriented rectangles; touching
-boundaries do not count as collision (consistent with a positive
-intersection-area oracle). ORA accuracies are exist-gated: the
-conditional fields only score on samples where existence was predicted
-correctly and the ground truth says the risk exists. A degenerate
-denominator yields None, never 0 or 100.
+are six (x, y) waypoints on a fixed 0.5 s grid covering 3 s; the agents
+around a sample are six snapshots, one per waypoint, held as float64
+rows (``AgentSnapshots``). Collision checks run a separating-axis test
+on oriented rectangles; touching boundaries do not count as collision
+(consistent with a positive intersection-area oracle). ORA accuracies
+are exist-gated: the conditional fields only score on samples where
+existence was predicted correctly and the ground truth says the risk
+exists. A degenerate denominator yields None, never 0 or 100.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "Detection",
     "GroundTruthBox",
     "TrajectoryPlan",
-    "AgentBox",
     "AgentSnapshots",
     "OraSample",
     "OraReport",
@@ -35,7 +35,6 @@ __all__ = [
     "align_ids",
     "grounding_map_report",
     "l2_error",
-    "trajectory_collides",
     "collision_rate",
     "ora_score",
     "HORIZONS",
@@ -301,31 +300,14 @@ class TrajectoryPlan:
         object.__setattr__(self, "waypoints", wps)
 
 
-@dataclass(frozen=True)
-class AgentBox:
-    """Oriented rectangle of another traffic participant at one timestep."""
-
-    cx: float
-    cy: float
-    length: float
-    width: float
-    heading: float
-
-    def __post_init__(self) -> None:
-        values = (self.cx, self.cy, self.length, self.width, self.heading)
-        if any(not math.isfinite(v) for v in values):
-            raise ValueError("agent box fields must be finite")
-        if self.length <= 0.0 or self.width <= 0.0:
-            raise ValueError("agent extents must be positive")
-
-
 @dataclass(frozen=True, eq=False)
 class AgentSnapshots:
     """The agents of one planning sample, one snapshot per waypoint.
 
     ``rows`` holds one float64 row ``cx, cy, length, width, heading`` per
     agent rectangle, snapshot after snapshot; ``sizes[t]`` is the number
-    of rows in snapshot t. Indexing yields a snapshot's ``AgentBox``es.
+    of rows in snapshot t, the agents at waypoint t's timestamp. There
+    are exactly six snapshots, one per waypoint; a snapshot may be empty.
     """
 
     rows: np.ndarray
@@ -338,9 +320,14 @@ class AgentSnapshots:
         if rows.ndim != 2 or rows.shape[1] != 5:
             raise ValueError("agent rows must be cx, cy, length, width, heading")
         sizes = tuple(int(n) for n in self.sizes)
+        if len(sizes) != WAYPOINT_COUNT:
+            raise ValueError(
+                f"agent snapshots misaligned: got {len(sizes)}, "
+                f"need {WAYPOINT_COUNT} (one per waypoint)"
+            )
         if any(n < 0 for n in sizes) or sum(sizes) != len(rows):
             raise ValueError("snapshot sizes must add up to the agent rows")
-        # one reduction on the valid path; the messages follow AgentBox
+        # one reduction on the valid path
         valid = np.isfinite(rows)
         valid[:, 2:4] &= rows[:, 2:4] > 0.0
         if not valid.all():
@@ -350,27 +337,9 @@ class AgentSnapshots:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "sizes", sizes)
 
-    @classmethod
-    def from_boxes(cls, snapshots: Sequence[Sequence[AgentBox]]) -> "AgentSnapshots":
-        rows = [
-            (a.cx, a.cy, a.length, a.width, a.heading)
-            for snap in snapshots
-            for a in snap
-        ]
-        return cls(rows, tuple(len(snap) for snap in snapshots))
 
-    def __len__(self) -> int:
-        return len(self.sizes)
-
-    def __getitem__(self, t: int) -> list[AgentBox]:
-        t = range(len(self.sizes))[t]
-        start = sum(self.sizes[:t])
-        rows = self.rows[start : start + self.sizes[t]]
-        return [AgentBox(*row) for row in rows.tolist()]
-
-
-# per-waypoint agent snapshots, as AgentBox lists or decoded rows
-Agents = Sequence[Sequence[AgentBox]] | AgentSnapshots
+# six empty snapshots: the agents of a planning row without "agents"
+_NO_AGENTS = AgentSnapshots(np.empty((0, 5)), (0,) * WAYPOINT_COUNT)
 
 
 def l2_error(
@@ -500,7 +469,7 @@ _COLLISION_BLOCK = 1024
 
 
 def _waypoint_hits(
-    samples: Sequence[tuple[TrajectoryPlan, Agents]],
+    samples: Sequence[tuple[TrajectoryPlan, AgentSnapshots]],
     ego_length: float,
     ego_width: float,
 ) -> np.ndarray:
@@ -510,13 +479,6 @@ def _waypoint_hits(
     agent_rows = []
     sizes: list[int] = []
     for plan, agents in samples:
-        if not isinstance(agents, AgentSnapshots):
-            agents = AgentSnapshots.from_boxes(agents)
-        if len(agents) != WAYPOINT_COUNT:
-            raise ValueError(
-                f"agent snapshots misaligned: got {len(agents)}, "
-                f"need {WAYPOINT_COUNT} (one per waypoint)"
-            )
         headings = _ego_headings(plan.waypoints)
         ego_rows += [
             (x, y, ego_length, ego_width, h)
@@ -537,7 +499,7 @@ def _waypoint_hits(
 
 
 def _horizon_hits(
-    samples: Sequence[tuple[TrajectoryPlan, Agents]],
+    samples: Sequence[tuple[TrajectoryPlan, AgentSnapshots]],
     ego_length: float,
     ego_width: float,
 ) -> np.ndarray:
@@ -553,29 +515,17 @@ def _horizon_hits(
     return np.concatenate(blocks)
 
 
-def trajectory_collides(
-    pred: TrajectoryPlan,
-    ego_length: float,
-    ego_width: float,
-    agents: Agents,
-) -> dict[str, bool]:
-    """Per-horizon collision verdicts for one planned trajectory.
-
-    ``agents[i]`` holds the agent rectangles at waypoint i's timestamp;
-    the snapshots must align with the six-step waypoint grid. The plan
-    collides at a horizon when any waypoint up to that horizon overlaps
-    any agent.
-    """
-    flags = _horizon_hits([(pred, agents)], ego_length, ego_width)[0]
-    return {h: bool(f) for h, f in zip(HORIZONS, flags)}
-
-
 def collision_rate(
-    samples: Sequence[tuple[TrajectoryPlan, Agents]],
+    samples: Sequence[tuple[TrajectoryPlan, AgentSnapshots]],
     ego_length: float,
     ego_width: float,
 ) -> dict[str, float]:
-    """Percentage of colliding samples per horizon, plus their mean."""
+    """Percentage of colliding samples per horizon, plus their mean.
+
+    Each sample pairs a planned trajectory with the agents around it. A
+    plan collides at a horizon when the ego rectangle at any waypoint up
+    to that horizon overlaps an agent of that waypoint's snapshot.
+    """
     if not samples:
         raise ValueError("collision rate needs at least one sample")
     counts = _horizon_hits(samples, ego_length, ego_width).sum(axis=0).tolist()
@@ -721,8 +671,9 @@ def ora_score(
 
 
 # ----------------------------------------------------------- record codecs
-# Dict <-> dataclass converters for the JSONL record shapes the CLI
-# consumes. File handling stays in the CLI; these only validate shape.
+# Decoders for the JSONL record shapes the CLI consumes: each takes one
+# parsed row and returns typed values, or raises ValueError saying what is
+# wrong. File handling, and naming the file and record, stays in the CLI.
 
 
 def _require(d: Mapping, key: str):
@@ -731,8 +682,8 @@ def _require(d: Mapping, key: str):
     return d[key]
 
 
-def _grid_coordinate(v) -> bool:
-    # an int, or a float holding an integer such as 9.0; never a bool
+def is_integral(v) -> bool:
+    """An int, or a float holding an integer such as 9.0; never a bool."""
     if isinstance(v, bool):
         return False
     return isinstance(v, int) or (isinstance(v, float) and v.is_integer())
@@ -741,7 +692,7 @@ def _grid_coordinate(v) -> bool:
 def box_from_list(raw) -> NormalizedBox:
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise ValueError(f"box must be a 4-item list, got {raw!r}")
-    if not all(_grid_coordinate(v) for v in raw):
+    if not all(is_integral(v) for v in raw):
         raise ValueError(f"box values must be integers, got {raw!r}")
     return NormalizedBox(*(int(v) for v in raw))
 
@@ -751,7 +702,7 @@ def detection_from_dict(d: Mapping) -> tuple[str, Detection]:
     box = box_from_list(_require(d, "box"))
     try:
         score = float(_require(d, "score"))
-    except TypeError:
+    except (TypeError, OverflowError):
         raise ValueError(f"score must be a number, got {d['score']!r}") from None
     return image_id, Detection(box=box, score=score, label=str(_require(d, "label")))
 
@@ -768,7 +719,7 @@ def _plan_from_list(raw) -> TrajectoryPlan:
         raise ValueError("trajectory must be a list of [x, y] waypoints")
     try:
         return TrajectoryPlan(raw)
-    except TypeError as err:
+    except (TypeError, OverflowError) as err:
         raise ValueError(
             f"trajectory waypoints must be [x, y] numbers: {err}"
         ) from None
@@ -781,11 +732,6 @@ _agent_values = operator.itemgetter(*_AGENT_FIELDS)
 def _agents_from_list(snapshots) -> AgentSnapshots:
     if not isinstance(snapshots, (list, tuple)):
         raise ValueError("agents must be a list of per-waypoint snapshots")
-    if len(snapshots) != WAYPOINT_COUNT:
-        raise ValueError(
-            f"agent snapshots misaligned: got {len(snapshots)}, "
-            f"need {WAYPOINT_COUNT} (one per waypoint)"
-        )
     values: list = []
     for t, snap in enumerate(snapshots):
         if not isinstance(snap, (list, tuple)):
@@ -818,23 +764,33 @@ def _agents_from_list(snapshots) -> AgentSnapshots:
 
 def planning_record_from_dict(
     d: Mapping,
-) -> tuple[str, TrajectoryPlan, TrajectoryPlan, AgentSnapshots | None]:
+) -> tuple[str, TrajectoryPlan, AgentSnapshots]:
+    """One planning row, prediction or ground truth: ``sample_id``,
+    ``trajectory`` and optional ``agents``. A row without agents (or
+    with ``"agents": null``) gets six empty snapshots."""
     sample_id = str(_require(d, "sample_id"))
-    pred = _plan_from_list(_require(d, "pred"))
-    gt = _plan_from_list(_require(d, "gt"))
-    agents = None
-    if d.get("agents") is not None:
-        agents = _agents_from_list(d["agents"])
-    return sample_id, pred, gt, agents
+    plan = _plan_from_list(_require(d, "trajectory"))
+    agents = d.get("agents")
+    if agents is None:
+        return sample_id, plan, _NO_AGENTS
+    return sample_id, plan, _agents_from_list(agents)
 
 
 def ora_sample_from_dict(d: Mapping) -> OraSample:
+    """One ORA answer. ``exist`` must be a JSON boolean, and ``level``,
+    ``category`` and ``object`` strings where given."""
+    exist = _require(d, "exist")
+    if not isinstance(exist, bool):
+        raise ValueError(f"exist must be true or false, got {exist!r}")
+    for key in ("level", "category", "object"):
+        if d.get(key) is not None and not isinstance(d[key], str):
+            raise ValueError(f"{key} must be a string, got {d[key]!r}")
     grounding = None
     if d.get("grounding") is not None:
         grounding = box_from_list(d["grounding"])
     return OraSample(
         sample_id=str(_require(d, "sample_id")),
-        exist=bool(_require(d, "exist")),
+        exist=exist,
         level=d.get("level"),
         category=d.get("category"),
         object=d.get("object"),

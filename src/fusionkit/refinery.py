@@ -92,11 +92,6 @@ class BoxSpan:
     x2: int
     y2: int
 
-    def to_normalized(self):
-        from .driving_eval import NormalizedBox
-
-        return NormalizedBox(self.x1, self.y1, self.x2, self.y2)
-
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.x1, self.y1, self.x2, self.y2)
 
@@ -221,9 +216,10 @@ def _render(segments: Sequence[Segment]) -> str:
 def serialize_tags(t: TaggedText) -> str:
     """Canonical spelling of the segment sequence.
 
-    Inverse of parse_tags on segments, provided plain and ref text do
-    not themselves embed complete tag syntax (text produced by
-    parse_tags never does).
+    Inverse of parse_tags on the segments parse_tags produces. Other
+    plain or ref text need not survive the round trip: text that embeds
+    tag syntax does not, nor text that forms a tag with its neighbour
+    (a plain ``<box>`` right before a box tag).
     """
     return _render(t.segments)
 
@@ -648,10 +644,10 @@ def record_from_dict(d: Mapping) -> UnifiedRecord:
     """
     try:
         return _record_from_dict(d)
-    except (TypeError, AttributeError) as err:
-        raise ValueError(f"record field has the wrong type: {err}") from None
     except KeyError as err:
         raise ValueError(f"record field is missing key {err}") from None
+    except (TypeError, AttributeError, IndexError, OverflowError) as err:
+        raise ValueError(f"record field has the wrong type: {err}") from None
 
 
 def _record_from_dict(d: Mapping) -> UnifiedRecord:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from .chat import ChatClient, ChatError, ChatRequest
-from .driving_eval import NormalizedBox, box_from_list
+from .driving_eval import NormalizedBox, box_from_list, is_integral
 from .refinery import CAMERA_VIEWS
 
 __all__ = [
@@ -114,25 +114,32 @@ class Scene:
 
 
 def scene_from_dict(d: Mapping) -> Scene:
-    """Build a Scene from one JSONL record; a field of the wrong JSON type
-    raises ValueError."""
+    """Build a Scene from one JSONL record; a missing key or a field of the
+    wrong JSON type raises ValueError. ``distance`` is whole meters: ``5``
+    or ``5.0``, not ``5.7`` or ``true``."""
     if "scene_id" not in d:
         raise ValueError("scene record is missing 'scene_id'")
     objects = []
     try:
         for raw in d.get("objects", ()):
             box = raw.get("box")
+            distance = raw["distance"]
+            if not is_integral(distance):
+                raise ValueError(
+                    f"distance must be whole meters, got {distance!r}")
             objects.append(
                 SceneObject(
                     category=str(raw["category"]),
                     bearing=str(raw["bearing"]),
-                    distance=int(raw["distance"]),
+                    distance=int(distance),
                     view=str(raw.get("view", "front")),
                     box=box_from_list(box) if box is not None else None,
                 )
             )
     except (TypeError, AttributeError) as err:
         raise ValueError(f"scene object has the wrong type: {err}") from None
+    except KeyError as err:
+        raise ValueError(f"scene object missing required key {err}") from None
     return Scene(scene_id=str(d["scene_id"]), objects=tuple(objects))
 
 

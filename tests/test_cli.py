@@ -8,7 +8,14 @@ import json
 import numpy as np
 import pytest
 
-from fusionkit.cli import InputError, _make_client, _read_jsonl, demo_params, main
+from fusionkit.cli import (
+    InputError,
+    ValidationError,
+    _make_client,
+    _read_jsonl,
+    demo_params,
+    main,
+)
 from fusionkit.config import Config
 from fusionkit.driving_eval import ora_sample_to_dict
 from fusionkit.interactor import (
@@ -309,12 +316,29 @@ def test_read_jsonl_splits_on_newlines_only(tmp_path) -> None:
     # U+2028 and U+0085 are legal unescaped inside JSON strings
     path = tmp_path / "in.jsonl"
     path.write_text('{"a": "x\u2028y"}\r\n\n{"a": "z\u0085"}\n', encoding="utf-8")
-    assert _read_jsonl(str(path)) == [{"a": "x\u2028y"}, {"a": "z\u0085"}]
+    assert _read_jsonl(str(path), dict) == [{"a": "x\u2028y"}, {"a": "z\u0085"}]
     path.write_text('{"a": 1}\n\n{"a": \n', encoding="utf-8")
     with pytest.raises(InputError, match=r"in\.jsonl:3: not valid JSON"):
-        _read_jsonl(str(path))
+        _read_jsonl(str(path), dict)
     with pytest.raises(InputError, match="cannot read"):
-        _read_jsonl(str(tmp_path / "absent.jsonl"))
+        _read_jsonl(str(tmp_path / "absent.jsonl"), dict)
+
+
+def test_read_jsonl_names_the_record_a_decoder_rejects(tmp_path) -> None:
+    def decode(row):
+        if row["a"] < 0:
+            raise ValueError("a must be nonnegative")
+        return row["a"]
+
+    path = tmp_path / "in.jsonl"
+    path.write_text('{"a": 1}\n\n{"a": 2}\n{"a": -1}\n', encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        _read_jsonl(str(path), decode)
+    # blank lines are not records: the third record sits on line 4
+    assert str(err.value) == f"{path} record 2: a must be nonnegative"
+    path.write_text('{"a": 1}\n[2]\n', encoding="utf-8")
+    with pytest.raises(InputError, match=r"in\.jsonl:2: each line must hold"):
+        _read_jsonl(str(path), decode)
 
 
 def test_eval_caption_identical_corpus_scores_100(tmp_path, capsys) -> None:
@@ -350,6 +374,27 @@ def test_eval_caption_id_mismatch_lists_offenders(tmp_path, capsys) -> None:
     assert rc == 3
     err = capsys.readouterr().err
     assert "missing=['y']" in err and "extra=['x']" in err
+
+
+def test_eval_duplicate_gt_id_exit_3(tmp_path, capsys) -> None:
+    # a duplicated GT id is an error, not a silent last-row-wins
+    plan = [[0.5 * i, 0.0] for i in range(1, 7)]
+    cases = {
+        "caption": ({"id": "a", "caption": "x"},
+                    [{"id": "a", "references": ["x"]},
+                     {"id": "a", "references": ["y"]}]),
+        "planning": ({"sample_id": "a", "trajectory": plan},
+                     [{"sample_id": "a", "trajectory": plan}] * 2),
+    }
+    for kind, (pred_row, gt_rows) in cases.items():
+        pred = tmp_path / f"{kind}_pred.jsonl"
+        gt = tmp_path / f"{kind}_gt.jsonl"
+        write_jsonl(pred, [pred_row])
+        write_jsonl(gt, gt_rows)
+        rc = main(["eval", kind, "--pred", str(pred), "--gt", str(gt)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "validation error: duplicate GT ids: ['a']\n")
 
 
 def test_eval_grounding_perfect_fixture(tmp_path, capsys) -> None:
@@ -415,6 +460,21 @@ def test_eval_planning_collision_with_agents(tmp_path, capsys) -> None:
     assert cells[4:] == ["0.0000", "100.0000", "100.0000", "66.6667"]
 
 
+def test_eval_planning_gt_without_agents_is_collision_free(tmp_path, capsys):
+    # the ego sits where a GT agent would be; without agents nothing collides
+    plan = [[0.5 * i, 0.0] for i in range(1, 7)]
+    pred = tmp_path / "pred.jsonl"
+    gt = tmp_path / "gt.jsonl"
+    write_jsonl(pred, [{"sample_id": "s1", "trajectory": plan},
+                       {"sample_id": "s2", "trajectory": plan}])
+    write_jsonl(gt, [{"sample_id": "s1", "trajectory": plan},
+                     {"sample_id": "s2", "trajectory": plan, "agents": None}])
+    rc = main(["eval", "planning", "--pred", str(pred), "--gt", str(gt)])
+    assert rc == 0
+    cells = capsys.readouterr().out.splitlines()[1].split(",")
+    assert cells[4:] == ["0.0000"] * 4
+
+
 AGENT = {"cx": 2.0, "cy": 0.0, "length": 4.0, "width": 2.0, "heading": 0.0}
 
 
@@ -440,7 +500,7 @@ def test_eval_planning_malformed_agents_exit_3(tmp_path, capsys, agents, reason)
     rc = main(["eval", "planning", "--pred", str(pred), "--gt", str(gt)])
     assert rc == 3
     err = capsys.readouterr().err
-    assert err.startswith("validation error: sample s1: ")
+    assert err.startswith(f"validation error: {gt} record 0: ")
     assert reason in err
     assert "Traceback" not in err
 
@@ -501,6 +561,8 @@ def test_eval_ora_duplicate_prediction_id_exit_3(tmp_path, capsys) -> None:
 BOX = {"image_id": "i1", "box": [0, 0, 9, 9], "label": "car"}
 DET = {**BOX, "score": 0.5}
 ORA = {"sample_id": "1", "exist": False}
+ORA_RISK = {"sample_id": "1", "exist": True, "level": "low",
+            "category": "potential_risk", "object": "car"}
 RECORD = {"id": "r1", "conversation": [{"role": "human", "value": "Hi"}]}
 SCENE_OBJECT = {"category": "car", "bearing": "ahead", "distance": 5}
 
@@ -517,21 +579,31 @@ SCENE_OBJECT = {"category": "car", "bearing": "ahead", "distance": 5}
         ("caption", {"id": "1", "caption": "a cat"},
          {"id": "1", "references": "a cat"}),
         ("caption", {"id": "1", "caption": "None"}, {"id": "1", "references": [None]}),
+        ("caption", {"id": "1", "caption": None}, {"id": "1", "references": ["None"]}),
         ("ora", {**ORA, "grounding": [1, 2, None, 4]}, ORA),
+        # bool("false") is True: a loose reading scores this as a risk call
+        ("ora", {**ORA_RISK, "exist": "false"}, ORA),
+        ("ora", {**ORA_RISK, "object": 5}, {**ORA_RISK, "object": "5"}),
         ("refine", {**RECORD, "conversation": ["Hi"]}, None),
         ("refine", {**RECORD, "trajectory": [1, 2, 3]}, None),
         ("refine", {**RECORD, "ego_status": 5}, None),
         ("gen-risk-qa", {"scene_id": "s1", "objects": ["car"]}, None),
         ("gen-risk-qa", {"scene_id": "s1", "objects": [
             {**SCENE_OBJECT, "box": [0, 0, None, 9]}]}, None),
+        ("gen-risk-qa", {"scene_id": "s1", "objects": [
+            {**SCENE_OBJECT, "distance": 5.7}]}, None),
+        ("gen-risk-qa", {"scene_id": "s1", "objects": [
+            {**SCENE_OBJECT, "distance": True}]}, None),
     ],
     ids=["grounding-null-coord", "grounding-null-score", "grounding-gt-null-coord",
          "grounding-fractional-coord", "grounding-bool-coord",
          "caption-int-references", "caption-string-references",
-         "caption-null-reference",
-         "ora-null-grounding", "refine-string-turn",
+         "caption-null-reference", "caption-null-caption",
+         "ora-null-grounding", "ora-string-exist", "ora-int-object",
+         "refine-string-turn",
          "refine-flat-trajectory", "refine-int-ego-status",
-         "risk-qa-string-object", "risk-qa-null-coord"],
+         "risk-qa-string-object", "risk-qa-null-coord",
+         "risk-qa-fractional-distance", "risk-qa-bool-distance"],
 )
 def test_wrong_typed_json_exit_3(tmp_path, capsys, command, record, gt) -> None:
     first = tmp_path / "in.jsonl"

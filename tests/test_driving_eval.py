@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fusionkit.driving_eval import (
-    AgentBox,
+    HORIZONS,
     AgentSnapshots,
     Detection,
     GroundTruthBox,
@@ -25,7 +25,6 @@ from fusionkit.driving_eval import (
     ora_score,
     planning_record_from_dict,
     rectangles_collide,
-    trajectory_collides,
 )
 from oracles import (
     cell_count_iou,
@@ -280,27 +279,42 @@ def test_sat_agrees_with_clipping_oracle():
         assert rectangles_collide(a, b) == rectangles_overlap_by_area(a, b)
 
 
+def snapshots(*snaps) -> AgentSnapshots:
+    """AgentSnapshots from six lists of (cx, cy, length, width, heading)."""
+    return AgentSnapshots([a for snap in snaps for a in snap],
+                          tuple(len(snap) for snap in snaps))
+
+
+def collision_flags(plan, ego_length, ego_width, agents) -> dict[str, bool]:
+    """Per-horizon verdicts for one sample, read off its collision rate."""
+    rates = collision_rate([(plan, agents)], ego_length, ego_width)
+    assert all(rates[h] in (0.0, 100.0) for h in HORIZONS)
+    return {h: rates[h] == 100.0 for h in HORIZONS}
+
+
 def test_collision_horizon_accumulates():
     # agent appears only at the 2.0 s snapshot (waypoint index 3):
     # no collision at 1 s, collision at 2 s and 3 s
     plan = TrajectoryPlan(tuple((float(i + 1), 0.0) for i in range(6)))
-    agent = AgentBox(cx=4.0, cy=0.0, length=2.0, width=2.0, heading=0.0)
-    agents = [[], [], [], [agent], [], []]
-    flags = trajectory_collides(plan, 4.084, 1.85, agents)
+    agent = (4.0, 0.0, 2.0, 2.0, 0.0)
+    agents = snapshots([], [], [], [agent], [], [])
+    flags = collision_flags(plan, 4.084, 1.85, agents)
     assert flags == {"1s": False, "2s": True, "3s": True}
 
 
 def test_collision_agents_must_align():
-    plan = TrajectoryPlan(((0.0, 0.0),) * 6)
     with pytest.raises(ValueError, match="misaligned"):
-        trajectory_collides(plan, 4.0, 2.0, [[], [], []])
+        snapshots([], [], [])
+    with pytest.raises(ValueError, match="misaligned: got 3, need 6"):
+        planning_record_from_dict({"sample_id": "s", "trajectory": [[0, 0]] * 6,
+                                   "agents": [[], [], []]})
 
 
 def test_collision_stationary_plan_keeps_heading():
     # degenerate segments never crash; heading carries forward
     plan = TrajectoryPlan(((1.0, 1.0),) * 6)
-    agents = [[] for _ in range(6)]
-    flags = trajectory_collides(plan, 4.0, 2.0, agents)
+    agents = snapshots(*([] for _ in range(6)))
+    flags = collision_flags(plan, 4.0, 2.0, agents)
     assert flags == {"1s": False, "2s": False, "3s": False}
 
 
@@ -312,20 +326,21 @@ def test_collision_heading_follows_turn():
     )
     # ego is 4 long, 1 wide; agent sits at x=3, y=4.4: reachable only
     # while pointing +y (half-length 2 + half-extent 0.5 > 1.4 gap)
-    agent = AgentBox(cx=3.0, cy=4.4, length=1.0, width=1.0, heading=0.0)
-    agents = [[agent]] * 6
-    flags = trajectory_collides(plan, 4.0, 1.0, agents)
+    agent = (3.0, 4.4, 1.0, 1.0, 0.0)
+    agents = snapshots(*([agent] for _ in range(6)))
+    flags = collision_flags(plan, 4.0, 1.0, agents)
     assert flags["1s"] is False
     assert flags["3s"] is True
 
 
 def test_collision_rate_counts_samples():
     hit_plan = TrajectoryPlan(tuple((float(i + 1), 0.0) for i in range(6)))
-    agent = AgentBox(cx=1.0, cy=0.0, length=2.0, width=2.0, heading=0.0)
+    agent = (1.0, 0.0, 2.0, 2.0, 0.0)
     miss_plan = TrajectoryPlan(tuple((float(i + 1), 50.0) for i in range(6)))
+    agents = snapshots(*([agent] for _ in range(6)))
     samples = [
-        (hit_plan, [[agent]] * 6),
-        (miss_plan, [[agent]] * 6),
+        (hit_plan, agents),
+        (miss_plan, agents),
     ]
     rates = collision_rate(samples, 4.084, 1.85)
     assert rates == {"1s": 50.0, "2s": 50.0, "3s": 50.0, "avg": 50.0}
@@ -334,21 +349,20 @@ def test_collision_rate_counts_samples():
 
 
 def test_agent_snapshots_rows_and_views():
-    a = AgentBox(cx=1.0, cy=2.0, length=4.0, width=2.0, heading=0.1)
-    b = AgentBox(cx=-1.0, cy=0.5, length=3.0, width=1.5, heading=0.0)
-    snaps = AgentSnapshots.from_boxes([[a], [], [a, b]])
-    assert len(snaps) == 3 and snaps.sizes == (1, 0, 2)
+    a = (1.0, 2.0, 4.0, 2.0, 0.1)
+    b = (-1.0, 0.5, 3.0, 1.5, 0.0)
+    snaps = snapshots([a], [], [a, b], [], [], [])
+    assert snaps.sizes == (1, 0, 2, 0, 0, 0)
     assert snaps.rows.dtype == np.float64 and snaps.rows.shape == (3, 5)
-    assert snaps[0] == [a] and snaps[1] == [] and snaps[2] == [a, b]
-    assert snaps[-1] == [a, b]
-    with pytest.raises(IndexError):
-        snaps[3]
+    assert snaps.rows.tolist() == [list(a), list(a), list(b)]
+    assert snapshots(*([] for _ in range(6))).rows.shape == (0, 5)
+    one = (1, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError, match="finite"):
-        AgentSnapshots([(0.0, 0.0, 1.0, 1.0, float("nan"))], (1,))
+        AgentSnapshots([(0.0, 0.0, 1.0, 1.0, float("nan"))], one)
     with pytest.raises(ValueError, match="positive"):
-        AgentSnapshots([(0.0, 0.0, 0.0, 1.0, 0.0)], (1,))
+        AgentSnapshots([(0.0, 0.0, 0.0, 1.0, 0.0)], one)
     with pytest.raises(ValueError, match="add up"):
-        AgentSnapshots([(0.0, 0.0, 1.0, 1.0, 0.0)], (2,))
+        AgentSnapshots([(0.0, 0.0, 1.0, 1.0, 0.0)], (2, 0, 0, 0, 0, 0))
 
 
 # --------------------------------------------------------------------- ORA
@@ -466,20 +480,21 @@ def test_gt_and_planning_codecs():
 
     record = {
         "sample_id": "p1",
-        "pred": [[0.5 * i, 0.0] for i in range(6)],
-        "gt": [[0.5 * i, 0.1] for i in range(6)],
+        "trajectory": [[0.5 * i, 0.1] for i in range(6)],
         "agents": [[{"cx": 1.0, "cy": 2.0, "length": 4.0, "width": 2.0,
                      "heading": 0.1}]] * 6,
     }
-    sample_id, pred, gt_plan, agents = planning_record_from_dict(record)
+    sample_id, plan, agents = planning_record_from_dict(record)
     assert sample_id == "p1"
-    assert len(pred.waypoints) == 6
-    assert agents is not None and len(agents) == 6
-    assert agents[0][0].length == 4.0
+    assert len(plan.waypoints) == 6
+    assert agents.sizes == (1,) * 6
+    assert agents.rows[0].tolist() == [1.0, 2.0, 4.0, 2.0, 0.1]
 
-    record_no_agents = dict(record, agents=None)
-    _, _, _, agents = planning_record_from_dict(record_no_agents)
-    assert agents is None
+    # a row without agents, or with null agents, has six empty snapshots
+    for no_agents in ({k: v for k, v in record.items() if k != "agents"},
+                      dict(record, agents=None)):
+        _, _, agents = planning_record_from_dict(no_agents)
+        assert agents.sizes == (0,) * 6 and agents.rows.shape == (0, 5)
 
 
 def test_ora_codec_round_trip():

@@ -9,6 +9,7 @@ messages against the direct set/count formulation.
 
 import math
 import random
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionkit.driving_eval import (
-    AgentBox,
     TrajectoryPlan,
     _corner_arrays,
     _ego_headings,
@@ -25,7 +25,6 @@ from fusionkit.driving_eval import (
     align_ids,
     collision_rate,
     rectangles_collide,
-    trajectory_collides,
 )
 from fusionkit.text_metrics import (
     EvalPair,
@@ -35,6 +34,7 @@ from fusionkit.text_metrics import (
 )
 
 from oracles import oracle_rouge_l
+from test_driving_eval import collision_flags, snapshots
 
 
 # --------------------------------------------------------------------- LCS
@@ -165,6 +165,9 @@ def scalar_trajectory_flags(plan, ego_length, ego_width, agents):
     return {"1s": any(hit[:2]), "2s": any(hit[:4]), "3s": any(hit[:6])}
 
 
+Agent = namedtuple("Agent", "cx cy length width heading")
+
+
 def test_collision_paths_match_scalar_loop_across_blocks():
     rnd = random.Random(21)
     samples = []
@@ -173,16 +176,17 @@ def test_collision_paths_match_scalar_loop_across_blocks():
             (rnd.choice([0.0, 1.5 * (i + 1)]) + rnd.uniform(-1, 1),
              rnd.uniform(-1.5, 1.5)) for i in range(6)))
         agents = [
-            [AgentBox(rnd.uniform(-2, 11), rnd.uniform(-4, 4),
-                      rnd.uniform(1, 5), rnd.uniform(1, 2.5),
-                      rnd.choice([0.0, rnd.uniform(-3.2, 3.2)]))
+            [Agent(rnd.uniform(-2, 11), rnd.uniform(-4, 4),
+                   rnd.uniform(1, 5), rnd.uniform(1, 2.5),
+                   rnd.choice([0.0, rnd.uniform(-3.2, 3.2)]))
              for _ in range(rnd.randint(0, 3))]
             for _ in range(6)
         ]
         samples.append((plan, agents))
     want = [scalar_trajectory_flags(p, 4.084, 1.85, a) for p, a in samples]
+    samples = [(plan, snapshots(*agents)) for plan, agents in samples]
     for (plan, agents), flags in list(zip(samples, want))[:300]:
-        assert trajectory_collides(plan, 4.084, 1.85, agents) == flags
+        assert collision_flags(plan, 4.084, 1.85, agents) == flags
     rates = collision_rate(samples, 4.084, 1.85)
     for h in ("1s", "2s", "3s"):
         count = sum(1 for f in want if f[h])
