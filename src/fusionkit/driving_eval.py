@@ -18,6 +18,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -682,6 +683,32 @@ def _require(d: Mapping, key: str):
     return d[key]
 
 
+def require_id(d: Mapping, key: str) -> str:
+    """The id at ``key``: a JSON string, or a JSON integer in its decimal
+    spelling. null, booleans, floats, lists and objects are not ids."""
+    value = _require(d, key)
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    raise ValueError(f"{key} must be a string or an integer, got {value!r}")
+
+
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def require_numbers(values: Sequence, what: str) -> None:
+    """Reject any value that is not a JSON number.
+
+    json.loads gives a JSON number as an int or a float and nothing else
+    as either, so one set of types decides a whole row; a bool, a string
+    or null is named in the error.
+    """
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) not in _NUMBER_TYPES)
+        raise ValueError(f"{what} must be numbers, got {bad!r}")
+
+
 def is_integral(v) -> bool:
     """An int, or a float holding an integer such as 9.0; never a bool."""
     if isinstance(v, bool):
@@ -698,30 +725,35 @@ def box_from_list(raw) -> NormalizedBox:
 
 
 def detection_from_dict(d: Mapping) -> tuple[str, Detection]:
-    image_id = str(_require(d, "image_id"))
+    image_id = require_id(d, "image_id")
     box = box_from_list(_require(d, "box"))
+    score = _require(d, "score")
+    require_numbers((score,), "score")
     try:
-        score = float(_require(d, "score"))
-    except (TypeError, OverflowError):
-        raise ValueError(f"score must be a number, got {d['score']!r}") from None
+        score = float(score)
+    except OverflowError:
+        raise ValueError(f"score must be a finite number, got {score!r}") from None
     return image_id, Detection(box=box, score=score, label=str(_require(d, "label")))
 
 
 def gt_box_from_dict(d: Mapping) -> tuple[str, GroundTruthBox]:
-    image_id = str(_require(d, "image_id"))
+    image_id = require_id(d, "image_id")
     return image_id, GroundTruthBox(
         box=box_from_list(_require(d, "box")), label=str(_require(d, "label"))
     )
 
 
-def _plan_from_list(raw) -> TrajectoryPlan:
-    if not isinstance(raw, (list, tuple)):
+def plan_from_list(raw) -> TrajectoryPlan:
+    """A ``trajectory`` field: a list of [x, y] JSON-number waypoints."""
+    if not (isinstance(raw, (list, tuple)) and all(
+            isinstance(wp, (list, tuple)) and len(wp) == 2 for wp in raw)):
         raise ValueError("trajectory must be a list of [x, y] waypoints")
+    require_numbers([v for wp in raw for v in wp], "trajectory waypoints")
     try:
         return TrajectoryPlan(raw)
-    except (TypeError, OverflowError) as err:
+    except OverflowError as err:
         raise ValueError(
-            f"trajectory waypoints must be [x, y] numbers: {err}"
+            f"trajectory waypoints must be finite numbers: {err}"
         ) from None
 
 
@@ -732,7 +764,7 @@ _agent_values = operator.itemgetter(*_AGENT_FIELDS)
 def _agents_from_list(snapshots) -> AgentSnapshots:
     if not isinstance(snapshots, (list, tuple)):
         raise ValueError("agents must be a list of per-waypoint snapshots")
-    values: list = []
+    values: list = []  # every agent's five fields, agent after agent
     for t, snap in enumerate(snapshots):
         if not isinstance(snap, (list, tuple)):
             raise ValueError(
@@ -740,7 +772,7 @@ def _agents_from_list(snapshots) -> AgentSnapshots:
                 f"got {type(snap).__name__}"
             )
         try:
-            values += map(_agent_values, snap)
+            values += chain.from_iterable(map(_agent_values, snap))
         except KeyError as err:
             raise ValueError(
                 f"record missing required key {err.args[0]!r}"
@@ -750,16 +782,12 @@ def _agents_from_list(snapshots) -> AgentSnapshots:
                 f"agents[{t}] must hold agent objects with keys "
                 f"{', '.join(_AGENT_FIELDS)}"
             ) from None
+    require_numbers(values, "agent box fields")
     try:
-        rows = np.array(values, dtype=np.float64)
-        return AgentSnapshots(rows, tuple(len(snap) for snap in snapshots))
-    except (TypeError, OverflowError) as err:
-        raise ValueError(f"agent box fields must be numbers: {err}") from None
-    except ValueError:
-        # numpy reads null as NaN, which AgentSnapshots calls not finite
-        if any(v is None for agent in values for v in agent):
-            raise ValueError("agent box fields must be numbers, got null") from None
-        raise
+        rows = np.array(values, dtype=np.float64).reshape(-1, len(_AGENT_FIELDS))
+    except OverflowError as err:
+        raise ValueError(f"agent box fields must be finite: {err}") from None
+    return AgentSnapshots(rows, tuple(len(snap) for snap in snapshots))
 
 
 def planning_record_from_dict(
@@ -768,8 +796,8 @@ def planning_record_from_dict(
     """One planning row, prediction or ground truth: ``sample_id``,
     ``trajectory`` and optional ``agents``. A row without agents (or
     with ``"agents": null``) gets six empty snapshots."""
-    sample_id = str(_require(d, "sample_id"))
-    plan = _plan_from_list(_require(d, "trajectory"))
+    sample_id = require_id(d, "sample_id")
+    plan = plan_from_list(_require(d, "trajectory"))
     agents = d.get("agents")
     if agents is None:
         return sample_id, plan, _NO_AGENTS
@@ -789,7 +817,7 @@ def ora_sample_from_dict(d: Mapping) -> OraSample:
     if d.get("grounding") is not None:
         grounding = box_from_list(d["grounding"])
     return OraSample(
-        sample_id=str(_require(d, "sample_id")),
+        sample_id=require_id(d, "sample_id"),
         exist=exist,
         level=d.get("level"),
         category=d.get("category"),

@@ -9,8 +9,14 @@ reported with its byte offset. Legacy spellings with stray whitespace
 inside the delimiters are accepted and reserialize canonically.
 
 BoxSpan deliberately stores raw integers without range validation:
-out-of-range and inverted boxes must survive parsing so the filtering
-pass can count and drop them.
+out-of-range and inverted boxes must survive parsing so the refine pass
+can count and drop them. ``refine_records`` makes that one pass over the
+records: it normalizes pixel boxes, drops invalid boxes, rounds
+decimals, drops records that lost their grounding and classifies the
+answer, building each kept record once.
+
+Records enter through ``record_from_dict``: an id is a JSON string or
+integer, and every trajectory and ego-status value is a JSON number.
 """
 
 from __future__ import annotations
@@ -18,9 +24,15 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .driving_eval import TrajectoryPlan
+from .driving_eval import (
+    NormalizedBox,
+    TrajectoryPlan,
+    plan_from_list,
+    require_id,
+    require_numbers,
+)
 from .text_metrics import tokenize
 
 __all__ = [
@@ -46,7 +58,6 @@ __all__ = [
     "normalize_box",
     "encode_ego_status",
     "unify_trajectory",
-    "filter_invalid_boxes",
     "classify_answer_length",
     "refine_records",
     "record_from_dict",
@@ -85,7 +96,7 @@ class RefSpan:
 
 @dataclass(frozen=True)
 class BoxSpan:
-    """Box tag payload, kept raw: validity is the filter pass's concern."""
+    """Box tag payload, kept raw: validity is the refine pass's concern."""
 
     x1: int
     y1: int
@@ -121,15 +132,9 @@ class TagParseError(ValueError):
 
 @dataclass(frozen=True)
 class TaggedText:
-    """Parsed tagged string: the raw input plus its segment sequence."""
+    """Parsed tagged string: its segment sequence."""
 
-    raw: str
     segments: tuple[Segment, ...]
-
-    @classmethod
-    def from_segments(cls, segments: Iterable[Segment]) -> "TaggedText":
-        segs = tuple(segments)
-        return cls(raw=_render(segs), segments=segs)
 
     def has_grounding_tags(self) -> bool:
         return any(isinstance(s, (RefSpan, BoxSpan)) for s in self.segments)
@@ -194,12 +199,19 @@ def parse_tags(raw: str) -> TaggedText:
     if raw[pos:]:
         plain.append(raw[pos:])
     flush()
-    return TaggedText(raw=raw, segments=tuple(segments))
+    return TaggedText(tuple(segments))
 
 
-def _render(segments: Sequence[Segment]) -> str:
+def serialize_tags(t: TaggedText) -> str:
+    """Canonical spelling of the segment sequence.
+
+    Inverse of parse_tags on the segments parse_tags produces. Other
+    plain or ref text need not survive the round trip: text that embeds
+    tag syntax does not, nor text that forms a tag with its neighbour
+    (a plain ``<box>`` right before a box tag).
+    """
     parts: list[str] = []
-    for seg in segments:
+    for seg in t.segments:
         if isinstance(seg, PlainText):
             parts.append(seg.text)
         elif isinstance(seg, RefSpan):
@@ -211,17 +223,6 @@ def _render(segments: Sequence[Segment]) -> str:
         else:
             raise TypeError(f"not a segment: {seg!r}")
     return "".join(parts)
-
-
-def serialize_tags(t: TaggedText) -> str:
-    """Canonical spelling of the segment sequence.
-
-    Inverse of parse_tags on the segments parse_tags produces. Other
-    plain or ref text need not survive the round trip: text that embeds
-    tag syntax does not, nor text that forms a tag with its neighbour
-    (a plain ``<box>`` right before a box tag).
-    """
-    return _render(t.segments)
 
 
 # ------------------------------------------------------------- quantization
@@ -258,15 +259,13 @@ def quantize_decimal(value: float, unit_scale: float = 1.0) -> int:
 
 def normalize_box(
     px_box: Sequence[float], img_w: int, img_h: int
-):
+) -> NormalizedBox:
     """Map a pixel-space box onto the inclusive 0..999 grid.
 
     Per axis: clamp(round(coord / (size - 1) * 999), 0, 999), so pixel 0
     lands on 0 and the last pixel index lands on 999. Monotone per axis,
     which preserves corner ordering.
     """
-    from .driving_eval import NormalizedBox
-
     if img_w < 2 or img_h < 2:
         raise ValueError("image sides must be at least 2 pixels")
     coords = [float(c) for c in px_box]
@@ -289,6 +288,14 @@ def normalize_box(
 # --------------------------------------------------------------- ego status
 
 
+EGO_QUANTITIES = (
+    "lateral_velocity",
+    "longitudinal_velocity",
+    "lateral_acceleration",
+    "longitudinal_acceleration",
+)
+
+
 @dataclass(frozen=True)
 class EgoStatus:
     lateral_velocity: float
@@ -298,12 +305,7 @@ class EgoStatus:
     command: str
 
     def __post_init__(self) -> None:
-        for name in (
-            "lateral_velocity",
-            "longitudinal_velocity",
-            "lateral_acceleration",
-            "longitudinal_acceleration",
-        ):
+        for name in EGO_QUANTITIES:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.command not in EGO_COMMANDS:
@@ -347,7 +349,7 @@ class TrajectoryCoverageError(ValueError):
 
 
 def unify_trajectory(
-    points: Sequence[tuple[float, float, float]], source: str
+    points: Sequence[tuple[float, float, float]],
 ) -> TrajectoryPlan:
     """Resample timestamped (t, x, y) points onto the 0.5 s grid.
 
@@ -355,8 +357,6 @@ def unify_trajectory(
     exactly on a grid time passes through bit-identically. No
     extrapolation: every grid time must lie inside the sampled span.
     """
-    if source not in DATASET_SOURCES:
-        raise ValueError(f"source must be one of {DATASET_SOURCES}")
     pts = [(float(t), float(x), float(y)) for t, x, y in points]
     if not pts:
         raise ValueError("trajectory needs at least one sample")
@@ -475,67 +475,6 @@ def _box_drop_reason(b: BoxSpan) -> str | None:
     return None
 
 
-def filter_invalid_boxes(
-    records: Sequence[UnifiedRecord],
-) -> tuple[list[UnifiedRecord], RefineReport]:
-    """Drop unusable BoxSpans; drop records they render unanswerable.
-
-    A box is dropped when out of [0, 999], inverted, or zero-area. A
-    whole record is dropped when some assistant turn loses every box it
-    had and the question before it carries grounding tags: that sample
-    asks for boxes it can no longer teach. Inputs are never mutated;
-    untouched records are passed through as the same objects.
-    """
-    report = RefineReport(input_count=len(records))
-    kept: list[UnifiedRecord] = []
-    for record in records:
-        new_turns: list[ConversationTurn] = []
-        changed = False
-        drop_record = False
-        for i, turn in enumerate(record.conversation):
-            had_boxes = bool(turn.value.boxes())
-            new_segments: list[Segment] = []
-            for seg in turn.value.segments:
-                if isinstance(seg, BoxSpan):
-                    reason = _box_drop_reason(seg)
-                    if reason is not None:
-                        report.box_drops[reason] = (
-                            report.box_drops.get(reason, 0) + 1
-                        )
-                        changed = True
-                        continue
-                new_segments.append(seg)
-            new_value = (
-                TaggedText.from_segments(new_segments)
-                if len(new_segments) != len(turn.value.segments)
-                else turn.value
-            )
-            if (
-                turn.role == "assistant"
-                and had_boxes
-                and not new_value.boxes()
-                and i > 0
-                and record.conversation[i - 1].value.has_grounding_tags()
-            ):
-                drop_record = True
-            new_turns.append(
-                ConversationTurn(turn.role, new_value)
-                if new_value is not turn.value
-                else turn
-            )
-        if drop_record:
-            report.dropped += 1
-            report.record_drops["grounding_lost_all_boxes"] = (
-                report.record_drops.get("grounding_lost_all_boxes", 0) + 1
-            )
-            continue
-        report.kept += 1
-        kept.append(
-            replace(record, conversation=tuple(new_turns)) if changed else record
-        )
-    return kept, report
-
-
 def classify_answer_length(answer: TaggedText, threshold: int = 5) -> str:
     """'short' when the answer is at most `threshold` tokens long.
 
@@ -573,62 +512,81 @@ def refine_records(
     image_size: tuple[int, int] | None = None,
     quantize_decimals: bool = False,
 ) -> tuple[list[UnifiedRecord], RefineReport]:
-    """Full refinement pass over parsed records.
+    """Refine every record in one pass; inputs are never mutated.
 
-    Optional steps first: with image_size, box payloads are treated as
-    pixel coordinates and mapped onto the 0..999 grid (inverted boxes
-    are left alone for the filter to drop); with quantize_decimals,
-    decimal literals in plain text are rounded to integers. Then invalid
-    boxes are filtered, records dropped per the grounding rule, and
-    every record with an assistant turn gets its answer class.
+    Each segment of each turn goes through these steps in order:
+
+    - with image_size, a box that is not inverted is read as pixel
+      coordinates and mapped onto the 0..999 grid (``normalize_box``);
+    - a box that is out of [0, 999], inverted, or zero-area is dropped
+      and counted by reason;
+    - with quantize_decimals, decimal literals in plain text are rounded
+      to integers.
+
+    A whole record is dropped when some assistant turn had boxes, keeps
+    none, and the question before it carries grounding tags in the input:
+    that sample asks for boxes it can no longer teach. Its normalized
+    boxes, dropped boxes and rounded decimals are still counted. Every
+    kept record with an assistant turn gets the answer class of its last
+    answer; a record without one keeps its class.
     """
-    staged: list[UnifiedRecord] = []
-    boxes_normalized = 0
-    decimals_converted = 0
+    report = RefineReport(input_count=len(records))
+    refined: list[UnifiedRecord] = []
     for record in records:
-        changed = False
-        new_turns = []
+        turns: list[ConversationTurn] = []
+        answer = None
+        lost_grounding = False
+        question_grounded = False
         for turn in record.conversation:
-            segs: list[Segment] = []
+            segments: list[Segment] = []
+            had_boxes = kept_boxes = changed = False
             for seg in turn.value.segments:
-                if image_size is not None and isinstance(seg, BoxSpan):
-                    if seg.x2 >= seg.x1 and seg.y2 >= seg.y1:
+                if isinstance(seg, BoxSpan):
+                    had_boxes = True
+                    if (image_size is not None
+                            and seg.x2 >= seg.x1 and seg.y2 >= seg.y1):
                         nb = normalize_box(seg.as_tuple(), *image_size)
                         seg = BoxSpan(nb.x1, nb.y1, nb.x2, nb.y2)
-                        boxes_normalized += 1
-                if quantize_decimals and isinstance(seg, PlainText):
-                    new_text, hits = _quantize_plain_decimals(seg.text)
+                        report.boxes_normalized += 1
+                        changed = True
+                    reason = _box_drop_reason(seg)
+                    if reason is not None:
+                        report.box_drops[reason] = (
+                            report.box_drops.get(reason, 0) + 1
+                        )
+                        changed = True
+                        continue
+                    kept_boxes = True
+                elif quantize_decimals and isinstance(seg, PlainText):
+                    text, hits = _quantize_plain_decimals(seg.text)
                     if hits:
-                        decimals_converted += hits
-                        seg = PlainText(new_text)
-                segs.append(seg)
-            if segs != list(turn.value.segments):
-                changed = True
-                new_turns.append(
-                    ConversationTurn(turn.role, TaggedText.from_segments(segs))
-                )
-            else:
-                new_turns.append(turn)
-        staged.append(
-            replace(record, conversation=tuple(new_turns)) if changed else record
-        )
-
-    kept, report = filter_invalid_boxes(staged)
-    report.boxes_normalized = boxes_normalized
-    report.decimals_converted = decimals_converted
-
-    classified: list[UnifiedRecord] = []
-    for record in kept:
-        answers = [t for t in record.conversation if t.role == "assistant"]
-        if answers:
-            cls = classify_answer_length(answers[-1].value, short_threshold)
-            record = (
-                replace(record, answer_class=cls)
-                if record.answer_class != cls
-                else record
+                        report.decimals_converted += hits
+                        seg = PlainText(text)
+                        changed = True
+                segments.append(seg)
+            value = TaggedText(tuple(segments)) if changed else turn.value
+            if turn.role == "assistant":
+                answer = value
+                if had_boxes and not kept_boxes and question_grounded:
+                    lost_grounding = True
+            # the input turn: a question whose own boxes were all dropped
+            # still asks for boxes
+            question_grounded = turn.value.has_grounding_tags()
+            turns.append(ConversationTurn(turn.role, value) if changed else turn)
+        if lost_grounding:
+            report.dropped += 1
+            report.record_drops["grounding_lost_all_boxes"] = (
+                report.record_drops.get("grounding_lost_all_boxes", 0) + 1
             )
-        classified.append(record)
-    return classified, report
+            continue
+        report.kept += 1
+        refined.append(replace(
+            record,
+            conversation=tuple(turns),
+            answer_class=(record.answer_class if answer is None
+                          else classify_answer_length(answer, short_threshold)),
+        ))
+    return refined, report
 
 
 # ------------------------------------------------------------------- codecs
@@ -639,8 +597,10 @@ def record_from_dict(d: Mapping) -> UnifiedRecord:
 
     Either 'trajectory' (six [x, y] waypoints) or 'trajectory_points'
     (timestamped [t, x, y] samples, resampled onto the grid) may be
-    present, not both. A field of the wrong JSON type or a missing nested
-    key (a turn without 'role', say) raises ValueError.
+    present, not both. The id is a JSON string or integer, and every
+    trajectory and ego-status quantity a JSON number. A field of the
+    wrong JSON type or a missing nested key (a turn without 'role', say)
+    raises ValueError.
     """
     try:
         return _record_from_dict(d)
@@ -651,8 +611,7 @@ def record_from_dict(d: Mapping) -> UnifiedRecord:
 
 
 def _record_from_dict(d: Mapping) -> UnifiedRecord:
-    if "id" not in d:
-        raise ValueError("record missing required key 'id'")
+    record_id = require_id(d, "id")
     if "conversation" not in d:
         raise ValueError("record missing required key 'conversation'")
     source = str(d.get("source_dataset", "omnidrive"))
@@ -664,24 +623,19 @@ def _record_from_dict(d: Mapping) -> UnifiedRecord:
     if d.get("trajectory") is not None and d.get("trajectory_points") is not None:
         raise ValueError("give 'trajectory' or 'trajectory_points', not both")
     if d.get("trajectory") is not None:
-        trajectory = TrajectoryPlan(tuple((float(x), float(y))
-                                          for x, y in d["trajectory"]))
+        trajectory = plan_from_list(d["trajectory"])
     elif d.get("trajectory_points") is not None:
-        trajectory = unify_trajectory(
-            [(p[0], p[1], p[2]) for p in d["trajectory_points"]], source
-        )
+        points = [(p[0], p[1], p[2]) for p in d["trajectory_points"]]
+        require_numbers([v for p in points for v in p], "trajectory_points")
+        trajectory = unify_trajectory(points)
     ego = None
     if d.get("ego_status") is not None:
         e = d["ego_status"]
-        ego = EgoStatus(
-            lateral_velocity=float(e["lateral_velocity"]),
-            longitudinal_velocity=float(e["longitudinal_velocity"]),
-            lateral_acceleration=float(e["lateral_acceleration"]),
-            longitudinal_acceleration=float(e["longitudinal_acceleration"]),
-            command=str(e["command"]),
-        )
+        quantities = [e[name] for name in EGO_QUANTITIES]
+        require_numbers(quantities, "ego_status quantities")
+        ego = EgoStatus(*map(float, quantities), command=str(e["command"]))
     return UnifiedRecord(
-        id=str(d["id"]),
+        id=record_id,
         images={str(k): str(v) for k, v in dict(d.get("images", {})).items()},
         conversation=turns,
         trajectory=trajectory,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from .chat import ChatClient, ChatError, ChatRequest
-from .driving_eval import NormalizedBox, box_from_list, is_integral
+from .driving_eval import NormalizedBox, box_from_list, is_integral, require_id
 from .refinery import CAMERA_VIEWS
 
 __all__ = [
@@ -117,8 +117,7 @@ def scene_from_dict(d: Mapping) -> Scene:
     """Build a Scene from one JSONL record; a missing key or a field of the
     wrong JSON type raises ValueError. ``distance`` is whole meters: ``5``
     or ``5.0``, not ``5.7`` or ``true``."""
-    if "scene_id" not in d:
-        raise ValueError("scene record is missing 'scene_id'")
+    scene_id = require_id(d, "scene_id")
     objects = []
     try:
         for raw in d.get("objects", ()):
@@ -140,7 +139,7 @@ def scene_from_dict(d: Mapping) -> Scene:
         raise ValueError(f"scene object has the wrong type: {err}") from None
     except KeyError as err:
         raise ValueError(f"scene object missing required key {err}") from None
-    return Scene(scene_id=str(d["scene_id"]), objects=tuple(objects))
+    return Scene(scene_id=scene_id, objects=tuple(objects))
 
 
 @dataclass(frozen=True)

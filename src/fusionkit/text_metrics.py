@@ -28,6 +28,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
+from .driving_eval import _require, require_id
+
 __all__ = [
     "EvalPair",
     "MetricReport",
@@ -69,16 +71,10 @@ class EvalPair:
         object.__setattr__(self, "references", refs)
 
 
-def _field(d: Mapping, key: str):
-    if key not in d:
-        raise ValueError(f"record missing required key {key!r}")
-    return d[key]
-
-
 def caption_pred_from_dict(d: Mapping) -> tuple[str, str]:
     """A prediction row ``{"id", "caption"}``; the caption must be a string."""
-    pair_id = str(_field(d, "id"))
-    caption = _field(d, "caption")
+    pair_id = require_id(d, "id")
+    caption = _require(d, "caption")
     if not isinstance(caption, str):
         raise ValueError(f"caption must be a string, got {caption!r}")
     return pair_id, caption
@@ -87,8 +83,8 @@ def caption_pred_from_dict(d: Mapping) -> tuple[str, str]:
 def caption_gt_from_dict(d: Mapping) -> tuple[str, tuple[str, ...]]:
     """A ground-truth row ``{"id", "references": [...]}``, or ``{"id",
     "caption"}`` when ``references`` is absent or empty."""
-    pair_id = str(_field(d, "id"))
-    refs = d.get("references") or [_field(d, "caption")]
+    pair_id = require_id(d, "id")
+    refs = d.get("references") or [_require(d, "caption")]
     if not (isinstance(refs, list) and all(isinstance(r, str) for r in refs)):
         raise ValueError(f"references must be a list of strings, got {refs!r}")
     return pair_id, tuple(refs)

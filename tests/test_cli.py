@@ -172,6 +172,23 @@ def test_refine_turn_missing_key_names_record(tmp_path, missing) -> None:
     assert [json.loads(line)["id"] for line in out.read_text().splitlines()] == ["ok"]
 
 
+def test_refine_ids_are_strings_or_integers(tmp_path) -> None:
+    ids = ["s", 7, None, True, 1.5, [1], {"id": 1}]
+    src = tmp_path / "in.jsonl"
+    write_jsonl(src, [{"id": i, "conversation": [{"role": "human", "value": "Hi"}]}
+                      for i in ids])
+    out = tmp_path / "out.jsonl"
+    rep = tmp_path / "rep.json"
+    rc = main(["refine", "--input", str(src), "--output", str(out),
+               "--report", str(rep)])
+    assert rc == 3
+    invalid = json.loads(rep.read_text())["validation_errors"]
+    assert [e["record_index"] for e in invalid] == [2, 3, 4, 5, 6]
+    assert all("id must be a string or an integer" in e["error"] for e in invalid)
+    assert [json.loads(line)["id"] for line in out.read_text().splitlines()] == [
+        "s", "7"]
+
+
 def test_refine_empty_input(tmp_path) -> None:
     src = tmp_path / "in.jsonl"
     src.write_text("")
@@ -565,6 +582,14 @@ ORA_RISK = {"sample_id": "1", "exist": True, "level": "low",
             "category": "potential_risk", "object": "car"}
 RECORD = {"id": "r1", "conversation": [{"role": "human", "value": "Hi"}]}
 SCENE_OBJECT = {"category": "car", "bearing": "ahead", "distance": 5}
+PLAN = {"sample_id": "1", "trajectory": [[0.5 * i, 0.0] for i in range(1, 7)]}
+EGO = {"lateral_velocity": 0.0, "longitudinal_velocity": 2.0,
+       "lateral_acceleration": 0.0, "longitudinal_acceleration": 0.0,
+       "command": "GO STRAIGHT"}
+
+
+def _agents(**fields) -> list:
+    return [[{**AGENT, **fields}], [], [], [], [], []]
 
 
 @pytest.mark.parametrize(
@@ -575,18 +600,37 @@ SCENE_OBJECT = {"category": "car", "bearing": "ahead", "distance": 5}
         ("grounding", DET, {**BOX, "box": [0, 0, None, 9]}),
         ("grounding", {**DET, "box": [0, 0, 9.9, 9]}, BOX),
         ("grounding", {**DET, "box": [0, 0, True, 9]}, BOX),
+        ("grounding", {**DET, "score": "0.5"}, BOX),
+        ("grounding", {**DET, "score": True}, BOX),
+        ("grounding", {**DET, "image_id": ["i1"]}, BOX),
+        ("grounding", DET, {**BOX, "image_id": {"i1": 1}}),
         ("caption", {"id": "1", "caption": "a"}, {"id": "1", "references": 5}),
         ("caption", {"id": "1", "caption": "a cat"},
          {"id": "1", "references": "a cat"}),
         ("caption", {"id": "1", "caption": "None"}, {"id": "1", "references": [None]}),
         ("caption", {"id": "1", "caption": None}, {"id": "1", "references": ["None"]}),
+        ("caption", {"id": None, "caption": "a"}, {"id": "None", "references": ["a"]}),
+        ("caption", {"id": "True", "caption": "a"}, {"id": True, "references": ["a"]}),
+        ("caption", {"id": 1.0, "caption": "a"}, {"id": "1.0", "references": ["a"]}),
+        ("planning", {**PLAN, "trajectory": ["12"] * 6}, PLAN),
+        ("planning", {**PLAN, "trajectory": [["0.5", True]] * 6}, PLAN),
+        ("planning", PLAN, {**PLAN, "agents": _agents(cx="2.0")}),
+        ("planning", PLAN, {**PLAN, "agents": _agents(width=True)}),
+        ("planning", {**PLAN, "sample_id": None}, {**PLAN, "sample_id": "None"}),
         ("ora", {**ORA, "grounding": [1, 2, None, 4]}, ORA),
         # bool("false") is True: a loose reading scores this as a risk call
         ("ora", {**ORA_RISK, "exist": "false"}, ORA),
         ("ora", {**ORA_RISK, "object": 5}, {**ORA_RISK, "object": "5"}),
+        ("ora", {**ORA, "sample_id": [1]}, {**ORA, "sample_id": "[1]"}),
         ("refine", {**RECORD, "conversation": ["Hi"]}, None),
         ("refine", {**RECORD, "trajectory": [1, 2, 3]}, None),
         ("refine", {**RECORD, "ego_status": 5}, None),
+        ("refine", {**RECORD, "trajectory": ["12"] * 6}, None),
+        ("refine", {**RECORD, "trajectory_points": [[0, 0, 0], ["3", 1, 1]]}, None),
+        ("refine", {**RECORD, "ego_status": {**EGO, "lateral_velocity": "2.0"}},
+         None),
+        ("refine", {**RECORD, "ego_status": {**EGO, "lateral_velocity": False}},
+         None),
         ("gen-risk-qa", {"scene_id": "s1", "objects": ["car"]}, None),
         ("gen-risk-qa", {"scene_id": "s1", "objects": [
             {**SCENE_OBJECT, "box": [0, 0, None, 9]}]}, None),
@@ -594,16 +638,27 @@ SCENE_OBJECT = {"category": "car", "bearing": "ahead", "distance": 5}
             {**SCENE_OBJECT, "distance": 5.7}]}, None),
         ("gen-risk-qa", {"scene_id": "s1", "objects": [
             {**SCENE_OBJECT, "distance": True}]}, None),
+        ("gen-risk-qa", {"scene_id": None, "objects": []}, None),
     ],
     ids=["grounding-null-coord", "grounding-null-score", "grounding-gt-null-coord",
          "grounding-fractional-coord", "grounding-bool-coord",
+         "grounding-string-score", "grounding-bool-score",
+         "grounding-list-image-id", "grounding-gt-object-image-id",
          "caption-int-references", "caption-string-references",
          "caption-null-reference", "caption-null-caption",
+         "caption-null-id", "caption-gt-bool-id", "caption-float-id",
+         "planning-string-waypoints", "planning-string-bool-waypoint",
+         "planning-gt-string-agent-field", "planning-gt-bool-agent-field",
+         "planning-null-id",
          "ora-null-grounding", "ora-string-exist", "ora-int-object",
+         "ora-list-id",
          "refine-string-turn",
          "refine-flat-trajectory", "refine-int-ego-status",
+         "refine-string-waypoints", "refine-string-trajectory-point",
+         "refine-string-ego-quantity", "refine-bool-ego-quantity",
          "risk-qa-string-object", "risk-qa-null-coord",
-         "risk-qa-fractional-distance", "risk-qa-bool-distance"],
+         "risk-qa-fractional-distance", "risk-qa-bool-distance",
+         "risk-qa-null-scene-id"],
 )
 def test_wrong_typed_json_exit_3(tmp_path, capsys, command, record, gt) -> None:
     first = tmp_path / "in.jsonl"

@@ -12,7 +12,7 @@ import copy
 import json
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from fusionkit.driving_eval import (
@@ -77,7 +77,9 @@ def mutants(draw, valid):
         if isinstance(holder, dict) and draw(st.booleans()):
             del holder[path[-1]]
         else:
-            holder[path[-1]] = draw(json_values)
+            # a copy: a later step may mutate inside it, and json_values
+            # can hand out the very lists and objects held in SPECIAL
+            holder[path[-1]] = copy.deepcopy(draw(json_values))
         if not row:
             break
     return row
@@ -157,6 +159,29 @@ def test_decoder_returns_or_raises_value_error(name, data) -> None:
     keys = st.sampled_from(sorted(valid)) | st.text(max_size=4)
     row = data.draw(mutants(valid) | st.dictionaries(keys, json_values, max_size=6))
     decodes_or_rejects(decode, row)
+
+
+def _nodes(value):
+    yield value
+    if isinstance(value, (dict, list)):
+        for v in value.values() if isinstance(value, dict) else value:
+            yield from _nodes(v)
+
+
+def test_mutants_leave_special_values_intact() -> None:
+    # a row that shares a list or object with SPECIAL can mutate it in
+    # place on the next step, and every later draw then sees the change
+    before = repr(SPECIAL)
+    shared = {id(v) for v in SPECIAL if isinstance(v, (dict, list))}
+
+    @seed(0)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(mutants({"k": [0]}))
+    def draw_many(row) -> None:
+        assert not any(id(node) in shared for node in _nodes(row))
+
+    draw_many()
+    assert repr(SPECIAL) == before
 
 
 # ------------------------------------------------------------ tag grammar

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
@@ -20,7 +21,6 @@ from fusionkit.refinery import (
     UnifiedRecord,
     classify_answer_length,
     encode_ego_status,
-    filter_invalid_boxes,
     normalize_box,
     parse_tags,
     quantize_decimal,
@@ -140,7 +140,7 @@ def test_round_trip_laws():
     rng = random.Random(5)
     for _ in range(60):
         segs = _random_segments(rng)
-        text = serialize_tags(TaggedText.from_segments(segs))
+        text = serialize_tags(TaggedText(segs))
         parsed = parse_tags(text)
         assert parsed.segments == segs
         assert serialize_tags(parsed) == text
@@ -291,12 +291,12 @@ def test_ego_status_validation():
 def test_unify_on_grid_is_bit_exact():
     xs = [0.1 + 0.2, 1.0 / 3.0, 2.2, -0.7, 5.5, 6.6]
     points = [(0.5 * (i + 1), xs[i], -xs[i]) for i in range(6)]
-    plan = unify_trajectory(points, "omnidrive")
+    plan = unify_trajectory(points)
     assert plan.waypoints == tuple((x, -x) for x in xs)
 
 
 def test_unify_two_point_line():
-    plan = unify_trajectory([(0.0, 0.0, 0.0), (3.0, 6.0, 0.0)], "nuscenes-qa")
+    plan = unify_trajectory([(0.0, 0.0, 0.0), (3.0, 6.0, 0.0)])
     assert [x for x, _ in plan.waypoints] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
     assert all(y == 0.0 for _, y in plan.waypoints)
 
@@ -309,7 +309,7 @@ def test_unify_matches_piecewise_linear_oracle():
         times = [t + i * 1e-9 for i, t in enumerate(times)]  # force strict order
         xs = [rng.uniform(-10, 10) for _ in times]
         ys = [rng.uniform(-10, 10) for _ in times]
-        plan = unify_trajectory(list(zip(times, xs, ys)), "nuinstruct")
+        plan = unify_trajectory(list(zip(times, xs, ys)))
         grid = [0.5 * i for i in range(1, 7)]
         want_x = np.interp(grid, times, xs)
         want_y = np.interp(grid, times, ys)
@@ -320,18 +320,20 @@ def test_unify_matches_piecewise_linear_oracle():
 
 def test_unify_coverage_error_lists_missing():
     with pytest.raises(TrajectoryCoverageError) as err:
-        unify_trajectory([(0.6, 0.0, 0.0), (2.2, 1.0, 1.0)], "ora")
+        unify_trajectory([(0.6, 0.0, 0.0), (2.2, 1.0, 1.0)])
     assert err.value.missing == (0.5, 2.5, 3.0)
     assert "missing grid horizons" in str(err.value)
 
 
 def test_unify_input_validation():
     with pytest.raises(ValueError):
-        unify_trajectory([(0.0, 0.0, 0.0), (3.0, 1.0, 1.0)], "waymo")
+        unify_trajectory([(0.0, 0.0, 0.0), (0.0, 1.0, 1.0)])
     with pytest.raises(ValueError):
-        unify_trajectory([(0.0, 0.0, 0.0), (0.0, 1.0, 1.0)], "ora")
-    with pytest.raises(ValueError):
-        unify_trajectory([], "ora")
+        unify_trajectory([])
+    with pytest.raises(ValueError, match="source_dataset"):
+        record_from_dict({"id": "r", "source_dataset": "waymo",
+                          "conversation": [{"role": "human", "value": "go"}],
+                          "trajectory_points": [[0, 0, 0], [3, 1, 1]]})
 
 
 # ------------------------------------------------------- records and filter
@@ -373,8 +375,10 @@ def test_filter_clean_records_untouched():
                 "a <box>(10,10),(20,30)</box>"),
         _record("r1", "count cars", "three"),
     ]
-    kept, report = filter_invalid_boxes(records)
-    assert kept[0] is records[0] and kept[1] is records[1]
+    copies = [replace(r) for r in records]
+    kept, report = refine_records(records)
+    assert kept == [replace(r, answer_class="short") for r in copies]
+    assert records == copies and all(r.answer_class is None for r in records)
     assert report.to_dict()["box_drops"] == {}
     assert (report.kept, report.dropped) == (2, 0)
 
@@ -383,7 +387,7 @@ def test_filter_drops_grounding_record():
     records = [
         _record("r0", "locate <ref>the cone</ref>", "<box>(5,5),(5,5)</box>")
     ]
-    kept, report = filter_invalid_boxes(records)
+    kept, report = refine_records(records)
     assert kept == []
     assert report.box_drops == {"zero_area": 1}
     assert report.record_drops == {"grounding_lost_all_boxes": 1}
@@ -392,7 +396,7 @@ def test_filter_drops_grounding_record():
 def test_filter_keeps_non_grounding_record():
     # same invalid box, but a plain question: record survives boxless
     records = [_record("r0", "describe the scene", "<box>(0,0),(1500,20)</box> ok")]
-    kept, report = filter_invalid_boxes(records)
+    kept, report = refine_records(records)
     assert len(kept) == 1
     assert kept[0].conversation[1].value.segments == (PlainText(" ok"),)
     assert report.box_drops == {"out_of_range": 1}
@@ -409,7 +413,7 @@ def test_filter_partial_loss_keeps_record():
             "<box>(50,50),(40,60)</box> and <box>(1,1),(9,9)</box>",
         )
     ]
-    kept, report = filter_invalid_boxes(records)
+    kept, report = refine_records(records)
     assert len(kept) == 1
     assert kept[0].conversation[1].value.boxes() == (BoxSpan(1, 1, 9, 9),)
     assert report.box_drops == {"inverted": 1}
@@ -423,7 +427,7 @@ def test_filter_mixed_fixture_hand_audit():
         _record("r3", "find <ref>two</ref>",
                 "<box>(50,50),(40,60)</box> <box>(1,1),(9,9)</box>"),
     ] + [_record(f"r{i}", "how many lanes?", "two") for i in range(4, 10)]
-    kept, report = filter_invalid_boxes(records)
+    kept, report = refine_records(records)
     assert report.input_count == 10
     assert (report.kept, report.dropped) == (9, 1)
     assert report.box_drops == {"zero_area": 1, "out_of_range": 1, "inverted": 1}
