@@ -45,6 +45,7 @@ from .driving_eval import (
     ora_sample_from_dict,
     ora_score,
     planning_record_from_dict,
+    require_id,
 )
 from .interactor import (
     BevFeatureMap,
@@ -231,7 +232,11 @@ def cmd_refine(args: argparse.Namespace) -> int:
         try:
             return record_from_dict(row)
         except ValueError as err:
-            return {"id": str(row.get("id", "")), "error": str(err)}
+            try:
+                record_id = require_id(row, "id")
+            except ValueError:
+                record_id = None  # listed as null
+            return {"id": record_id, "error": str(err)}
 
     decoded = _read_jsonl(args.input, decode)
     records = [r for r in decoded if not isinstance(r, dict)]

@@ -597,10 +597,11 @@ def record_from_dict(d: Mapping) -> UnifiedRecord:
 
     Either 'trajectory' (six [x, y] waypoints) or 'trajectory_points'
     (timestamped [t, x, y] samples, resampled onto the grid) may be
-    present, not both. The id is a JSON string or integer, and every
-    trajectory and ego-status quantity a JSON number. A field of the
-    wrong JSON type or a missing nested key (a turn without 'role', say)
-    raises ValueError.
+    present, not both; each sample is a list of three numbers. The id is
+    a JSON string or integer, every trajectory and ego-status quantity a
+    JSON number, and every turn role and value, image view and path,
+    source and command a JSON string. A field of the wrong JSON type or a
+    missing nested key (a turn without 'role', say) raises ValueError.
     """
     try:
         return _record_from_dict(d)
@@ -610,22 +611,36 @@ def record_from_dict(d: Mapping) -> UnifiedRecord:
         raise ValueError(f"record field has the wrong type: {err}") from None
 
 
+def _string(value, what: str) -> str:
+    """``value`` when it is a JSON string; anything else names ``what``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _record_from_dict(d: Mapping) -> UnifiedRecord:
     record_id = require_id(d, "id")
     if "conversation" not in d:
         raise ValueError("record missing required key 'conversation'")
-    source = str(d.get("source_dataset", "omnidrive"))
+    source = _string(d.get("source_dataset", "omnidrive"), "source_dataset")
     turns = tuple(
-        ConversationTurn(str(t["role"]), parse_tags(str(t["value"])))
+        ConversationTurn(_string(t["role"], "turn role"),
+                         parse_tags(_string(t["value"], "turn value")))
         for t in d["conversation"]
     )
+    images = d.get("images", {})
+    if not (isinstance(images, dict) and all(
+            isinstance(k, str) and isinstance(v, str) for k, v in images.items())):
+        raise ValueError(f"images must map view names to path strings, got {images!r}")
     trajectory = None
     if d.get("trajectory") is not None and d.get("trajectory_points") is not None:
         raise ValueError("give 'trajectory' or 'trajectory_points', not both")
     if d.get("trajectory") is not None:
         trajectory = plan_from_list(d["trajectory"])
     elif d.get("trajectory_points") is not None:
-        points = [(p[0], p[1], p[2]) for p in d["trajectory_points"]]
+        points = [tuple(p) for p in d["trajectory_points"]]
+        if not all(len(p) == 3 for p in points):
+            raise ValueError("trajectory_points samples must be [t, x, y] lists")
         require_numbers([v for p in points for v in p], "trajectory_points")
         trajectory = unify_trajectory(points)
     ego = None
@@ -633,10 +648,11 @@ def _record_from_dict(d: Mapping) -> UnifiedRecord:
         e = d["ego_status"]
         quantities = [e[name] for name in EGO_QUANTITIES]
         require_numbers(quantities, "ego_status quantities")
-        ego = EgoStatus(*map(float, quantities), command=str(e["command"]))
+        ego = EgoStatus(*map(float, quantities),
+                        command=_string(e["command"], "ego_status command"))
     return UnifiedRecord(
         id=record_id,
-        images={str(k): str(v) for k, v in dict(d.get("images", {})).items()},
+        images=images,
         conversation=turns,
         trajectory=trajectory,
         ego_status=ego,

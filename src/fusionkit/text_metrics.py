@@ -18,15 +18,25 @@ results are reproducible:
   reference averaged, then averaged over orders and pairs. The reported
   value is 100 times the raw mean cosine. It needs at least two
   evaluation pairs, otherwise every IDF degenerates to zero.
+
+The scorer is columnar: each order's n-grams are counted for all texts at
+once with numpy. Its floats still match a plain per-pair loop bit for bit,
+because every sum keeps that loop's order: a text's n-grams in order of
+first occurrence, then references in order, then orders 1..max_n, then
+pairs in order. Expressions keep the loop's shape too:
+``w_u * (c_v * idf)``, ``sqrt(ns_u * ns_v)``, ``per_n += acc / len(refs)``,
+then ``/ max_n``; the IDF table comes from ``math.log``.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import Counter
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .driving_eval import _require, require_id
 
@@ -108,30 +118,6 @@ class MetricReport:
         }
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    # keys in first-occurrence order, which fixes every summation order below
-    return Counter(zip(*[tokens[i:] for i in range(n)]))
-
-
-def _bleu_row(cand: list[str], refs: list[list[str]], cand_counts, ref_counts):
-    """One pair's BLEU statistics: ``[cand_len, ref_len, m1, t1, m2, t2, ...]``
-    with clipped matches ``m`` and candidate n-gram totals ``t`` per order."""
-    c_len = len(cand)
-    row = [c_len, min((len(r) for r in refs), key=lambda rl: (abs(rl - c_len), rl))]
-    for k, counts in enumerate(cand_counts):
-        per_ref = [rc[k] for rc in ref_counts]
-        matched = 0
-        for gram, c in counts.items():
-            ceiling = 0
-            for rc in per_ref:
-                r = rc.get(gram, 0)
-                if r > ceiling:
-                    ceiling = r
-            matched += c if c < ceiling else ceiling
-        row += (matched, sum(counts.values()))
-    return row
-
-
 def _bleu_from_stats(stats, max_n: int, eps: float) -> float:
     cand_len, ref_len = stats[0], stats[1]
     if cand_len == 0:
@@ -182,66 +168,232 @@ def _rouge_pair(cand: list[str], refs: list[list[str]], b2: float) -> float:
     return best
 
 
-def _cider_pair(cand_counts, ref_counts, dfs, idf_of_df) -> float:
-    """Mean over orders of the mean TF-IDF cosine against each reference.
+class _TokenIds(dict):
+    """Dense token ids, handed out in first-seen order."""
 
-    ``idf_of_df[d]`` is the IDF of an n-gram held by ``d`` documents; an
-    n-gram no reference holds takes ``d = 1``.
+    def __missing__(self, token: str) -> int:
+        self[token] = i = len(self)
+        return i
+
+
+def _ordered_sums(seg: np.ndarray, val: np.ndarray, size: int) -> np.ndarray:
+    """Per-segment sums of ``val`` with the bits of ``acc = 0.0`` followed
+    by ``acc += v`` over each segment's terms; ``seg`` lists each segment's
+    terms together, in the order they add.
+
+    Each segment's terms fill one column of a zero-padded matrix whose rows
+    are added one after the other, as the loop would add them; ``np.sum``
+    adds pairwise and gives other bits. The padding adds exact zeros since
+    every term is >= +0. Segments are padded by length class (powers of
+    two), so a long text costs about its own terms.
     """
-    per_n = 0.0
-    for k, df in enumerate(dfs):
-        u = {gram: c * idf_of_df[df.get(gram, 1)] for gram, c in cand_counts[k].items()}
-        ns_u = 0.0
-        for w in u.values():
-            ns_u += w * w
-        acc = 0.0
-        for rc in ref_counts:
-            counts = rc[k]
-            dot = 0.0
-            for gram, w in u.items():
-                c = counts.get(gram)
-                if c is not None:
-                    dot += w * (c * idf_of_df[df[gram]])
-            ns_v = 0.0
-            for gram, c in counts.items():
-                w = c * idf_of_df[df[gram]]
-                ns_v += w * w
-            denom = math.sqrt(ns_u * ns_v)
-            acc += dot / denom if denom > 0.0 else 0.0
-        per_n += acc / len(ref_counts)
-    return per_n / len(dfs)
+    new = np.ones(len(seg), bool)
+    new[1:] = seg[1:] != seg[:-1]
+    starts = np.flatnonzero(new)
+    lengths = np.diff(starts, append=len(seg))
+    length_class = np.frexp(lengths - 1)[1]  # ceil(log2(length))
+    # one matrix per class, 2**class rows and a column per segment, all in
+    # one buffer
+    by_class = np.argsort(length_class.astype(np.uint8), kind="stable")
+    cols = np.bincount(length_class)
+    cells = cols << np.arange(len(cols))
+    offset = np.cumsum(cells) - cells
+    column = np.empty(len(starts), np.int64)
+    class_start = np.cumsum(cols) - cols
+    column[by_class] = np.arange(len(starts)) - np.repeat(class_start, cols)
+    stride = cols[length_class]
+    # term i of a segment goes to row (i - start), its segment's column
+    base = offset[length_class] + column - starts * stride
+    padded = np.zeros(int(cells.sum()))
+    cell = np.repeat(base, lengths) + np.arange(len(seg)) * np.repeat(stride, lengths)
+    padded[cell] = val
+    acc = np.zeros(size)
+    first = 0
+    for c in np.flatnonzero(cols).tolist():
+        rows, n = 1 << c, int(cols[c])
+        m = padded[offset[c]:offset[c] + rows * n].reshape(rows, n)
+        if rows <= 64:  # a few wide rows: one vector add per row
+            sums = m[0].copy()
+            for r in range(1, rows):
+                sums += m[r]
+        else:  # the same additions, without a Python step per row
+            sums = np.add.accumulate(m, axis=0)[-1]
+        acc[seg[starts[by_class[first:first + n]]]] = sums
+        first += n
+    return acc
+
+
+class _Texts:
+    """Every pair's texts as int32 token ids, pair after pair: the
+    candidate, then the references in order."""
+
+    def __init__(self, token_ids: array, lengths: array, n_refs: np.ndarray):
+        self.tokens = np.frombuffer(token_ids, np.int32)
+        self.vocab_size = int(self.tokens.max(initial=0)) + 1
+        lengths = np.frombuffer(lengths, np.int32)
+        self.count = len(lengths)
+        self.n_refs = n_refs
+        per_pair = n_refs + 1
+        self.pair = np.repeat(np.arange(len(n_refs)), per_pair)
+        self.cand = np.cumsum(per_pair) - per_pair  # each pair's candidate
+        self.slot = np.arange(self.count) - self.cand[self.pair]  # 0: candidate
+        self.cand_len = lengths[self.cand].astype(np.int64)
+        self.end = np.cumsum(lengths, dtype=np.int64)
+        self.of_position = np.repeat(np.arange(self.count, dtype=np.int32), lengths)
+        self.refs = np.flatnonzero(self.slot > 0)  # every reference text
+
+
+class _Grams:
+    """The distinct n-grams of every text at order ``n``: one entry per
+    ``(text, gram)``, sorted by gram and then by text.
+
+    ``place`` is an entry's index when the entries are listed in order of
+    first occurrence, text after text; ``by_place`` lists them so. A pair's
+    texts are adjacent, so the entries of one pair and one gram are
+    adjacent too, the candidate's first. Gram ids are dense; each order's
+    ids extend the last order's by one token, so the int64 keys stay below
+    (positions x vocabulary) however long the grams get.
+    """
+
+    def __init__(self, texts: _Texts, n: int, prev: "_Grams | None"):
+        if prev is None:
+            self.positions = np.arange(len(texts.tokens), dtype=np.int32)
+            key = texts.tokens
+        else:
+            # the positions where an n-gram still fits in its text
+            keep = prev.positions + n <= texts.end[texts.of_position[prev.positions]]
+            self.positions = prev.positions[keep]
+            key = prev.gram_of[keep].astype(np.int64) * texts.vocab_size
+            key += texts.tokens[self.positions + (n - 1)]
+        size = len(key)
+        # a stable sort by key from two faster unstable ones: sort, densify,
+        # then sort the unique (dense id, position) below size**2
+        order = np.argsort(key)
+        new = np.ones(size, bool)
+        key_s = key[order]
+        new[1:] = key_s[1:] != key_s[:-1]
+        del key, key_s
+        both = (np.cumsum(new) - 1) * size + order
+        del order
+        both.sort()
+        gram_s, order = np.divmod(both, max(size, 1))
+        del both
+        gram_s = gram_s.astype(np.int32)
+        self.gram_of = np.empty_like(gram_s)  # the dense id at each position
+        self.gram_of[order] = gram_s
+        text_s = texts.of_position[self.positions[order]]
+        new[1:] = (gram_s[1:] != gram_s[:-1]) | (text_s[1:] != text_s[:-1])
+        starts = np.flatnonzero(new)
+        del new
+        self.n_grams = int(gram_s[-1]) + 1 if size else 0
+        self.gram = gram_s[starts]
+        self.text = text_s[starts]
+        self.pair = texts.pair[self.text]
+        self.count = np.diff(starts, append=size).astype(np.int32)
+        first = order[starts]  # each entry's first position
+        del gram_s, text_s, order, starts
+        seen = np.zeros(size, np.int32)
+        seen[first] = 1
+        np.cumsum(seen, out=seen)  # entries up to each position
+        # each entry's place in first-occurrence order, text after text
+        self.place = seen[first] - 1
+        self.by_place = np.empty_like(self.place)
+        self.by_place[self.place] = np.arange(len(first), dtype=np.int32)
+
+    def matches(self, texts: _Texts) -> tuple[np.ndarray, np.ndarray]:
+        """Each candidate entry paired with every entry of its gram in the
+        same pair's references, which are the entries right after it; by
+        reference text, then in the candidate's first-occurrence order."""
+        live = np.flatnonzero(texts.slot[self.text] == 0)
+        cands, refs = [live[:0]], [live[:0]]
+        for d in range(1, int(texts.n_refs.max(initial=0)) + 1):
+            nxt = live + d
+            ok = nxt < len(self.gram)
+            live, nxt = live[ok], nxt[ok]
+            ok = ((self.gram[nxt] == self.gram[live])
+                  & (self.pair[nxt] == self.pair[live]))
+            live, nxt = live[ok], nxt[ok]
+            cands.append(live)
+            refs.append(nxt)
+        mc, mr = np.concatenate(cands), np.concatenate(refs)
+        order = np.argsort(
+            self.text[mr].astype(np.int64) * len(self.gram) + self.place[mc])
+        return mc[order], mr[order]
+
+    def clipped(self, texts: _Texts, mc: np.ndarray, mr: np.ndarray) -> np.ndarray:
+        """BLEU's clipped matches per pair: each candidate gram's count, at
+        most its largest count in one reference."""
+        ceiling = np.zeros(len(self.gram), np.int32)
+        np.maximum.at(ceiling, mc, self.count[mr])
+        cand = texts.slot[self.text] == 0
+        clipped = np.minimum(self.count[cand], ceiling[cand])
+        per_pair = np.bincount(self.pair[cand], clipped, len(texts.n_refs))
+        return per_pair.astype(np.int64)
+
+    def cosines(
+        self,
+        texts: _Texts,
+        mc: np.ndarray,
+        mr: np.ndarray,
+        member: np.ndarray | None,
+        idf_of_df: np.ndarray,
+    ) -> np.ndarray:
+        """Per pair: the candidate's TF-IDF cosine with each reference,
+        summed in reference order, over the pairs ``member`` marks (all
+        when None); other pairs get 0.
+
+        Each norm and dot product adds its terms in the order of the
+        grams' first occurrence, as a loop over the candidate's, then the
+        reference's, grams would.
+        """
+        keep = np.ones(len(self.gram), bool) if member is None else member[self.pair]
+        # a reference entry opens a document of its gram unless the entry
+        # before it belongs to a reference of the same pair
+        ref = keep & (texts.slot[self.text] > 0)
+        opens = ref.copy()
+        opens[1:] &= ~(ref[:-1] & (self.gram[1:] == self.gram[:-1])
+                       & (self.pair[1:] == self.pair[:-1]))
+        df = np.bincount(self.gram[opens], minlength=self.n_grams)
+        del ref, opens
+        # a gram no reference holds takes d = 1
+        idf = idf_of_df[np.maximum(df[self.gram], 1)]
+        w = self.count * idf
+        first = self.by_place if member is None else self.by_place[keep[self.by_place]]
+        squares = _ordered_sums(self.text[first], (w * w)[first], texts.count)
+        if member is not None:
+            mc, mr = mc[keep[mc]], mr[keep[mc]]
+        dots = _ordered_sums(
+            self.text[mr], w[mc] * (self.count[mr] * idf[mc]), texts.count)
+        rt = texts.refs
+        if member is not None:
+            rt = rt[member[texts.pair[rt]]]
+        rp = texts.pair[rt]
+        denom = np.sqrt(squares[texts.cand[rp]] * squares[rt])
+        cos = np.zeros(len(rt))
+        np.divide(dots[rt], denom, out=cos, where=denom > 0.0)
+        return _ordered_sums(rp, cos, len(texts.n_refs))
 
 
 class _Totals:
-    """Running corpus totals for one group of pairs: the whole corpus or
-    the pairs of one task tag."""
+    """Corpus totals for one group of pairs: the whole corpus or the pairs
+    of one task tag."""
 
-    def __init__(self, size: int, max_n: int, with_cider: bool):
-        self.size = size
+    def __init__(self, pairs: np.ndarray, max_n: int, with_cider: bool):
+        self.pairs = pairs  # indices of the member pairs, ascending
+        self.size = len(pairs)
         self.bleu = [0] * (2 + 2 * max_n)
         self.rouge = 0.0
         self.hits = 0
         self.cider = 0.0
-        # document frequencies per order; CIDEr's IDF degenerates below
-        # two documents
-        self.dfs = (
-            [Counter() for _ in range(max_n)] if with_cider and size >= 2 else None
-        )
-        # IDF by document frequency, log(N / d) for d in 1..N
-        self.idf_of_df = (
-            [0.0] + [math.log(size / d) for d in range(1, size + 1)]
-            if self.dfs is not None
-            else None
-        )
+        # CIDEr's IDF degenerates below two documents
+        self.has_cider = with_cider and self.size >= 2
 
     def scores(self, smoothing_eps: float) -> dict[str, float | None]:
         out: dict[str, float | None] = {
             f"BLEU{n}": _bleu_from_stats(self.bleu, n, smoothing_eps)
             for n in range(1, 5)
         }
-        out["CIDEr"] = (
-            100.0 * self.cider / self.size if self.dfs is not None else None
-        )
+        out["CIDEr"] = 100.0 * self.cider / self.size if self.has_cider else None
         out["ROUGE_L"] = 100.0 * self.rouge / self.size
         out["ACC"] = 100.0 * self.hits / self.size
         return out
@@ -254,52 +406,73 @@ def _score(
     with_cider: bool = True,
     by_tag: bool = False,
 ) -> dict[str | None, _Totals]:
-    """Every metric in two streaming passes; key None holds the corpus.
+    """Every metric from one pass over the pairs and one columnar pass per
+    n-gram order; key None holds the corpus.
 
-    Each text is tokenized once. The first pass collects reference n-gram
-    sets for CIDEr's document frequencies; the second counts n-grams once
-    per text and feeds the same counts to BLEU clipping and CIDEr.
+    The pass over the pairs tokenizes each text once, scores ROUGE-L, the
+    exact match and the BLEU lengths, and keeps only int32 token ids. Each
+    order's n-grams are then counted once per text, and the same counts
+    feed BLEU clipping and CIDEr.
     """
-    corpus = _Totals(len(pairs), max_n, with_cider)
-    groups: dict[str | None, _Totals] = {None: corpus}
-    members: list[tuple[_Totals, ...]] = []
-    if by_tag:
-        sizes = Counter(p.task_tag for p in pairs if p.task_tag is not None)
-        for tag in sorted(sizes):
-            groups[tag] = _Totals(sizes[tag], max_n, with_cider)
-    for p in pairs:
-        tagged = groups.get(p.task_tag) if p.task_tag is not None else None
-        members.append((corpus,) if tagged is None else (corpus, tagged))
-    texts = [
-        (tokenize(p.candidate), [tokenize(r) for r in p.references]) for p in pairs
-    ]
-
-    if any(g.dfs is not None for g in groups.values()):
-        for (_, refs), owners in zip(texts, members):
-            for n in range(1, max_n + 1):
-                seen = set().union(
-                    *(zip(*[ref[i:] for i in range(n)]) for ref in refs)
-                )
-                for g in owners:
-                    if g.dfs is not None:
-                        g.dfs[n - 1].update(seen)
-
     b2 = beta * beta
-    orders = range(1, max_n + 1)
-    for p, (cand, refs), owners in zip(pairs, texts, members):
-        cand_counts = [_ngram_counts(cand, n) for n in orders]
-        ref_counts = [[_ngram_counts(ref, n) for n in orders] for ref in refs]
-        row = _bleu_row(cand, refs, cand_counts, ref_counts)
-        rouge = _rouge_pair(cand, refs, b2)
-        hit = _match_any_reference(p)
-        for g in owners:
-            stats = g.bleu
-            for i, v in enumerate(row):
-                stats[i] += v
-            g.rouge += rouge
-            g.hits += hit
-            if g.dfs is not None:
-                g.cider += _cider_pair(cand_counts, ref_counts, g.dfs, g.idf_of_df)
+    vocab = _TokenIds()
+    token_ids, lengths = array("i"), array("i")
+    n_refs = np.empty(len(pairs), np.int64)
+    rouge, hits, cand_len, ref_len = [], [], [], []
+    for i, p in enumerate(pairs):
+        cand = tokenize(p.candidate)
+        refs = [tokenize(r) for r in p.references]
+        rouge.append(_rouge_pair(cand, refs, b2))
+        hits.append(_match_any_reference(p))
+        c_len = len(cand)
+        cand_len.append(c_len)
+        ref_len.append(
+            min((len(r) for r in refs), key=lambda rl: (abs(rl - c_len), rl)))
+        n_refs[i] = len(refs)
+        for tokens in (cand, *refs):
+            token_ids.extend(map(vocab.__getitem__, tokens))
+            lengths.append(len(tokens))
+    texts = _Texts(token_ids, lengths, n_refs)
+
+    groups = {None: _Totals(np.arange(len(pairs)), max_n, with_cider)}
+    if by_tag:
+        tag_of = np.array([p.task_tag for p in pairs], object)
+        for tag in sorted({p.task_tag for p in pairs if p.task_tag is not None}):
+            groups[tag] = _Totals(np.flatnonzero(tag_of == tag), max_n, with_cider)
+    ciders = []  # (group, member mask, IDF table, per-pair sum over orders)
+    for g in groups.values():
+        if g.has_cider:
+            member = None
+            if g is not groups[None]:
+                member = np.zeros(len(pairs), bool)
+                member[g.pairs] = True
+            # IDF by document frequency, log(N / d) for d in 1..N
+            idf_of_df = np.array(
+                [0.0] + [math.log(g.size / d) for d in range(1, g.size + 1)])
+            ciders.append((g, member, idf_of_df, np.zeros(len(pairs))))
+
+    # per pair: the lengths, then matches and totals per order
+    stats = [np.array(cand_len, np.int64), np.array(ref_len, np.int64)]
+    grams = None
+    for n in range(1, max_n + 1):
+        grams = _Grams(texts, n, grams)
+        mc, mr = grams.matches(texts)
+        stats += (grams.clipped(texts, mc, mr),
+                  np.maximum(texts.cand_len - (n - 1), 0))
+        for _, member, idf_of_df, per_n in ciders:
+            per_n += grams.cosines(texts, mc, mr, member, idf_of_df) / n_refs
+    stats = np.stack(stats, axis=1)
+
+    for g in groups.values():
+        g.bleu = [int(v) for v in stats[g.pairs].sum(axis=0)]
+        members = g.pairs.tolist()
+        for i in members:
+            g.rouge += rouge[i]
+        g.hits = sum(hits[i] for i in members)
+    for g, _, _, per_n in ciders:
+        cider_of = (per_n / max_n).tolist()
+        for i in g.pairs.tolist():
+            g.cider += cider_of[i]
     return groups
 
 
@@ -344,6 +517,8 @@ def cider(pairs: Sequence[EvalPair], max_n: int = CIDER_MAX_N) -> float:
     """Plain CIDEr; the reported value is 100x the raw mean cosine."""
     if len(pairs) < 2:
         raise ValueError(_CIDER_TOO_SMALL)
+    if max_n < 1:
+        raise ValueError("max_n must be at least 1")
     return 100.0 * _score(pairs, max_n)[None].cider / len(pairs)
 
 
@@ -404,7 +579,7 @@ def compute_caption_report(
         "rouge_beta": ROUGE_BETA,
         "cider_scale": "100x raw mean TF-IDF cosine",
     }
-    if corpus.dfs is None:
+    if not corpus.has_cider:
         metadata["cider_note"] = _CIDER_TOO_SMALL
     if groups:
         metadata["per_task"] = {

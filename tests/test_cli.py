@@ -189,6 +189,24 @@ def test_refine_ids_are_strings_or_integers(tmp_path) -> None:
         "s", "7"]
 
 
+def test_refine_lists_invalid_ids_as_read(tmp_path) -> None:
+    bad_turn = [{"role": "human", "value": None}]
+    rows = [{"id": 7, "conversation": bad_turn},
+            {"id": "s", "conversation": bad_turn},
+            {"id": None, "conversation": [{"role": "human", "value": "Hi"}]},
+            {"id": [1], "conversation": [{"role": "human", "value": "Hi"}]},
+            {"conversation": [{"role": "human", "value": "Hi"}]}]
+    src = tmp_path / "in.jsonl"
+    write_jsonl(src, rows)
+    rep = tmp_path / "rep.json"
+    rc = main(["refine", "--input", str(src), "--output", str(tmp_path / "out.jsonl"),
+               "--report", str(rep)])
+    assert rc == 3
+    invalid = json.loads(rep.read_text())["validation_errors"]
+    assert [e["id"] for e in invalid] == ["7", "s", None, None, None]
+    assert "turn value must be a string" in invalid[0]["error"]
+
+
 def test_refine_empty_input(tmp_path) -> None:
     src = tmp_path / "in.jsonl"
     src.write_text("")

@@ -2,8 +2,10 @@
 
 A change in any output byte shows up here as a digest update, so a
 refactor that claims identical outputs proves it in tier-1. The inputs
-use only IEEE basic operations and ``json`` float repr on the way to the
-artifacts, so the digests do not depend on the libm build.
+are built with IEEE basic operations and ``json`` float repr only. The
+``refine`` path to its artifacts uses nothing else, so its digests do not
+depend on the libm build; the ``eval caption`` and ``eval planning``
+digests do (see ``EVAL_DIGESTS``).
 """
 
 from __future__ import annotations
@@ -148,9 +150,9 @@ def golden_records(seed: int = 2024, n: int = 300) -> list[dict]:
 # (refined JSONL, report) per mode
 REFINE_DIGESTS = {
     "plain": ("ba52f4b7e620c840e7cc20376894b24ad76187e07fb88eaa3e01009fc010bc0f",
-              "e7bd6016fb8024bd53262f2715a0b73018ce8415bcd00f24de12f5fa3e9fbbfb"),
+              "a6d6eee57d930c2e23f68e126da09f88b9bb0747a3f36f3f1a38d736ed9576e6"),
     "pixels": ("3fa3cf1500a8514d49ba34e2865e3a604c95883f33d6eae550c850c530f6b977",
-               "9c6d0ee67fb3eba2261dbd59d9350ad0f9c9ca7e5516dcc4487697c6fd1ed936"),
+               "debc800326f92a65f4ed514090d1845db06f36dc4011021c3456b4588d2f8dbd"),
 }
 
 
@@ -166,3 +168,147 @@ def test_refine_digests(tmp_path, capsys, mode) -> None:
     assert main(argv) == 3  # the invalid records are listed, the rest refined
     capsys.readouterr()
     assert (_sha256(out), _sha256(report)) == REFINE_DIGESTS[mode]
+
+
+# ------------------------------------------------------------------- eval
+
+WORDS = ("the", "a", "car", "truck", "red", "light", "stops", "turns", "left",
+         "right", "lane", "ahead", "of", "ego", "pedestrian", "crosses",
+         "slowly", "near", "curb", "bus", "waits", "green", "signal", "is")
+LABELS = ("car", "truck", "pedestrian")
+ORA_LEVELS = ("low", "medium", "high")
+ORA_CATEGORIES = ("view_obstruction", "collision_possibility", "potential_risk")
+
+
+def _sentence(rnd: random.Random, lo: int, hi: int) -> list[str]:
+    words = [rnd.choice(WORDS) for _ in range(rnd.randint(lo, hi))]
+    if words and rnd.random() < 0.2:  # a repeated n-gram
+        i = rnd.randrange(len(words))
+        words[i:i] = words[i:i + 3]
+    return words
+
+
+def _caption_rows(rnd: random.Random, n: int = 240):
+    preds, gts = [], []
+    for i in range(n):
+        base = _sentence(rnd, 3, 14)
+        refs = []
+        for _ in range(rnd.randint(1, 4)):
+            words = [w if rnd.random() < 0.8 else rnd.choice(WORDS) for w in base]
+            words = words[: rnd.randint(min(2, len(words)), len(words))]
+            refs.append(" ".join(words).capitalize() + rnd.choice((".", "!", " ?", "")))
+        roll = rnd.random()
+        if roll < 0.05:
+            cand = ""
+        elif roll < 0.12:
+            cand = "  " + rnd.choice(refs).upper()  # an exact match after trimming
+        else:
+            cand = " ".join(w if rnd.random() < 0.7 else rnd.choice(WORDS)
+                            for w in base[: rnd.randint(1, len(base))]) + ","
+        cid = f"c-{i:03d}" if rnd.random() < 0.9 else i
+        gts.append({"id": cid, "references": refs} if len(refs) > 1 or roll < 0.5
+                   else {"id": cid, "caption": refs[0]})
+        preds.append({"id": cid, "caption": cand})
+    rnd.shuffle(preds)
+    return preds, gts
+
+
+def _grounding_rows(rnd: random.Random, images: int = 80):
+    preds, gts = [], []
+    for img in range(images):
+        for _ in range(rnd.randint(1, 4)):
+            w, h = rnd.randint(10, 200), rnd.randint(10, 200)
+            x1, y1 = rnd.randint(0, 999 - w), rnd.randint(0, 999 - h)
+            label = rnd.choice(LABELS)
+            gts.append({"image_id": f"i-{img}", "box": [x1, y1, x1 + w, y1 + h],
+                        "label": label})
+            for _ in range(rnd.choice((0, 1, 1, 2))):
+                j = rnd.randint(0, 30)
+                bx1, by1 = max(x1 - j, 0), max(y1 - rnd.randint(0, 30), 0)
+                preds.append({"image_id": f"i-{img}",
+                              "box": [bx1, by1, min(x1 + w + j, 999), y1 + h],
+                              "score": round(rnd.random(), 2),
+                              "label": (label if rnd.random() < 0.9
+                                        else rnd.choice(LABELS))})
+    rnd.shuffle(preds)
+    return preds, gts
+
+
+def _planning_rows(rnd: random.Random, n: int = 150):
+    preds, gts = [], []
+    for i in range(n):
+        speed, curve = rnd.uniform(1, 12), rnd.uniform(-0.2, 0.2)
+        gt = [[round(speed * t, 3), round(curve * (speed * t) * (speed * t) / 10, 3)]
+              for t in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)]
+        pred = [[round(x + rnd.uniform(-1.2, 1.2), 3),
+                 round(y + rnd.uniform(-0.8, 0.8), 3)] for x, y in gt]
+        row = {"sample_id": f"p-{i:03d}", "trajectory": gt}
+        if rnd.random() < 0.8:
+            tracks = [(rnd.uniform(-5, 30), rnd.uniform(-6, 6), rnd.uniform(-6, 6),
+                       rnd.uniform(-1, 1)) for _ in range(rnd.randint(1, 3))]
+            row["agents"] = [
+                [{"cx": round(cx + vx * t, 3), "cy": round(cy + vy * t, 3),
+                  "length": 4.5, "width": 1.9, "heading": round(vy / 10, 3)}
+                 for cx, cy, vx, vy in tracks]
+                for t in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)]
+        gts.append(row)
+        preds.append({"sample_id": f"p-{i:03d}", "trajectory": pred})
+    rnd.shuffle(preds)
+    return preds, gts
+
+
+def _ora_rows(rnd: random.Random, n: int = 300):
+    def sample(sid: str, exist: bool) -> dict:
+        row = {"sample_id": sid, "exist": exist}
+        if exist:
+            row.update(level=rnd.choice(ORA_LEVELS),
+                       category=rnd.choice(ORA_CATEGORIES),
+                       object=rnd.choice(LABELS))
+            if rnd.random() < 0.3:
+                x, y = rnd.randint(0, 800), rnd.randint(0, 800)
+                row["grounding"] = [x, y, x + 99, y + 99]
+        return row
+
+    preds, gts = [], []
+    for i in range(n):
+        gt = sample(f"o-{i:03d}", rnd.random() < 0.6)
+        pred = sample(f"o-{i:03d}", gt["exist"] if rnd.random() < 0.85
+                      else not gt["exist"])
+        if pred["exist"] and gt["exist"] and rnd.random() < 0.6:
+            pred.update(level=gt["level"], object=" " + gt["object"].upper())
+        gts.append(gt)
+        preds.append(pred)
+    rnd.shuffle(preds)
+    return preds, gts
+
+
+EVAL_ROWS = {"caption": _caption_rows, "grounding": _grounding_rows,
+             "planning": _planning_rows, "ora": _ora_rows}
+
+# (CSV, JSON report) per eval kind. The text-metric digests hold full-repr
+# BLEU and CIDEr floats, which go through libm's math.exp (brevity penalty)
+# and math.log (IDF table); planning's go through math.hypot, math.cos,
+# math.sin and math.atan2. Those digests hold for glibc libm only.
+EVAL_DIGESTS = {
+    "caption": ("4a511e4658c38d2b26a9e27bb31ebc72af10d77b6dbe1b65ef5a5e226a7581bc",
+                "bb833287b30a732fab0b1e24e3412b3fec3b5142538e8bf3a9a134b137ab27f4"),
+    "grounding": ("9e8247a8efc30fb2334a4edced982eb48230c3228cd55654d212329b31cc025c",
+                  "f4e2436fb7b0f9c2efd5d511394d24b27ec35c3592165a29484b5adddcb402b7"),
+    "planning": ("cee3bc143cdd356f4db4ffe8bca8cc1f8dfc604cfa476b84916019d939ce657e",
+                 "2fe752cdd0f975c43f5df7da46f7a2826af699008b3eae5fb2af11a2521fe153"),
+    "ora": ("60b28cf92d2f07483f84fc62ce89afe85e3447cd57d6d758876618c05d9b2129",
+            "7dde25714efe36bc5808b5ceb25f053eec151ac3e0174954d6241abfaa6beb0c"),
+}
+
+
+@pytest.mark.parametrize("kind", EVAL_DIGESTS)
+def test_eval_digests(tmp_path, kind) -> None:
+    preds, gts = EVAL_ROWS[kind](random.Random(f"golden-{kind}"))
+    paths = {}
+    for name, rows in (("pred", preds), ("gt", gts)):
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text("".join(json.dumps(r) + "\n" for r in rows))
+    csv, report = tmp_path / "out.csv", tmp_path / "out.json"
+    assert main(["eval", kind, "--pred", str(paths["pred"]), "--gt", str(paths["gt"]),
+                 "--csv", str(csv), "--json", str(report), "--seed", "3"]) == 0
+    assert (_sha256(csv), _sha256(report)) == EVAL_DIGESTS[kind]

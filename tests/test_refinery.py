@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import replace
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -558,3 +559,57 @@ def test_record_codec_missing_keys():
         record_from_dict({"conversation": []})
     with pytest.raises(ValueError, match="'conversation'"):
         record_from_dict({"id": "x"})
+
+
+def _valid_row() -> dict:
+    return {
+        "id": "x",
+        "images": {"front": "f.jpg"},
+        "conversation": [{"role": "human", "value": "go"}],
+        "trajectory_points": [[0, 0, 0], [3, 6, 0]],
+        "ego_status": {"lateral_velocity": 0.0, "longitudinal_velocity": 4.0,
+                       "lateral_acceleration": 0.0, "longitudinal_acceleration": 0.5,
+                       "command": "GO STRAIGHT"},
+        "source_dataset": "ora",
+    }
+
+
+@pytest.mark.parametrize("path, value, error", [
+    (("conversation", 0, "role"), None, "turn role must be a string, got None"),
+    (("conversation", 0, "value"), None, "turn value must be a string, got None"),
+    (("conversation", 0, "value"), 5, "turn value must be a string, got 5"),
+    (("images", "front"), None, "images must map view names to path strings"),
+    (("images",), [["front", "f.jpg"]], "images must map view names to path strings"),
+    (("images",), None, "images must map view names to path strings"),
+    (("ego_status", "command"), None, "ego_status command must be a string, got None"),
+    (("source_dataset",), None, "source_dataset must be a string, got None"),
+    (("source_dataset",), 3, "source_dataset must be a string, got 3"),
+], ids=["role-null", "value-null", "value-number", "image-path-null", "images-list",
+        "images-null", "command-null", "source-null", "source-number"])
+def test_record_codec_takes_only_json_strings(path, value, error):
+    d = _valid_row()
+    record_from_dict(d)  # valid as it stands
+    *parents, key = path
+    target = d
+    for p in parents:
+        target = target[p]
+    target[key] = value
+    with pytest.raises(ValueError, match=re.escape(error)):
+        record_from_dict(d)
+
+
+def test_record_codec_image_keys_must_be_strings():
+    with pytest.raises(ValueError, match="images must map view names"):
+        record_from_dict({**_valid_row(), "images": {1: "f.jpg"}})
+
+
+@pytest.mark.parametrize("points", [
+    [[0, 0, 0, 99], [3, 6, 0]],
+    [[0, 0, 0], [3, 1, 1, "x"]],
+    [[0, 0], [3, 6, 0]],
+    [[0, 0, 0], "abc"],
+    [[0, 0, 0], {"t": 3, "x": 6, "y": 0}],
+], ids=["four-items", "four-items-string", "two-items", "string", "object"])
+def test_record_codec_samples_are_three_numbers(points):
+    with pytest.raises(ValueError, match="trajectory_points"):
+        record_from_dict({**_valid_row(), "trajectory_points": points})
