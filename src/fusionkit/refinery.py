@@ -629,8 +629,8 @@ def _record_from_dict(d: Mapping) -> UnifiedRecord:
         for t in d["conversation"]
     )
     images = d.get("images", {})
-    if not (isinstance(images, dict) and all(
-            isinstance(k, str) and isinstance(v, str) for k, v in images.items())):
+    if not (isinstance(images, dict)
+            and all(isinstance(v, str) for v in images.values())):
         raise ValueError(f"images must map view names to path strings, got {images!r}")
     trajectory = None
     if d.get("trajectory") is not None and d.get("trajectory_points") is not None:
@@ -638,8 +638,9 @@ def _record_from_dict(d: Mapping) -> UnifiedRecord:
     if d.get("trajectory") is not None:
         trajectory = plan_from_list(d["trajectory"])
     elif d.get("trajectory_points") is not None:
-        points = [tuple(p) for p in d["trajectory_points"]]
-        if not all(len(p) == 3 for p in points):
+        points = d["trajectory_points"]
+        if not (isinstance(points, list)
+                and all(isinstance(p, list) and len(p) == 3 for p in points)):
             raise ValueError("trajectory_points samples must be [t, x, y] lists")
         require_numbers([v for p in points for v in p], "trajectory_points")
         trajectory = unify_trajectory(points)

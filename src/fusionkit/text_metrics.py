@@ -181,11 +181,12 @@ def _ordered_sums(seg: np.ndarray, val: np.ndarray, size: int) -> np.ndarray:
     by ``acc += v`` over each segment's terms; ``seg`` lists each segment's
     terms together, in the order they add.
 
-    Each segment's terms fill one column of a zero-padded matrix whose rows
-    are added one after the other, as the loop would add them; ``np.sum``
-    adds pairwise and gives other bits. The padding adds exact zeros since
-    every term is >= +0. Segments are padded by length class (powers of
-    two), so a long text costs about its own terms.
+    Each segment's terms fill one column of a zero-padded matrix, and
+    ``np.add.accumulate`` down the columns adds its rows one after the
+    other, as the loop would; ``np.sum`` adds pairwise and gives other
+    bits. The padding adds exact zeros since every term is >= +0. Segments
+    are padded by length class (powers of two), so a long text costs about
+    its own terms.
     """
     new = np.ones(len(seg), bool)
     new[1:] = seg[1:] != seg[:-1]
@@ -212,13 +213,7 @@ def _ordered_sums(seg: np.ndarray, val: np.ndarray, size: int) -> np.ndarray:
     for c in np.flatnonzero(cols).tolist():
         rows, n = 1 << c, int(cols[c])
         m = padded[offset[c]:offset[c] + rows * n].reshape(rows, n)
-        if rows <= 64:  # a few wide rows: one vector add per row
-            sums = m[0].copy()
-            for r in range(1, rows):
-                sums += m[r]
-        else:  # the same additions, without a Python step per row
-            sums = np.add.accumulate(m, axis=0)[-1]
-        acc[seg[starts[by_class[first:first + n]]]] = sums
+        acc[seg[starts[by_class[first:first + n]]]] = np.add.accumulate(m)[-1]
         first += n
     return acc
 
@@ -335,38 +330,52 @@ class _Grams:
         texts: _Texts,
         mc: np.ndarray,
         mr: np.ndarray,
-        member: np.ndarray | None,
-        idf_of_df: np.ndarray,
+        group: np.ndarray,
+        idf: np.ndarray,
+        idf_start: np.ndarray,
     ) -> np.ndarray:
         """Per pair: the candidate's TF-IDF cosine with each reference,
-        summed in reference order, over the pairs ``member`` marks (all
-        when None); other pairs get 0.
+        summed in reference order.
 
+        ``group`` holds each pair's group, or -1 for a pair left out (it
+        gets 0). Groups share no pair, so one call scores them all: a
+        document frequency counts the references of one group, and a group
+        of N pairs looks up ``log(N / d)`` at ``idf[idf_start[group] + d]``.
         Each norm and dot product adds its terms in the order of the
         grams' first occurrence, as a loop over the candidate's, then the
         reference's, grams would.
         """
-        keep = np.ones(len(self.gram), bool) if member is None else member[self.pair]
+        group_of = group[self.pair]
+        keep = group_of >= 0
         # a reference entry opens a document of its gram unless the entry
         # before it belongs to a reference of the same pair
         ref = keep & (texts.slot[self.text] > 0)
         opens = ref.copy()
         opens[1:] &= ~(ref[:-1] & (self.gram[1:] == self.gram[:-1])
                        & (self.pair[1:] == self.pair[:-1]))
-        df = np.bincount(self.gram[opens], minlength=self.n_grams)
-        del ref, opens
-        # a gram no reference holds takes d = 1
-        idf = idf_of_df[np.maximum(df[self.gram], 1)]
-        w = self.count * idf
-        first = self.by_place if member is None else self.by_place[keep[self.by_place]]
+        del ref
+        # the kept entries by group, then gram: a stable sort of entries
+        # that are sorted by gram already
+        kept = np.flatnonzero(keep)
+        kept = kept[np.argsort(group_of[kept], kind="stable")]
+        g, gram = group_of[kept], self.gram[kept]
+        new = np.ones(len(kept), bool)
+        new[1:] = (g[1:] != g[:-1]) | (gram[1:] != gram[:-1])
+        run = np.cumsum(new) - 1
+        df = np.bincount(run[opens[kept]], minlength=int(new.sum()))
+        del opens, gram, new
+        # a gram no reference of the group holds takes d = 1
+        idf_of = np.zeros(len(self.gram))
+        idf_of[kept] = idf[idf_start[g] + np.maximum(df[run], 1)]
+        del kept, g, run, df
+        w = self.count * idf_of
+        first = self.by_place[keep[self.by_place]]
         squares = _ordered_sums(self.text[first], (w * w)[first], texts.count)
-        if member is not None:
-            mc, mr = mc[keep[mc]], mr[keep[mc]]
+        scored = keep[mc]
+        mc, mr = mc[scored], mr[scored]
         dots = _ordered_sums(
-            self.text[mr], w[mc] * (self.count[mr] * idf[mc]), texts.count)
-        rt = texts.refs
-        if member is not None:
-            rt = rt[member[texts.pair[rt]]]
+            self.text[mr], w[mc] * (self.count[mr] * idf_of[mc]), texts.count)
+        rt = texts.refs[group[texts.pair[texts.refs]] >= 0]
         rp = texts.pair[rt]
         denom = np.sqrt(squares[texts.cand[rp]] * squares[rt])
         cos = np.zeros(len(rt))
@@ -435,21 +444,35 @@ def _score(
     texts = _Texts(token_ids, lengths, n_refs)
 
     groups = {None: _Totals(np.arange(len(pairs)), max_n, with_cider)}
+    tag_of = np.full(len(pairs), -1, np.int32)
     if by_tag:
-        tag_of = np.array([p.task_tag for p in pairs], object)
-        for tag in sorted({p.task_tag for p in pairs if p.task_tag is not None}):
-            groups[tag] = _Totals(np.flatnonzero(tag_of == tag), max_n, with_cider)
-    ciders = []  # (group, member mask, IDF table, per-pair sum over orders)
-    for g in groups.values():
-        if g.has_cider:
-            member = None
-            if g is not groups[None]:
-                member = np.zeros(len(pairs), bool)
-                member[g.pairs] = True
-            # IDF by document frequency, log(N / d) for d in 1..N
-            idf_of_df = np.array(
-                [0.0] + [math.log(g.size / d) for d in range(1, g.size + 1)])
-            ciders.append((g, member, idf_of_df, np.zeros(len(pairs))))
+        tags = sorted({p.task_tag for p in pairs if p.task_tag is not None})
+        index = {tag: i for i, tag in enumerate(tags)}
+        tag_of[:] = [index.get(p.task_tag, -1) for p in pairs]
+        by_tag_of = np.argsort(tag_of, kind="stable")  # untagged pairs first
+        bounds = np.cumsum(np.bincount(tag_of + 1, minlength=len(tags) + 1))
+        for i, tag in enumerate(tags):
+            members = by_tag_of[bounds[i]:bounds[i + 1]]
+            groups[tag] = _Totals(members, max_n, with_cider)
+    # CIDEr scores the corpus in one part and every tag in another: groups
+    # of one part share no pair. Per part: its groups, each pair's group
+    # (-1 when its group has no CIDEr), the IDF tables log(N / d) for
+    # d in 0..N end to end with where each starts, and per pair the sum
+    # over orders.
+    ciders = []
+    for part, group in (([groups[None]], np.zeros(len(pairs), np.int32)),
+                        ([g for tag, g in groups.items() if tag is not None], tag_of)):
+        tables = [[0.0] + [math.log(g.size / d) for d in range(1, g.size + 1)]
+                  if g.has_cider else [] for g in part]
+        if not any(tables):
+            continue
+        for g in part:
+            if not g.has_cider:
+                group[g.pairs] = -1
+        sizes = np.array([len(t) for t in tables])
+        idf = np.array([v for t in tables for v in t])
+        ciders.append(
+            (part, group, idf, np.cumsum(sizes) - sizes, np.zeros(len(pairs))))
 
     # per pair: the lengths, then matches and totals per order
     stats = [np.array(cand_len, np.int64), np.array(ref_len, np.int64)]
@@ -459,8 +482,8 @@ def _score(
         mc, mr = grams.matches(texts)
         stats += (grams.clipped(texts, mc, mr),
                   np.maximum(texts.cand_len - (n - 1), 0))
-        for _, member, idf_of_df, per_n in ciders:
-            per_n += grams.cosines(texts, mc, mr, member, idf_of_df) / n_refs
+        for _, group, idf, idf_start, per_n in ciders:
+            per_n += grams.cosines(texts, mc, mr, group, idf, idf_start) / n_refs
     stats = np.stack(stats, axis=1)
 
     for g in groups.values():
@@ -469,10 +492,12 @@ def _score(
         for i in members:
             g.rouge += rouge[i]
         g.hits = sum(hits[i] for i in members)
-    for g, _, _, per_n in ciders:
+    for part, _, _, _, per_n in ciders:
         cider_of = (per_n / max_n).tolist()
-        for i in g.pairs.tolist():
-            g.cider += cider_of[i]
+        for g in part:
+            if g.has_cider:
+                for i in g.pairs.tolist():
+                    g.cider += cider_of[i]
     return groups
 
 

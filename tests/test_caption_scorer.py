@@ -89,3 +89,25 @@ def test_more_distinct_tokens_than_16_bits():
     ps = corpus(rows)
     got = text_metrics.compute_caption_report(ps).to_dict()
     assert got == reference.compute_caption_report(ps).to_dict()
+
+
+def test_many_small_tags():
+    # Thousands of two-pair tags, one-pair tags and untagged pairs: every
+    # tag has its own document frequencies, scored in one pass per order.
+    rnd = random.Random(11)
+    words = [f"w{i}" for i in range(300)]
+
+    def text():
+        return " ".join(rnd.choices(words, k=rnd.randint(0, 12)))
+
+    rows = []
+    for i in range(3000):
+        tag = rnd.choice((None, f"t{i // 2}", f"t{i // 2}", f"solo{i}"))
+        refs = tuple(text() for _ in range(rnd.randint(1, 3)))
+        rows.append((text(), refs, tag))
+    ps = corpus(rows)
+    got = text_metrics.compute_caption_report(ps).to_dict()
+    want = reference.compute_caption_report(ps).to_dict()
+    assert len(got["metadata"]["per_task"]) > 1500
+    assert got == want
+    assert list(got["metadata"]["per_task"]) == list(want["metadata"]["per_task"])
