@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +21,7 @@ __all__ = [
     "ChatRequest",
     "ChatClient",
     "ChatError",
+    "TransientChatError",
     "ReplayMissError",
     "ReplayChatClient",
     "HttpChatClient",
@@ -93,6 +95,25 @@ class ChatError(RuntimeError):
     """Transport or protocol failure talking to a chat backend."""
 
 
+class TransientChatError(ChatError):
+    """A failure that may pass on its own: HTTP 429 or 5xx, a timeout, or a
+    refused or dropped connection. ``retry_after`` is the server's
+    ``Retry-After`` in seconds, or None when it sent none (or an HTTP date,
+    which would make a retry schedule depend on the clock)."""
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
+
+
+def _retry_after_s(value: str | None) -> float | None:
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if 0.0 <= seconds < math.inf else None
+
+
 class ReplayMissError(ChatError):
     def __init__(self, request: ChatRequest, path: Path):
         head = request.messages[-1]["content"][:80]
@@ -129,7 +150,9 @@ def store_replay(directory: str | Path, request: ChatRequest, text: str) -> Path
 
 
 class HttpChatClient:
-    """Minimal chat-completions HTTP client."""
+    """Minimal chat-completions HTTP client on ``urllib.request``, one
+    connection per call. HTTP 429 and 5xx, timeouts and refused or dropped
+    connections raise TransientChatError; the caller decides on retries."""
 
     def __init__(self, endpoint: str, api_key: str = "", timeout: float = 60.0):
         if not endpoint:
@@ -154,7 +177,15 @@ class HttpChatClient:
         )
 
     def complete(self, request: ChatRequest) -> str:
-        import requests
+        # urllib sends "Connection: close", so every call opens and closes
+        # its own connection. Keep it that way rather than pooling: a server
+        # that writes headers and body in two sends with Nagle's algorithm
+        # on holds the body back until the client's delayed ACK of the
+        # headers, about 40 ms per call on Linux, while a connection the
+        # server closes after its reply is flushed at once.
+        import http.client
+        import urllib.error
+        import urllib.request
 
         body: dict = {
             "model": request.model,
@@ -166,18 +197,40 @@ class HttpChatClient:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        retry_after = None
         try:
-            resp = requests.post(
-                self.endpoint, json=body, headers=headers, timeout=self.timeout
+            data = json.dumps(body, allow_nan=False).encode("utf-8")
+            post = urllib.request.Request(
+                self.endpoint, data=data, headers=headers, method="POST"
             )
-        except requests.RequestException as err:
-            raise ChatError(f"chat request failed: {err}") from err
-        if resp.status_code != 200:
-            raise ChatError(
-                f"chat backend returned HTTP {resp.status_code}: {resp.text[:200]}"
-            )
+            with urllib.request.urlopen(post, timeout=self.timeout) as resp:
+                status, raw = resp.status, resp.read()
+        except urllib.error.HTTPError as err:
+            status = err.code
+            retry_after = _retry_after_s(err.headers.get("Retry-After"))
+            try:
+                raw = err.read()
+            except (OSError, http.client.HTTPException):
+                raw = b""
+        except urllib.error.URLError as err:
+            raise _request_failed(err.reason) from err
+        except (OSError, ValueError, http.client.HTTPException) as err:
+            raise _request_failed(err) from err
+        if status != 200:
+            text = raw.decode("utf-8", errors="replace")[:200]
+            message = f"chat backend returned HTTP {status}: {text}"
+            if status == 429 or 500 <= status <= 599:
+                raise TransientChatError(message, retry_after)
+            raise ChatError(message)
         try:
-            payload = resp.json()
+            payload = json.loads(raw)
             return payload["choices"][0]["message"]["content"]
         except (ValueError, LookupError, TypeError) as err:
             raise ChatError(f"malformed chat response: {err}") from err
+
+
+def _request_failed(reason: object) -> ChatError:
+    message = f"chat request failed: {reason}"
+    if isinstance(reason, (TimeoutError, ConnectionError)):
+        return TransientChatError(message)
+    return ChatError(message)

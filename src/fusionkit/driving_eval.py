@@ -733,14 +733,22 @@ def detection_from_dict(d: Mapping) -> tuple[str, Detection]:
         score = float(score)
     except OverflowError:
         raise ValueError(f"score must be a finite number, got {score!r}") from None
-    return image_id, Detection(box=box, score=score, label=str(_require(d, "label")))
+    return image_id, Detection(box=box, score=score, label=_require_label(d))
 
 
 def gt_box_from_dict(d: Mapping) -> tuple[str, GroundTruthBox]:
     image_id = require_id(d, "image_id")
     return image_id, GroundTruthBox(
-        box=box_from_list(_require(d, "box")), label=str(_require(d, "label"))
+        box=box_from_list(_require(d, "box")), label=_require_label(d)
     )
+
+
+def _require_label(d: Mapping) -> str:
+    """A box's class: a JSON string, so ``null`` is not a class "None"."""
+    label = _require(d, "label")
+    if not isinstance(label, str):
+        raise ValueError(f"label must be a string, got {label!r}")
+    return label
 
 
 def plan_from_list(raw) -> TrajectoryPlan:

@@ -11,18 +11,20 @@ Both prompt builders are pure string templates, so identical scenes
 produce byte-identical prompts; with the replay client the whole
 pipeline is deterministic, including its run report. Malformed model
 output triggers a bounded retry that extends the conversation with the
-bad reply and a fixed repair instruction.
+bad reply and a fixed repair instruction; a transient transport error
+resends the same request on a fixed backoff schedule.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
-from .chat import ChatClient, ChatError, ChatRequest
+from .chat import ChatClient, ChatError, ChatRequest, TransientChatError
 from .driving_eval import NormalizedBox, box_from_list, is_integral, require_id
 from .refinery import CAMERA_VIEWS
 
@@ -32,6 +34,7 @@ __all__ = [
     "BEARINGS",
     "QA_CATEGORIES",
     "REPAIR_INSTRUCTION",
+    "TRANSPORT_BACKOFF_S",
     "SceneObject",
     "Scene",
     "scene_from_dict",
@@ -75,6 +78,11 @@ REPAIR_INSTRUCTION = (
     "Your previous answer was not valid. Respond again with only the "
     "requested JSON in exactly the format specified, with no additional text."
 )
+
+# Seconds to wait before each resend of a request that hit a transient
+# transport error; a server's Retry-After may shorten a wait, never
+# lengthen it. Fixed, with no jitter, so a rerun waits the same.
+TRANSPORT_BACKOFF_S = (0.5, 1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -520,7 +528,9 @@ class PipelineConfig:
 class RunReport:
     scenes_processed: int = 0
     scenes_failed: list[str] = field(default_factory=list)
+    failures: dict[str, str] = field(default_factory=dict)
     retries: int = 0
+    transport_retries: int = 0
     pairs_per_category: dict[str, int] = field(default_factory=dict)
     grounding_targets: int = 0
     unmatched_grounding: int = 0
@@ -529,7 +539,9 @@ class RunReport:
         return {
             "scenes_processed": self.scenes_processed,
             "scenes_failed": list(self.scenes_failed),
+            "failures": dict(self.failures),
             "retries": self.retries,
+            "transport_retries": self.transport_retries,
             "pairs_per_category": dict(sorted(self.pairs_per_category.items())),
             "grounding_targets": self.grounding_targets,
             "unmatched_grounding": self.unmatched_grounding,
@@ -543,22 +555,37 @@ class _SceneResult:
     targets: list[GroundingTarget] = field(default_factory=list)
     unmatched: list[str] = field(default_factory=list)
     retries: int = 0
+    transport_retries: int = 0
     failed: bool = False
     error: str = ""
 
 
 def _complete_with_repair(
-    client: ChatClient, request: ChatRequest, parse, retries: int
+    client: ChatClient, request: ChatRequest, parse, retries: int,
+    result: _SceneResult,
 ) -> tuple[object, int]:
     """Run request → parse, repairing the conversation on bad output.
 
     Each failed parse appends the bad reply and the fixed repair
-    instruction, then resends. Transport errors are not retried; they
-    abort the scene.
+    instruction, then resends. A TransientChatError resends the same
+    request after the next TRANSPORT_BACKOFF_S wait, counted in
+    ``result.transport_retries``; once the schedule is spent, or on any
+    other ChatError, the error aborts the scene.
     """
     attempts = 0
+    waits = iter(TRANSPORT_BACKOFF_S)
     while True:
-        reply = client.complete(request)
+        try:
+            reply = client.complete(request)
+        except TransientChatError as err:
+            wait = next(waits, None)
+            if wait is None:
+                raise
+            if err.retry_after is not None:
+                wait = min(wait, err.retry_after)
+            time.sleep(wait)
+            result.transport_retries += 1
+            continue
         try:
             return parse(reply), attempts
         except (RiskSchemaError, ValueError) as err:
@@ -583,7 +610,7 @@ def _run_scene(scene: Scene, client: ChatClient, cfg: PipelineConfig) -> _SceneR
             seed=cfg.seed,
         )
         doc, retries1 = _complete_with_repair(
-            client, step1, parse_risk_response, cfg.retries
+            client, step1, parse_risk_response, cfg.retries, result
         )
         result.retries += retries1
         if doc.is_empty:
@@ -600,6 +627,7 @@ def _run_scene(scene: Scene, client: ChatClient, cfg: PipelineConfig) -> _SceneR
             step2,
             lambda text: parse_qa_response(text, scene_id=scene.scene_id),
             cfg.retries,
+            result,
         )
         result.retries += retries2
         result.pairs = [categorize_qa(p, doc) for p in pairs]
@@ -619,7 +647,8 @@ def run_pipeline(
 
     Scenes run independently (bounded thread pool); outputs follow the
     input scene order regardless of completion order. A scene that
-    exhausts its retries is recorded as failed and skipped, never fatal.
+    exhausts its retries is recorded as failed, with its reason in
+    ``RunReport.failures``, and skipped, never fatal.
     """
     cfg = cfg or PipelineConfig()
     ids = [s.scene_id for s in scenes]
@@ -636,8 +665,10 @@ def run_pipeline(
     report = RunReport(scenes_processed=len(scenes))
     for res in results:
         report.retries += res.retries
+        report.transport_retries += res.transport_retries
         if res.failed:
             report.scenes_failed.append(res.scene_id)
+            report.failures[res.scene_id] = res.error
             continue
         pairs.extend(res.pairs)
         targets.extend(res.targets)

@@ -134,19 +134,29 @@ def _bleu_from_stats(stats, max_n: int, eps: float) -> float:
     return 100.0 * geo * bp
 
 
-def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """LCS length by the bit-parallel recurrence of Allison & Dix (1986),
-    in Hyyro's form: one bit of ``v`` per token of ``a``, and the LCS
-    length is the number of those bits cleared after scanning ``b``."""
+def _lcs_masks(a: Sequence[str]) -> dict[str, int]:
+    """Per token, the bit set of its positions in ``a``."""
     masks: dict[str, int] = {}
     for i, tok in enumerate(a):
         masks[tok] = masks.get(tok, 0) | (1 << i)
-    full = (1 << len(a)) - 1
+    return masks
+
+
+def _lcs_scan(masks: dict[str, int], n: int, b: Sequence[str]) -> int:
+    """LCS length of ``b`` and the ``n``-token sequence behind ``masks``,
+    by the bit-parallel recurrence of Allison & Dix (1986) in Hyyro's
+    form: one bit of ``v`` per token of that sequence, and the LCS length
+    is the number of those bits cleared after scanning ``b``."""
+    full = (1 << n) - 1
     v = full
     for tok in b:
         u = v & masks.get(tok, 0)
-        v = (v + u) | (v - u)  # carries past bit len(a) never come back down
-    return len(a) - (v & full).bit_count()
+        v = (v + u) | (v - u)  # carries past bit n never come back down
+    return n - (v & full).bit_count()
+
+
+def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
+    return _lcs_scan(_lcs_masks(a), len(a), b)
 
 
 def _rouge_pair(cand: list[str], refs: list[list[str]], b2: float) -> float:
@@ -154,10 +164,11 @@ def _rouge_pair(cand: list[str], refs: list[list[str]], b2: float) -> float:
     best = 0.0
     if not cand:
         return best
+    masks = _lcs_masks(cand)  # built once, scanned against each reference
     for ref in refs:
         if not ref:
             continue
-        lcs = _lcs_length(cand, ref)
+        lcs = _lcs_scan(masks, len(cand), ref)
         if lcs == 0:
             continue
         prec = lcs / len(cand)

@@ -622,6 +622,10 @@ def _agents(**fields) -> list:
         ("grounding", {**DET, "score": True}, BOX),
         ("grounding", {**DET, "image_id": ["i1"]}, BOX),
         ("grounding", DET, {**BOX, "image_id": {"i1": 1}}),
+        ("grounding", {**DET, "label": None}, BOX),
+        ("grounding", {**DET, "label": 7}, BOX),
+        ("grounding", DET, {**BOX, "label": None}),
+        ("grounding", DET, {**BOX, "label": 7}),
         ("caption", {"id": "1", "caption": "a"}, {"id": "1", "references": 5}),
         ("caption", {"id": "1", "caption": "a cat"},
          {"id": "1", "references": "a cat"}),
@@ -662,6 +666,8 @@ def _agents(**fields) -> list:
          "grounding-fractional-coord", "grounding-bool-coord",
          "grounding-string-score", "grounding-bool-score",
          "grounding-list-image-id", "grounding-gt-object-image-id",
+         "grounding-null-label", "grounding-int-label",
+         "grounding-gt-null-label", "grounding-gt-int-label",
          "caption-int-references", "caption-string-references",
          "caption-null-reference", "caption-null-caption",
          "caption-null-id", "caption-gt-bool-id", "caption-float-id",

@@ -3,9 +3,9 @@
 A change in any output byte shows up here as a digest update, so a
 refactor that claims identical outputs proves it in tier-1. The inputs
 are built with IEEE basic operations and ``json`` float repr only. The
-``refine`` path to its artifacts uses nothing else, so its digests do not
-depend on the libm build; the ``eval caption`` and ``eval planning``
-digests do (see ``EVAL_DIGESTS``).
+``refine`` and ``gen-risk-qa`` paths to their artifacts use nothing else,
+so their digests do not depend on the libm build; the ``eval caption``
+and ``eval planning`` digests do (see ``EVAL_DIGESTS``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,17 @@ import random
 
 import pytest
 
+from fusionkit.chat import ChatRequest, store_replay
 from fusionkit.cli import main
+from fusionkit.risk_qa import (
+    REPAIR_INSTRUCTION,
+    RISK_TYPES,
+    PipelineConfig,
+    build_qa_prompt,
+    build_risk_prompt,
+    parse_risk_response,
+    scene_from_dict,
+)
 
 VIEWS = ("front", "front_left", "front_right", "back", "back_left", "back_right")
 SOURCES = ("nuscenes-qa", "nuscenes-mqa", "omnidrive", "nuinstruct", "ora")
@@ -312,3 +322,100 @@ def test_eval_digests(tmp_path, kind) -> None:
     assert main(["eval", kind, "--pred", str(paths["pred"]), "--gt", str(paths["gt"]),
                  "--csv", str(csv), "--json", str(report), "--seed", "3"]) == 0
     assert (_sha256(csv), _sha256(report)) == EVAL_DIGESTS[kind]
+
+
+# ------------------------------------------------------------ gen-risk-qa
+
+CATEGORIES = ("car", "truck", "pedestrian", "bus", "traffic cone", "cyclist")
+BEARING_KEYS = ("ahead", "ahead_left", "ahead_right", "left", "right", "behind")
+REASONS = ("it is parked at the curb", "it is crossing in front of the ego vehicle",
+           "it blocks the view of the crossing", "it is changing into the ego lane",
+           "it may stop suddenly")
+QUESTIONS = ("Where is the {0} in the image?",
+             "Is there any risk from the {0}?",
+             "What is the risk level of the {0}?",
+             "What type of risk does the {0} pose?",
+             "Which {0} is closest to the ego vehicle?",
+             "Why should the driver brake now?")
+
+
+def _scene(rnd: random.Random, i: int) -> dict:
+    objects = []
+    for _ in range(rnd.randint(1, 4)):
+        obj = {"category": rnd.choice(CATEGORIES), "bearing": rnd.choice(BEARING_KEYS),
+               "distance": rnd.randint(3, 60), "view": rnd.choice(VIEWS)}
+        if rnd.random() < 0.7:
+            x1, y1 = rnd.randint(0, 800), rnd.randint(0, 800)
+            obj["box"] = [x1, y1, x1 + rnd.randint(1, 199), y1 + rnd.randint(1, 199)]
+        objects.append(obj)
+    return {"scene_id": f"rq-{i:02d}", "objects": objects}
+
+
+def _risk_reply(rnd: random.Random, scene) -> str:
+    doc = {}
+    for obj in scene.objects:
+        doc[obj.phrase()] = {
+            risk: {"Status": rnd.choice(("High", "Medium", "Low", "None")),
+                   "Reason": rnd.choice(REASONS)}
+            for risk in rnd.sample(RISK_TYPES, rnd.randint(1, 3))}
+    if rnd.random() < 0.2:  # a phrase no scene object has
+        doc["the tram located 12 meters ahead"] = {
+            "Potential risk": {"Status": "High", "Reason": rnd.choice(REASONS)}}
+    text = json.dumps(doc, indent=rnd.choice((None, 4)))
+    return f"```json\n{text}\n```" if rnd.random() < 0.2 else text
+
+
+def _qa_reply(rnd: random.Random, scene) -> str:
+    noun = rnd.choice(scene.objects).category
+    return json.dumps([{"question": rnd.choice(QUESTIONS).format(noun),
+                        "answer": f"The {noun} {rnd.choice(REASONS)}."}
+                       for _ in range(rnd.randint(1, 5))])
+
+
+def golden_risk_qa(replay, seed: int = 31, n: int = 36) -> list[dict]:
+    """Seeded scenes plus their canned replies in ``replay``: some need a
+    repair hop, some find no risk, and the last has no reply at all."""
+    cfg = PipelineConfig()
+    rnd = random.Random(seed)
+    rows = [_scene(rnd, i) for i in range(n)]
+    for row in rows[:-1]:
+        scene = scene_from_dict(row)
+        step1 = ChatRequest(
+            model=cfg.step1_model,
+            messages=({"role": "user", "content": build_risk_prompt(scene.objects)},),
+            temperature=cfg.temperature, seed=cfg.seed)
+        risk = _risk_reply(rnd, scene)
+        if rnd.random() < 0.15:  # the first answer is not JSON
+            store_replay(replay, step1, "I cannot tell.")
+            step1 = step1.with_followup("I cannot tell.", REPAIR_INSTRUCTION)
+        store_replay(replay, step1, risk)
+        doc = parse_risk_response(risk)
+        if not doc.is_empty:
+            store_replay(replay, ChatRequest(
+                model=cfg.step2_model,
+                messages=({"role": "user", "content": build_qa_prompt(doc)},),
+                temperature=cfg.temperature, seed=cfg.seed), _qa_reply(rnd, scene))
+    return rows
+
+
+# qa.jsonl, targets.jsonl, and the report's run block as sorted-key JSON
+RISK_QA_DIGESTS = (
+    "12948600da307f9e83a16033ef8d53af13aac8977768fbb42879d6963736b62c",
+    "fd9e1e8d37e46845973be567b05ad230e16452825ad4003c7c7730792ccf1e77",
+    "e3c34a902ee3386c4b441fa0fc09375c41bfcabc26ffcfc62ea4a76da9c89b8c",
+)
+
+
+def test_gen_risk_qa_digests(tmp_path, monkeypatch, capsys) -> None:
+    monkeypatch.chdir(tmp_path)  # failure reasons name the replay path as given
+    rows = golden_risk_qa(tmp_path / "replay")
+    (tmp_path / "scenes.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert main(["gen-risk-qa", "--scenes", "scenes.jsonl", "--mock", "replay",
+                 "--out-qa", "qa.jsonl", "--out-grounding", "targets.jsonl",
+                 "--report", "run.json", "--jobs", "3"]) == 0
+    capsys.readouterr()
+    run = json.loads((tmp_path / "run.json").read_text())["run"]
+    assert run["scenes_failed"] == [rows[-1]["scene_id"]]
+    run_bytes = json.dumps(run, sort_keys=True).encode()
+    assert (_sha256(tmp_path / "qa.jsonl"), _sha256(tmp_path / "targets.jsonl"),
+            hashlib.sha256(run_bytes).hexdigest()) == RISK_QA_DIGESTS

@@ -2,7 +2,13 @@ import json
 
 import pytest
 
-from fusionkit.chat import ChatRequest, ReplayChatClient, store_replay
+from fusionkit.chat import (
+    ChatRequest,
+    ReplayChatClient,
+    ReplayMissError,
+    TransientChatError,
+    store_replay,
+)
 from fusionkit.driving_eval import NormalizedBox
 from fusionkit.risk_qa import (
     REPAIR_INSTRUCTION,
@@ -521,6 +527,27 @@ def test_pipeline_failure_is_contained(tmp_path):
     assert report.scenes_processed == 2
     assert len(pairs) == 6
     assert all(p.scene_id == "scene-0001" for p in pairs)
+
+
+def test_pipeline_reports_failure_reasons(tmp_path):
+    cfg = PipelineConfig()
+    missing = Scene("missing", (SceneObject("car", "ahead", 10),))
+    _seed_replay(tmp_path, cfg, seven_car_scene(), RISK_RESPONSE_FIXTURE,
+                 QA_RESPONSE_FIXTURE)
+    client = ReplayChatClient(tmp_path)
+    with pytest.raises(ReplayMissError) as miss:
+        client.complete(ChatRequest(
+            model=cfg.step1_model,
+            messages=({"role": "user",
+                       "content": build_risk_prompt(missing.objects)},),
+            temperature=cfg.temperature, seed=cfg.seed))
+    assert not isinstance(miss.value, TransientChatError)
+
+    report = run_pipeline([missing, seven_car_scene()], client, cfg)[2]
+    assert report.scenes_failed == ["missing"]
+    assert report.failures == {"missing": str(miss.value)}
+    assert report.transport_retries == 0
+    assert report.to_dict()["failures"] == report.failures
 
 
 def test_pipeline_empty_inputs(tmp_path):
