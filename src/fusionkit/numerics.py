@@ -10,11 +10,20 @@ Every product goes through one kernel, ``_mm``. Its one invariant: each
 output element is ``acc = +0.0`` followed by ``acc = acc + a[i, k] * b[k, j]``
 for k ascending, with the multiply and the add rounded separately. Within
 that, the kernel is cache-blocked in the manner of Goto & van de Geijn
-(ACM TOMS 2008): the output is cut into row panels that stay in L2, each
-chunk of k is multiplied into a panel-sized scratch buffer in one numpy
-call, and the products are added into the panel one k at a time. Large
-products run their panels on a small thread pool (numpy releases the GIL
-inside these loops); the thread count changes the wall time, never a bit.
+(ACM TOMS 2008): the output is cut into row panels that stay in L2, and
+each chunk of k is multiplied into a panel-sized scratch buffer by one
+``np.einsum("ki,kj->kij")``. That einsum sums over no index, so each of
+its elements is one rounded product; the sums stay separate ``np.add``
+calls into the panel, one k at a time in ascending order. A product with
+two or more panels and enough work runs its panels on a small thread
+pool (numpy releases the GIL inside these loops); a one-panel product
+stays on the calling thread. The thread count changes the wall time,
+never a bit.
+
+Cross-attention projects each source's keys and values once for all
+layers: one product against every layer's key weights side by side, one
+against every value weight. Each layer reads its own columns, which are
+the bits of a per-layer product.
 """
 
 from __future__ import annotations
@@ -48,7 +57,9 @@ __all__ = [
 _PANEL = 32768
 # k values multiplied per numpy call into a (kc, rows, cols) scratch buffer.
 _KC = 4
-# Products with fewer multiply-adds than this stay on the calling thread.
+# A product runs its panels on the pool only if it has two or more panels
+# and at least this many multiply-adds; on anything smaller, GIL hand-offs
+# between its many small numpy calls cost more than a second thread saves.
 _THREAD_MIN_MACS = 2_000_000
 _MAX_THREADS = 4
 
@@ -92,8 +103,10 @@ def _mm_panel(at: np.ndarray, b: np.ndarray, out: np.ndarray,
     prods = np.empty((_KC,) + panel.shape)
     for k0 in range(0, at.shape[0], _KC):
         chunk = prods[: min(_KC, at.shape[0] - k0)]
-        np.multiply(at[k0:k0 + _KC, r0:r1, np.newaxis],
-                    b[k0:k0 + _KC, np.newaxis], out=chunk)
+        # no index is summed, so each element is one rounded product (a
+        # -0.0 may come back as +0.0, which no sum seeded with +0.0 sees)
+        np.einsum("ki,kj->kij", at[k0:k0 + _KC, r0:r1], b[k0:k0 + _KC],
+                  out=chunk)
         for prod in chunk:
             np.add(panel, prod, out=panel)
 
@@ -111,11 +124,8 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     at = np.ascontiguousarray(a.T)
     b = np.ascontiguousarray(b)
     out = np.zeros((m, n))
-    pool = _threads() if m * n * k >= _THREAD_MIN_MACS else None
-    panels = -(-m * n // _PANEL)
-    if pool is not None:
-        panels = max(panels, 2)  # a one-panel product still uses two threads
-    panels = max(1, min(m, panels))
+    panels = max(1, min(m, -(-m * n // _PANEL)))
+    pool = _threads() if panels > 1 and m * n * k >= _THREAD_MIN_MACS else None
     cuts = [m * i // panels for i in range(panels + 1)]
     if pool is None:
         for r0, r1 in zip(cuts, cuts[1:]):
@@ -129,10 +139,12 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    # per-row max subtraction keeps exp finite for entries up to about 700
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    # per-row max subtraction keeps exp finite for entries up to about 700;
+    # one buffer, and x itself is left as it was
+    e = x - x.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -300,19 +312,28 @@ class CrossAttnParams:
         return cls(layers, num_heads=num_heads)
 
 
-def _attn_layer_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+def _project_kv(k: np.ndarray, v: np.ndarray, p: CrossAttnParams):
+    # (k Wk, v Wv) per layer from one product each against all layers'
+    # weights side by side; a column's bits depend on its own weight column
+    d = p.d
+    kp = _mm(k, np.concatenate([layer.wk.data for layer in p.layers], axis=1))
+    vp = _mm(v, np.concatenate([layer.wv.data for layer in p.layers], axis=1))
+    return [(kp[:, i * d:(i + 1) * d], vp[:, i * d:(i + 1) * d])
+            for i in range(p.num_layers)]
+
+
+def _attn_layer_forward(q: np.ndarray, kp: np.ndarray, vp: np.ndarray,
                         layer: CrossAttnLayer, p: CrossAttnParams):
     d = layer.d
     hd = d // p.num_heads
     scale = math.sqrt(hd)
     qp = _mm(q, layer.wq.data)
-    kp = _mm(k, layer.wk.data)
-    vp = _mm(v, layer.wv.data)
     mixed = np.zeros((q.shape[0], d))
     probs = []
     for h in range(p.num_heads):
         sl = slice(h * hd, (h + 1) * hd)
-        logits = _mm(qp[:, sl], kp[:, sl].T) / scale
+        logits = _mm(qp[:, sl], kp[:, sl].T)
+        logits /= scale
         attn = _softmax_rows(logits)
         mixed[:, sl] = _mm(attn, vp[:, sl])
         probs.append(attn)
@@ -334,8 +355,8 @@ def cross_attention(q: Matrix, k: Matrix, v: Matrix, p: CrossAttnParams) -> Matr
     if k.rows != v.rows:
         raise ShapeError("cross_attention: k and v must agree on row count")
     out = q.data
-    for layer in p.layers:
-        out, _ = _attn_layer_forward(out, k.data, v.data, layer, p)
+    for layer, (kp, vp) in zip(p.layers, _project_kv(k.data, v.data, p)):
+        out, _ = _attn_layer_forward(out, kp, vp, layer, p)
     return Matrix(out)
 
 
@@ -355,8 +376,8 @@ def cross_attention_input_grad(
 
     caches = []
     out = q.data
-    for layer in p.layers:
-        out, cache = _attn_layer_forward(out, k.data, v.data, layer, p)
+    for layer, (kp, vp) in zip(p.layers, _project_kv(k.data, v.data, p)):
+        out, cache = _attn_layer_forward(out, kp, vp, layer, p)
         caches.append(cache)
 
     g = upstream.data

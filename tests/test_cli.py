@@ -661,6 +661,14 @@ def _agents(**fields) -> list:
         ("gen-risk-qa", {"scene_id": "s1", "objects": [
             {**SCENE_OBJECT, "distance": True}]}, None),
         ("gen-risk-qa", {"scene_id": None, "objects": []}, None),
+        # mask-exp reads one JSON object, given here as text; the third
+        # item is the value the error must name
+        ("mask-exp", '{"front": [1.9, true, "2"]}', "1.9"),
+        ("mask-exp", '{"front": [0, true]}', "True"),
+        ("mask-exp", '{"front": ["2"]}', "'2'"),
+        ("mask-exp", '{"front": 5}', "5"),
+        ("mask-exp", '{"front": [null]}', "None"),
+        ("mask-exp", '{"front": [1e400]}', "inf"),
     ],
     ids=["grounding-null-coord", "grounding-null-score", "grounding-gt-null-coord",
          "grounding-fractional-coord", "grounding-bool-coord",
@@ -682,13 +690,23 @@ def _agents(**fields) -> list:
          "refine-string-ego-quantity", "refine-bool-ego-quantity",
          "risk-qa-string-object", "risk-qa-null-coord",
          "risk-qa-fractional-distance", "risk-qa-bool-distance",
-         "risk-qa-null-scene-id"],
+         "risk-qa-null-scene-id",
+         "mask-exp-fractional-index", "mask-exp-bool-index",
+         "mask-exp-string-index", "mask-exp-int-indices",
+         "mask-exp-null-index", "mask-exp-huge-index"],
 )
 def test_wrong_typed_json_exit_3(tmp_path, capsys, command, record, gt) -> None:
     first = tmp_path / "in.jsonl"
-    write_jsonl(first, [record])
+    if command == "mask-exp":
+        first.write_text(record)
+    else:
+        write_jsonl(first, [record])
     report = tmp_path / "report.json"
-    if command == "refine":
+    if command == "mask-exp":
+        views, _, _ = _demo_inputs(tmp_path)
+        argv = ["mask-exp", "--views", *views, "--candidates", str(first),
+                "--csv", str(tmp_path / "m.csv")]
+    elif command == "refine":
         argv = ["refine", "--input", str(first), "--report", str(report),
                 "--output", str(tmp_path / "out.jsonl")]
     elif command == "gen-risk-qa":
@@ -706,6 +724,8 @@ def test_wrong_typed_json_exit_3(tmp_path, capsys, command, record, gt) -> None:
     if command == "refine":
         invalid = json.loads(report.read_text())["validation_errors"]
         assert [(e["record_index"], e["id"]) for e in invalid] == [(0, "r1")]
+    elif command == "mask-exp":
+        assert "view 'front'" in err and f" {gt} " in err
     else:
         assert "record 0: " in err
 

@@ -3,9 +3,10 @@
 A change in any output byte shows up here as a digest update, so a
 refactor that claims identical outputs proves it in tier-1. The inputs
 are built with IEEE basic operations and ``json`` float repr only. The
-``refine`` and ``gen-risk-qa`` paths to their artifacts use nothing else,
-so their digests do not depend on the libm build; the ``eval caption``
-and ``eval planning`` digests do (see ``EVAL_DIGESTS``).
+``refine``, ``gen-risk-qa``, ``budget`` and ``interactor-demo`` sidecar
+paths to their artifacts use nothing else, so their digests do not depend
+on the libm build; the ``eval caption`` and ``eval planning`` digests do
+(see ``EVAL_DIGESTS``).
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
 from fusionkit.chat import ChatRequest, store_replay
 from fusionkit.cli import main
+from fusionkit.matrix import Matrix, save_fkmx
 from fusionkit.risk_qa import (
     REPAIR_INSTRUCTION,
     RISK_TYPES,
@@ -419,3 +422,55 @@ def test_gen_risk_qa_digests(tmp_path, monkeypatch, capsys) -> None:
     run_bytes = json.dumps(run, sort_keys=True).encode()
     assert (_sha256(tmp_path / "qa.jsonl"), _sha256(tmp_path / "targets.jsonl"),
             hashlib.sha256(run_bytes).hexdigest()) == RISK_QA_DIGESTS
+
+
+# ------------------------------------------------ budget, interactor-demo
+# Both artifacts hold integers, one IEEE division (the ratio) and input
+# hashes, so their digests hold on any CPU. The fused FKMX from
+# interactor-demo and the mask-exp CSV/JSON are left out: they go through
+# np.exp, whose SIMD-dispatched bits differ between x86 feature levels,
+# and wait for a portable exp before they can be frozen.
+
+# the --json report and the printed line
+BUDGET_DIGESTS = (
+    "d4ab30c603e9fc2dc59270771a4bed08f36b3b970d63e39a2f0efef3b352b746",
+    "43ff288f1dcf5dae9eb22ee7e6c1fb070825c12c4bd5b737dffa9d93dafe8826",
+)
+
+
+def test_budget_digests(tmp_path, capsys) -> None:
+    report = tmp_path / "budget.json"
+    assert main(["budget", "--view-tokens", "576,576,576,400,576,12",
+                 "--bev-tokens", "2500", "--k-img", "90", "--k-bev", "300",
+                 "--json", str(report)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (_sha256(report), hashlib.sha256(out).hexdigest()) == BUDGET_DIGESTS
+
+
+def _integer_fkmx(path, rng, rows: int, d: int) -> str:
+    # multiples of 1/64 drawn as integers: the file bytes need no libm
+    save_fkmx(Matrix(rng.integers(-256, 257, size=(rows, d)) / 64.0), path)
+    return str(path)
+
+
+# the sidecar as sorted-key JSON without its timing_seconds
+DEMO_SIDECAR_DIGEST = "d5eb45b6f84d2aa95d8fc4c3e4e106867f5db19d335b0c9fb7bfc9aa8164c195"
+
+
+def test_interactor_demo_sidecar_digest(tmp_path, capsys) -> None:
+    rng = np.random.default_rng(2412)
+    views = [_integer_fkmx(tmp_path / f"v{i}.fkmx", rng, 40 + 3 * i, 16)
+             for i in range(3)]
+    bev = _integer_fkmx(tmp_path / "bev.fkmx", rng, 48, 16)
+    inst = _integer_fkmx(tmp_path / "inst.fkmx", rng, 3, 16)
+    side = tmp_path / "side.json"
+    assert main(["interactor-demo", "--views", *views, "--bev", bev,
+                 "--instruction", inst, "--bev-grid", "6,8",
+                 "--out", str(tmp_path / "fused.fkmx"), "--sidecar", str(side),
+                 "--k-img", "9", "--k-bev", "12", "--num-heads", "2",
+                 "--seed", "5"]) == 0
+    capsys.readouterr()
+    doc = json.loads(side.read_text())
+    del doc["timing_seconds"]
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == DEMO_SIDECAR_DIGEST

@@ -45,6 +45,20 @@ def test_mask_spec_validation() -> None:
         MaskSpec(candidate_indices={}, rate=-1)
 
 
+def test_mask_spec_rejects_bool_rate() -> None:
+    # True is an int in Python; it must not pass for rate 1
+    with pytest.raises(ValueError):
+        MaskSpec(candidate_indices={}, rate=True)
+
+
+@pytest.mark.parametrize("indices", [[1.0], [True], ["2"], [None], 5, "12"])
+def test_candidate_indices_must_be_integer_lists(indices) -> None:
+    with pytest.raises(ValueError, match="view 'front'"):
+        MaskSpec(candidate_indices={"front": indices}, rate=50)
+    with pytest.raises(ValueError, match="view 'front'"):
+        MaskExperimentConfig(candidate_indices={"front": indices})
+
+
 def test_unknown_view_and_out_of_range_index_rejected() -> None:
     feats = small_features()
     with pytest.raises(ValueError):

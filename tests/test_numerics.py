@@ -193,6 +193,75 @@ def test_paper_scale_fuse_matches_loop_kernel(monkeypatch):
     assert got.tokens.data.tobytes() == want.tokens.data.tobytes()
 
 
+@pytest.mark.parametrize("k", [_KC - 1, _KC, _KC + 1, 2 * _KC + 1])
+@pytest.mark.parametrize("m, n", [(6, 11), (11, 6), (300, 1000)])
+def test_mm_chunk_edges_match_loop(m, k, n):
+    # k at and around one and two chunks of products; (300, 1000) also
+    # spans several panels, and from k = 7 on runs them on the pool
+    rng = np.random.default_rng([m, k, n, 2])
+    a = rng.standard_normal((m, k))
+    b = rng.standard_normal((k, n))
+    assert_same_bits(_mm(a, b), _mm_loop(a, b))
+
+
+_ONE_PANEL_K = _T // _P + 1  # enough multiply-adds, but a single panel
+_TWO_PANEL_K = -(-_T // (_P + 64))  # fewest k reaching _T with m*n = _P + 64
+
+
+@pytest.mark.parametrize("m, k, n, threaded", [
+    (64, _ONE_PANEL_K, _P // 64, False),
+    (_P // 64, _ONE_PANEL_K, 64, False),
+    (64, _TWO_PANEL_K - 1, _P // 64 + 1, False),
+    (64, _TWO_PANEL_K, _P // 64 + 1, True),
+    (_P // 64 + 1, _TWO_PANEL_K, 64, True),
+])
+def test_mm_threads_only_for_two_panels_and_enough_work(monkeypatch, m, k, n,
+                                                       threaded):
+    calls = []
+    threads = numerics._threads
+
+    def counted():
+        calls.append(1)
+        return threads()
+
+    monkeypatch.setattr(numerics, "_threads", counted)
+    rng = np.random.default_rng([m, k, n, 3])
+    a = rng.standard_normal((m, k))
+    b = rng.standard_normal((k, n))
+    got = _mm(a, b)
+    assert bool(calls) == threaded
+    assert_same_bits(got, _mm_loop(a, b))
+
+
+@pytest.mark.parametrize("m, k, n", [(5, 2 * _KC + 3, 7), (200, 13, 300)])
+def test_mm_subnormal_and_overflowing_products_match_loop(m, k, n):
+    # products that land in the subnormal range, underflow to +-0.0, or
+    # overflow to +-inf (inf - inf makes a NaN, which must match too)
+    rng = np.random.default_rng([m, k, n, 4])
+    values = np.array([1e-160, -1e-160, 3e-170, -2e-200, 1e-310, 5e-324,
+                       1e200, -1e200, 2e160, 1.0, -0.5, 0.0])
+    a = rng.choice(values, size=(m, k))
+    b = rng.choice(values, size=(k, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _mm_loop(a, b)
+        got = _mm(a, b)
+    assert np.isinf(want).any() and np.isnan(want).any()
+    assert_same_bits(got, want)
+
+
+def test_mm_subnormal_running_sums_match_loop():
+    # every product is subnormal or underflows to +-0.0, so every partial
+    # sum is subnormal or zero
+    rng = np.random.default_rng(5)
+    k = 3 * _KC + 1
+    a = rng.integers(-3, 4, size=(40, k)) * 1e-160
+    b = rng.choice([-3e-160, -1e-160, 0.0, 2e-160, -1e-170, 1e-170],
+                   size=(k, 50))
+    want = _mm_loop(a, b)
+    assert 0.0 < np.abs(want).max() < 2.3e-308
+    assert_same_bits(_mm(a, b), want)
+
+
 # ----------------------------------------------------------------- softmax
 # the row softmax inside cross_attention
 
@@ -210,6 +279,14 @@ def test_softmax_rows_sum_to_one_and_match_oracle():
     assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-12
     want = np.array(naive_softmax_rows(x.tolist()))
     assert rel_err(out, want) < 1e-12
+
+
+def test_softmax_rows_leaves_its_argument_unchanged():
+    rng = np.random.default_rng(18)
+    x = rng.uniform(-50.0, 50.0, size=(30, 40))
+    before = x.copy()
+    _softmax_rows(x)
+    assert x.tobytes() == before.tobytes()
 
 
 def test_softmax_is_deterministic():
@@ -361,6 +438,45 @@ def test_cross_attention_shape_checks():
         CrossAttnParams.identity(6, num_heads=4)
     with pytest.raises(ShapeError):
         CrossAttnParams(())
+
+
+def _project_kv_per_layer(k, v, p):
+    # the reference: one K and one V product per layer
+    return [(_mm(k, layer.wk.data), _mm(v, layer.wv.data)) for layer in p.layers]
+
+
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
+@pytest.mark.parametrize("num_heads", [1, 2, 4])
+def test_kv_projected_once_per_source_matches_per_layer(monkeypatch, num_layers,
+                                                        num_heads):
+    rng = np.random.default_rng([num_layers, num_heads])
+    d = 8
+    p = CrossAttnParams.random(d, num_layers, num_heads, rng)
+    q = Matrix(rng.standard_normal((5, d)))
+    k = Matrix(rng.standard_normal((9, d)))
+    v = Matrix(rng.standard_normal((9, d)))
+    upstream = Matrix(rng.standard_normal((5, d)))
+    for (kp, vp), (kw, vw) in zip(numerics._project_kv(k.data, v.data, p),
+                                  _project_kv_per_layer(k.data, v.data, p)):
+        assert kp.tobytes() == kw.tobytes() and vp.tobytes() == vw.tobytes()
+    got = cross_attention(q, k, v, p).data
+    got_grad = cross_attention_input_grad(q, k, v, p, upstream).data
+    monkeypatch.setattr(numerics, "_project_kv", _project_kv_per_layer)
+    assert_same_bits(got, cross_attention(q, k, v, p).data)
+    assert_same_bits(got_grad, cross_attention_input_grad(q, k, v, p, upstream).data)
+
+
+def test_kv_projected_once_per_source_matches_per_layer_at_bev_width(monkeypatch):
+    # a 2500-row source whose side-by-side projection runs on the pool
+    rng = np.random.default_rng(19)
+    d = 64
+    p = CrossAttnParams.random(d, 3, 2, rng)
+    q = Matrix(rng.standard_normal((20, d)))
+    k = Matrix(rng.standard_normal((2500, d)))
+    v = Matrix(rng.standard_normal((2500, d)))
+    got = cross_attention(q, k, v, p).data
+    monkeypatch.setattr(numerics, "_project_kv", _project_kv_per_layer)
+    assert_same_bits(got, cross_attention(q, k, v, p).data)
 
 
 # --------------------------------------------------------------- gradients
