@@ -45,7 +45,6 @@ from .driving_eval import (
     ora_sample_from_dict,
     ora_score,
     planning_record_from_dict,
-    require_id,
 )
 from .interactor import (
     BevFeatureMap,
@@ -55,6 +54,7 @@ from .interactor import (
     fuse,
     token_budget,
 )
+from .jsontypes import require_id
 from .masking import (
     MaskExperimentConfig,
     MaskSpec,

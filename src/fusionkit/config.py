@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 from . import __version__
 from .driving_eval import ORA_GATING_MODES
 from .interactor import REDUCTIONS
+from .jsontypes import check_fields
 
 __all__ = [
     "AP_INTERPOLATIONS",
@@ -37,6 +38,30 @@ AP_INTERPOLATIONS = ("all_point", "eleven_point")
 
 class ConfigError(ValueError):
     """A config file or override is malformed or out of range."""
+
+
+def _one_of(choices: tuple[str, ...]):
+    return choices.__contains__, f"must be one of {choices}"
+
+
+# Config's range rules: field -> (predicate, the rule it checks)
+_RULES = {
+    "k_img": (lambda v: v >= 1, "must be at least 1"),
+    "k_bev": (lambda v: v >= 1, "must be at least 1"),
+    "reduction": _one_of(REDUCTIONS),
+    "short_answer_threshold": (lambda v: v >= 0, "must be nonnegative"),
+    "iou_thresholds": (lambda v: v and all(0.0 < t <= 1.0 for t in v),
+                       "must be a non-empty list of values in (0, 1]"),
+    "ap_interpolation": _one_of(AP_INTERPOLATIONS),
+    "l2_mode": _one_of(L2_MODES),
+    "ora_gating": _one_of(ORA_GATING_MODES),
+    "ego_length": (lambda v: v > 0, "must be positive"),
+    "ego_width": (lambda v: v > 0, "must be positive"),
+    "timeout": (lambda v: v > 0, "must be positive"),
+    "retries": (lambda v: v >= 0, "must be nonnegative"),
+    "max_in_flight": (lambda v: v >= 1, "must be at least 1"),
+    "seed": (lambda v: v >= 0, "must be nonnegative"),
+}
 
 
 @dataclass(frozen=True)
@@ -69,38 +94,14 @@ class Config:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.k_img < 1 or self.k_bev < 1:
-            raise ConfigError("k_img and k_bev must be at least 1")
-        if self.reduction not in REDUCTIONS:
-            raise ConfigError(f"reduction must be one of {REDUCTIONS}")
-        if self.short_answer_threshold < 0:
-            raise ConfigError("short_answer_threshold must be nonnegative")
-        thresholds = tuple(float(t) for t in self.iou_thresholds)
-        if not thresholds:
-            raise ConfigError("iou_thresholds must be non-empty")
-        if any(not 0.0 < t <= 1.0 for t in thresholds):
-            raise ConfigError("iou thresholds must lie in (0, 1]")
-        object.__setattr__(self, "iou_thresholds", thresholds)
-        if self.ap_interpolation not in AP_INTERPOLATIONS:
-            raise ConfigError(
-                f"ap_interpolation must be one of {AP_INTERPOLATIONS}")
-        if self.l2_mode not in L2_MODES:
-            raise ConfigError(f"l2_mode must be one of {L2_MODES}")
-        if self.ora_gating not in ORA_GATING_MODES:
-            raise ConfigError(f"ora_gating must be one of {ORA_GATING_MODES}")
-        if self.ego_length <= 0 or self.ego_width <= 0:
-            raise ConfigError("ego dimensions must be positive")
-        if self.timeout <= 0:
-            raise ConfigError("timeout must be positive")
-        if self.retries < 0:
-            raise ConfigError("retries must be nonnegative")
-        if self.max_in_flight < 1:
-            raise ConfigError("max_in_flight must be at least 1")
+        check_fields(self, ConfigError)
+        for name, (ok, rule) in _RULES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ConfigError(f"{name} {rule}, got {value!r}")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["iou_thresholds"] = list(self.iou_thresholds)
-        return d
+        return asdict(self)
 
     def override(self, **updates) -> "Config":
         """Replace the given fields; None values mean 'keep the default'."""
@@ -108,10 +109,7 @@ class Config:
         unknown = sorted(set(live) - {f.name for f in fields(self)})
         if unknown:
             raise ConfigError(f"unknown config fields: {unknown}")
-        try:
-            return replace(self, **live)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(str(err)) from err
+        return replace(self, **live)
 
 
 def load_config(path: str | Path | None, **overrides) -> Config:
@@ -136,13 +134,7 @@ def load_config(path: str | Path | None, **overrides) -> Config:
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
-    if "iou_thresholds" in data:
-        data["iou_thresholds"] = tuple(data["iou_thresholds"])
-    try:
-        cfg = Config(**data)
-    except TypeError as err:
-        raise ConfigError(str(err)) from err
-    return cfg.override(**overrides)
+    return Config(**data).override(**overrides)
 
 
 def _canonical_json(value) -> str:

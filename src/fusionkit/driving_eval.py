@@ -23,6 +23,16 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .jsontypes import (
+    is_integral,
+    require,
+    require_bool,
+    require_float,
+    require_id,
+    require_numbers,
+    require_str,
+)
+
 __all__ = [
     "NormalizedBox",
     "Detection",
@@ -677,45 +687,6 @@ def ora_score(
 # wrong. File handling, and naming the file and record, stays in the CLI.
 
 
-def _require(d: Mapping, key: str):
-    if key not in d:
-        raise ValueError(f"record missing required key {key!r}")
-    return d[key]
-
-
-def require_id(d: Mapping, key: str) -> str:
-    """The id at ``key``: a JSON string, or a JSON integer in its decimal
-    spelling. null, booleans, floats, lists and objects are not ids."""
-    value = _require(d, key)
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return str(value)
-    raise ValueError(f"{key} must be a string or an integer, got {value!r}")
-
-
-_NUMBER_TYPES = frozenset((int, float))
-
-
-def require_numbers(values: Sequence, what: str) -> None:
-    """Reject any value that is not a JSON number.
-
-    json.loads gives a JSON number as an int or a float and nothing else
-    as either, so one set of types decides a whole row; a bool, a string
-    or null is named in the error.
-    """
-    if not _NUMBER_TYPES.issuperset(map(type, values)):
-        bad = next(v for v in values if type(v) not in _NUMBER_TYPES)
-        raise ValueError(f"{what} must be numbers, got {bad!r}")
-
-
-def is_integral(v) -> bool:
-    """An int, or a float holding an integer such as 9.0; never a bool."""
-    if isinstance(v, bool):
-        return False
-    return isinstance(v, int) or (isinstance(v, float) and v.is_integer())
-
-
 def box_from_list(raw) -> NormalizedBox:
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise ValueError(f"box must be a 4-item list, got {raw!r}")
@@ -726,29 +697,18 @@ def box_from_list(raw) -> NormalizedBox:
 
 def detection_from_dict(d: Mapping) -> tuple[str, Detection]:
     image_id = require_id(d, "image_id")
-    box = box_from_list(_require(d, "box"))
-    score = _require(d, "score")
-    require_numbers((score,), "score")
-    try:
-        score = float(score)
-    except OverflowError:
-        raise ValueError(f"score must be a finite number, got {score!r}") from None
-    return image_id, Detection(box=box, score=score, label=_require_label(d))
+    box = box_from_list(require(d, "box"))
+    score = require_float(require(d, "score"), "score")
+    label = require_str(require(d, "label"), "label")
+    return image_id, Detection(box=box, score=score, label=label)
 
 
 def gt_box_from_dict(d: Mapping) -> tuple[str, GroundTruthBox]:
     image_id = require_id(d, "image_id")
     return image_id, GroundTruthBox(
-        box=box_from_list(_require(d, "box")), label=_require_label(d)
+        box=box_from_list(require(d, "box")),
+        label=require_str(require(d, "label"), "label"),
     )
-
-
-def _require_label(d: Mapping) -> str:
-    """A box's class: a JSON string, so ``null`` is not a class "None"."""
-    label = _require(d, "label")
-    if not isinstance(label, str):
-        raise ValueError(f"label must be a string, got {label!r}")
-    return label
 
 
 def plan_from_list(raw) -> TrajectoryPlan:
@@ -805,7 +765,7 @@ def planning_record_from_dict(
     ``trajectory`` and optional ``agents``. A row without agents (or
     with ``"agents": null``) gets six empty snapshots."""
     sample_id = require_id(d, "sample_id")
-    plan = plan_from_list(_require(d, "trajectory"))
+    plan = plan_from_list(require(d, "trajectory"))
     agents = d.get("agents")
     if agents is None:
         return sample_id, plan, _NO_AGENTS
@@ -814,23 +774,21 @@ def planning_record_from_dict(
 
 def ora_sample_from_dict(d: Mapping) -> OraSample:
     """One ORA answer. ``exist`` must be a JSON boolean, and ``level``,
-    ``category`` and ``object`` strings where given."""
-    exist = _require(d, "exist")
-    if not isinstance(exist, bool):
-        raise ValueError(f"exist must be true or false, got {exist!r}")
-    for key in ("level", "category", "object"):
-        if d.get(key) is not None and not isinstance(d[key], str):
-            raise ValueError(f"{key} must be a string, got {d[key]!r}")
+    ``category``, ``object`` and ``reason`` strings where given."""
+    exist = require_bool(require(d, "exist"), "exist")
+    text = {key: require_str(d[key], key)
+            for key in ("level", "category", "object", "reason")
+            if d.get(key) is not None}
     grounding = None
     if d.get("grounding") is not None:
         grounding = box_from_list(d["grounding"])
     return OraSample(
         sample_id=require_id(d, "sample_id"),
         exist=exist,
-        level=d.get("level"),
-        category=d.get("category"),
-        object=d.get("object"),
-        reason=str(d.get("reason", "")),
+        level=text.get("level"),
+        category=text.get("category"),
+        object=text.get("object"),
+        reason=text.get("reason", ""),
         grounding=grounding,
     )
 

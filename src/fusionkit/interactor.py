@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .jsontypes import check_fields
 from .matrix import Matrix, ShapeError
 from .numerics import CrossAttnParams, cosine_similarity_matrix, cross_attention
 
@@ -120,6 +121,7 @@ class SelectionConfig:
     reduction: str = "max"
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.k_img < 1 or self.k_bev < 1:
             raise ValueError("keep counts must be at least 1")
         if self.reduction not in REDUCTIONS:

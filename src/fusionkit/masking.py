@@ -22,6 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .interactor import ViewFeatureSet
+from .jsontypes import check_fields
 from .matrix import Matrix
 
 __all__ = [
@@ -42,25 +43,6 @@ METRIC_COLUMNS = ("MAE", "ACC", "mAP", "BLEU")
 CSV_HEADER = "Exp,Mask Rate,MAE,ACC,mAP,BLEU"
 
 
-def _frozen_candidates(
-    candidates: Mapping[str, Sequence[int]],
-) -> dict[str, tuple[int, ...]]:
-    # Each view's candidates must be a list of integers as JSON reads them:
-    # no bool, float, string or null is taken for an index.
-    frozen = {}
-    for view, idx in candidates.items():
-        if not isinstance(idx, (list, tuple)):
-            raise ValueError(
-                f"view {view!r}: candidate indices {idx!r} are not a list "
-                "of integers")
-        for i in idx:
-            if isinstance(i, bool) or not isinstance(i, int):
-                raise ValueError(
-                    f"view {view!r}: candidate index {i!r} is not an integer")
-        frozen[str(view)] = tuple(int(i) for i in idx)
-    return frozen
-
-
 @dataclass(frozen=True)
 class MaskSpec:
     """Which rows may be masked, how many, and with what seed."""
@@ -70,11 +52,9 @@ class MaskSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if (isinstance(self.rate, bool) or not isinstance(self.rate, int)
-                or not 0 <= self.rate <= 100):
+        check_fields(self)
+        if not 0 <= self.rate <= 100:
             raise ValueError("rate must be an integer percentage in [0, 100]")
-        object.__setattr__(self, "candidate_indices",
-                           _frozen_candidates(self.candidate_indices))
 
 
 def _check_candidates(features: ViewFeatureSet, spec: MaskSpec) -> None:
@@ -145,14 +125,13 @@ class MaskExperimentConfig:
     candidate_indices: Mapping[str, Sequence[int]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        rates = tuple(sorted(int(r) for r in self.rates))
+        check_fields(self)
+        rates = tuple(sorted(self.rates))
         if len(set(rates)) != len(rates):
             raise ValueError("rates must be distinct")
         if any(not 0 <= r <= 100 for r in rates):
             raise ValueError("rates must lie in [0, 100]")
         object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "candidate_indices",
-                           _frozen_candidates(self.candidate_indices))
 
 
 @dataclass(frozen=True)

@@ -26,13 +26,8 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
-from .driving_eval import (
-    NormalizedBox,
-    TrajectoryPlan,
-    plan_from_list,
-    require_id,
-    require_numbers,
-)
+from .driving_eval import NormalizedBox, TrajectoryPlan, plan_from_list
+from .jsontypes import require_id, require_numbers, require_str
 from .text_metrics import tokenize
 
 __all__ = [
@@ -611,21 +606,14 @@ def record_from_dict(d: Mapping) -> UnifiedRecord:
         raise ValueError(f"record field has the wrong type: {err}") from None
 
 
-def _string(value, what: str) -> str:
-    """``value`` when it is a JSON string; anything else names ``what``."""
-    if not isinstance(value, str):
-        raise ValueError(f"{what} must be a string, got {value!r}")
-    return value
-
-
 def _record_from_dict(d: Mapping) -> UnifiedRecord:
     record_id = require_id(d, "id")
     if "conversation" not in d:
         raise ValueError("record missing required key 'conversation'")
-    source = _string(d.get("source_dataset", "omnidrive"), "source_dataset")
+    source = require_str(d.get("source_dataset", "omnidrive"), "source_dataset")
     turns = tuple(
-        ConversationTurn(_string(t["role"], "turn role"),
-                         parse_tags(_string(t["value"], "turn value")))
+        ConversationTurn(require_str(t["role"], "turn role"),
+                         parse_tags(require_str(t["value"], "turn value")))
         for t in d["conversation"]
     )
     images = d.get("images", {})
@@ -650,7 +638,7 @@ def _record_from_dict(d: Mapping) -> UnifiedRecord:
         quantities = [e[name] for name in EGO_QUANTITIES]
         require_numbers(quantities, "ego_status quantities")
         ego = EgoStatus(*map(float, quantities),
-                        command=_string(e["command"], "ego_status command"))
+                        command=require_str(e["command"], "ego_status command"))
     return UnifiedRecord(
         id=record_id,
         images=images,

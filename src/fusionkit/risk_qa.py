@@ -25,7 +25,8 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from .chat import ChatClient, ChatError, ChatRequest, TransientChatError
-from .driving_eval import NormalizedBox, box_from_list, is_integral, require_id
+from .driving_eval import NormalizedBox, box_from_list
+from .jsontypes import check_fields, is_integral, require_id, require_str
 from .refinery import CAMERA_VIEWS
 
 __all__ = [
@@ -136,10 +137,10 @@ def scene_from_dict(d: Mapping) -> Scene:
                     f"distance must be whole meters, got {distance!r}")
             objects.append(
                 SceneObject(
-                    category=str(raw["category"]),
-                    bearing=str(raw["bearing"]),
+                    category=require_str(raw["category"], "category"),
+                    bearing=require_str(raw["bearing"], "bearing"),
                     distance=int(distance),
-                    view=str(raw.get("view", "front")),
+                    view=require_str(raw.get("view", "front"), "view"),
                     box=box_from_list(box) if box is not None else None,
                 )
             )
@@ -513,11 +514,12 @@ class PipelineConfig:
     step1_model: str = "gpt-4o"
     step2_model: str = "gpt-4o-mini"
     temperature: float = 0.0
-    seed: int | None = 0
+    seed: int = 0
     retries: int = 2
     max_in_flight: int = 2
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.retries < 0:
             raise ValueError("retries must be nonnegative")
         if self.max_in_flight < 1:

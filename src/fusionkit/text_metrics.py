@@ -38,7 +38,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .driving_eval import _require, require_id
+from .jsontypes import require, require_id, require_str
 
 __all__ = [
     "EvalPair",
@@ -84,17 +84,14 @@ class EvalPair:
 def caption_pred_from_dict(d: Mapping) -> tuple[str, str]:
     """A prediction row ``{"id", "caption"}``; the caption must be a string."""
     pair_id = require_id(d, "id")
-    caption = _require(d, "caption")
-    if not isinstance(caption, str):
-        raise ValueError(f"caption must be a string, got {caption!r}")
-    return pair_id, caption
+    return pair_id, require_str(require(d, "caption"), "caption")
 
 
 def caption_gt_from_dict(d: Mapping) -> tuple[str, tuple[str, ...]]:
     """A ground-truth row ``{"id", "references": [...]}``, or ``{"id",
     "caption"}`` when ``references`` is absent or empty."""
     pair_id = require_id(d, "id")
-    refs = d.get("references") or [_require(d, "caption")]
+    refs = d.get("references") or [require(d, "caption")]
     if not (isinstance(refs, list) and all(isinstance(r, str) for r in refs)):
         raise ValueError(f"references must be a list of strings, got {refs!r}")
     return pair_id, tuple(refs)

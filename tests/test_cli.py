@@ -669,6 +669,15 @@ def _agents(**fields) -> list:
         ("mask-exp", '{"front": 5}', "5"),
         ("mask-exp", '{"front": [null]}', "None"),
         ("mask-exp", '{"front": [1e400]}', "inf"),
+        # str() would make these an object named "None", "7" or "['car']"
+        ("gen-risk-qa", {"scene_id": "s1", "objects": [
+            {**SCENE_OBJECT, "category": None}]}, None),
+        ("gen-risk-qa", {"scene_id": "s1", "objects": [
+            {**SCENE_OBJECT, "category": 7}]}, None),
+        ("gen-risk-qa", {"scene_id": "s1", "objects": [
+            {**SCENE_OBJECT, "category": ["car"]}]}, None),
+        ("ora", {**ORA_RISK, "reason": {"a": 1}}, ORA_RISK),
+        ("ora", ORA, {**ORA, "reason": 5}),
     ],
     ids=["grounding-null-coord", "grounding-null-score", "grounding-gt-null-coord",
          "grounding-fractional-coord", "grounding-bool-coord",
@@ -693,7 +702,9 @@ def _agents(**fields) -> list:
          "risk-qa-null-scene-id",
          "mask-exp-fractional-index", "mask-exp-bool-index",
          "mask-exp-string-index", "mask-exp-int-indices",
-         "mask-exp-null-index", "mask-exp-huge-index"],
+         "mask-exp-null-index", "mask-exp-huge-index",
+         "risk-qa-null-category", "risk-qa-int-category", "risk-qa-list-category",
+         "ora-object-reason", "ora-gt-int-reason"],
 )
 def test_wrong_typed_json_exit_3(tmp_path, capsys, command, record, gt) -> None:
     first = tmp_path / "in.jsonl"

@@ -3,9 +3,18 @@
 from __future__ import annotations
 
 import json
+import math
+import threading
+import time
+from dataclasses import dataclass, fields
 
 import pytest
+from hypothesis import HealthCheck, assume, given, seed, settings
+from hypothesis import strategies as st
 
+from fusionkit import cli
+from fusionkit.chat import ChatRequest
+from fusionkit.cli import main
 from fusionkit.config import (
     Config,
     ConfigError,
@@ -14,6 +23,14 @@ from fusionkit.config import (
     provenance_block,
     sha256_file,
 )
+from fusionkit.interactor import SelectionConfig
+from fusionkit.jsontypes import check_fields
+from fusionkit.masking import MaskExperimentConfig, MaskSpec
+from fusionkit.risk_qa import PipelineConfig, build_risk_prompt
+
+from test_cli import REFINE_RECORDS, _demo_inputs, scene_to_dict, write_jsonl
+from test_decoder_properties import SPECIAL
+from test_risk_qa import QA_RESPONSE_FIXTURE, RISK_RESPONSE_FIXTURE, seven_car_scene
 
 
 def test_defaults() -> None:
@@ -121,3 +138,256 @@ def test_sha256_file_and_provenance(tmp_path) -> None:
     # path-list form labels by the path itself
     block2 = provenance_block(Config(), [f])
     assert block2["inputs"] == {str(f): expected}
+
+
+# ------------------------------------------------------ JSON types per key
+
+
+def test_int_spelled_floats_keep_their_hashes(tmp_path) -> None:
+    ints = tmp_path / "ints.json"
+    ints.write_text('{"temperature": 0, "ego_length": 4}')
+    floats = tmp_path / "floats.json"
+    floats.write_text('{"temperature": 0.0, "ego_length": 4.0}')
+    a, b = load_config(ints), load_config(floats)
+    assert type(a.temperature) is float and type(a.ego_length) is float
+    assert config_hash(a) == config_hash(b)
+    assert config_hash(load_config(ints, ego_length=4.084)) == config_hash(Config())
+
+    def request_hash(cfg: Config) -> str:
+        # the step-1 request a --mock replay directory is keyed by
+        return ChatRequest(model=cfg.step1_model,
+                           messages=({"role": "user", "content": "x"},),
+                           temperature=cfg.temperature,
+                           seed=cfg.seed).request_hash()
+
+    assert request_hash(a) == request_hash(Config())
+
+
+@pytest.mark.parametrize("make", [
+    Config, SelectionConfig, PipelineConfig, MaskExperimentConfig,
+    lambda: MaskSpec(candidate_indices={"front": [0]}, rate=0),
+], ids=["Config", "SelectionConfig", "PipelineConfig", "MaskExperimentConfig",
+        "MaskSpec"])
+def test_every_config_field_has_a_json_type(make) -> None:
+    obj = make()
+    before = [getattr(obj, f.name) for f in fields(obj)]
+    check_fields(obj)  # a TypeError names a field whose annotation has no check
+    assert [getattr(obj, f.name) for f in fields(obj)] == before
+
+
+@dataclass(frozen=True)
+class _Unlisted:
+    n: int = 1
+    names: list = ()
+
+
+def test_check_fields_rejects_an_unlisted_annotation() -> None:
+    with pytest.raises(TypeError, match=r"_Unlisted\.names"):
+        check_fields(_Unlisted())
+
+
+CONFIG_TYPES = {f.name: f.type for f in fields(Config)}
+
+
+def _finite_number(v) -> bool:
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:  # 10**400
+        return False
+
+
+def _json_type_ok(annotation: str, v) -> bool:
+    return {
+        "int": lambda: type(v) is int,
+        "float": lambda: _finite_number(v),
+        "bool": lambda: type(v) is bool,
+        "str": lambda: type(v) is str,
+        "tuple[float, ...]": lambda: type(v) is list
+        and all(map(_finite_number, v)),
+    }[annotation]()
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(sorted(CONFIG_TYPES)),
+       value=st.sampled_from(SPECIAL)
+       | st.lists(st.sampled_from(SPECIAL), min_size=1, max_size=3))
+def test_wrong_typed_config_value_exit_2(tmp_path, capsys, name, value) -> None:
+    assume(not _json_type_ok(CONFIG_TYPES[name], value))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({name: value}))
+    rc = main(["budget", "--config", str(path), "--view-tokens", "576",
+               "--bev-tokens", "2500"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith(f"error: {name} ") or (
+        captured.err.startswith(f"error: each of {name} "))
+    assert "Traceback" not in captured.err
+
+
+# ------------------------------------------------- every key takes effect
+# Each runner runs one command with a config file and returns its exit code
+# and what the key should change: printed text, output bytes, or the chat
+# requests a stand-in client received. Eval runners return the CSV, which
+# holds only metrics; the JSON report also echoes the config.
+
+
+def _budget(tmp_path, cfg, capsys, monkeypatch):
+    rc = main(["budget", "--config", cfg, "--view-tokens", "576,576",
+               "--bev-tokens", "2500"])
+    return rc, capsys.readouterr().out
+
+
+def _demo(tmp_path, cfg, capsys, monkeypatch):
+    views, bev, inst = _demo_inputs(tmp_path)
+    out = tmp_path / "fused.fkmx"
+    rc = main(["interactor-demo", "--views", *views, "--bev", bev,
+               "--instruction", inst, "--out", str(out), "--k-img", "4",
+               "--k-bev", "6", "--config", cfg])
+    capsys.readouterr()
+    return rc, out.read_bytes()
+
+
+def _refine(tmp_path, cfg, capsys, monkeypatch):
+    src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    write_jsonl(src, REFINE_RECORDS)
+    rc = main(["refine", "--input", str(src), "--output", str(out),
+               "--config", cfg])
+    capsys.readouterr()
+    return rc, out.read_bytes()
+
+
+def _eval(kind: str, pred_rows: list, gt_rows: list):
+    def run(tmp_path, cfg, capsys, monkeypatch):
+        pred, gt = tmp_path / "pred.jsonl", tmp_path / "gt.jsonl"
+        write_jsonl(pred, pred_rows)
+        write_jsonl(gt, gt_rows)
+        rc = main(["eval", kind, "--pred", str(pred), "--gt", str(gt),
+                   "--config", cfg])
+        return rc, capsys.readouterr().out
+    return run
+
+
+def _box(x2: int, score: float | None = None) -> dict:
+    row = {"image_id": "i", "box": [0, 0, x2, 99], "label": "car"}
+    return row if score is None else {**row, "score": score}
+
+
+# the 0.8-IoU detection on image i counts at 0.5 but not at 0.9, and the
+# TP, FP, TP ranking makes 11-point AP differ from all-point AP
+GROUNDING = _eval(
+    "grounding",
+    [_box(79, 0.9), {**_box(99, 0.8), "image_id": "j"},
+     {**_box(99, 0.7), "image_id": "k"}],
+    [_box(99), {"image_id": "j", "box": [500, 500, 599, 599], "label": "car"},
+     {**_box(99), "image_id": "k"}],
+)
+
+
+def _agent(cx: float, cy: float) -> dict:
+    return {"cx": cx, "cy": cy, "length": 1.0, "width": 1.0, "heading": 0.0}
+
+
+# the ego drives along +x; one agent 3.5 m ahead of it and one 3.5 m to its
+# side clear the default 4.084 x 1.85 footprint, not a 10 m one
+PLANNING = _eval(
+    "planning",
+    [{"sample_id": "p", "trajectory": [[t, 0.0] for t in range(1, 7)]}],
+    [{"sample_id": "p", "trajectory": [[t, 0.1 * t] for t in range(1, 7)],
+      "agents": [[_agent(t + 3.5, 0.0), _agent(t, 3.5)] for t in range(1, 7)]}],
+)
+
+ORA_GT = {"exist": True, "level": "high", "category": "potential_risk",
+          "object": "car"}
+# gating on a correct exist leaves out sample 1, whose risk was missed
+ORA_EVAL = _eval(
+    "ora",
+    [{"sample_id": "1", "exist": False}, {"sample_id": "2", **ORA_GT}],
+    [{"sample_id": "1", **ORA_GT}, {"sample_id": "2", **ORA_GT}],
+)
+
+CAPTION = _eval("caption", [{"id": "1", "caption": "a cat sat on a mat"}],
+                [{"id": "1", "references": ["a cat sat on the mat"]}])
+
+
+class _RecordingClient:
+    """Stands in for HttpChatClient: keeps its endpoint and timeout, every
+    request and the threads that sent them; answers each step-1 request
+    once malformed, then from the seven-car fixtures."""
+
+    made: list
+
+    def __init__(self, endpoint: str, api_key: str = "", timeout: float = 60.0):
+        self.endpoint, self.timeout = endpoint, timeout
+        self.requests: list[str] = []
+        self.threads: set[int] = set()
+        type(self).made.append(self)
+
+    @classmethod
+    def from_env(cls, timeout: float = 60.0):
+        return cls("from the environment", timeout=timeout)
+
+    def complete(self, request) -> str:
+        time.sleep(0.01)  # the second scene starts before the first ends
+        self.requests.append(request.canonical_json())
+        self.threads.add(threading.get_ident())
+        step1 = request.messages[0]["content"] == build_risk_prompt(
+            seven_car_scene().objects)
+        if step1 and len(request.messages) == 1:
+            return "not json"
+        return RISK_RESPONSE_FIXTURE if step1 else QA_RESPONSE_FIXTURE
+
+
+def _gen_risk_qa(tmp_path, cfg, capsys, monkeypatch):
+    class Client(_RecordingClient):
+        made: list = []
+
+    monkeypatch.setattr(cli, "HttpChatClient", Client)
+    scene = scene_to_dict(seven_car_scene())
+    scenes = tmp_path / "scenes.jsonl"
+    write_jsonl(scenes, [{**scene, "scene_id": "a"}, {**scene, "scene_id": "b"}])
+    rc = main(["gen-risk-qa", "--scenes", str(scenes), "--config", cfg,
+               "--out-qa", str(tmp_path / "qa.jsonl"),
+               "--out-grounding", str(tmp_path / "g.jsonl")])
+    capsys.readouterr()
+    (client,) = Client.made
+    return rc, (client.endpoint, client.timeout, len(client.threads),
+                sorted(client.requests))
+
+
+# key -> (a value other than the default, the runner that shows its effect)
+EFFECTS = {
+    "k_img": (50, _budget),
+    "k_bev": (100, _budget),
+    "reduction": ("mean", _demo),
+    "short_answer_threshold": (0, _refine),
+    "iou_thresholds": ([0.9], GROUNDING),
+    "ap_interpolation": ("eleven_point", GROUNDING),
+    "l2_mode": ("up_to_horizon", PLANNING),
+    "ora_gating": ("all_gt_true", ORA_EVAL),
+    "metric_scale_100": (False, CAPTION),
+    "ego_length": (10.0, PLANNING),
+    "ego_width": (10.0, PLANNING),
+    "endpoint": ("http://127.0.0.1:9/v1", _gen_risk_qa),
+    "step1_model": ("model-1", _gen_risk_qa),
+    "step2_model": ("model-2", _gen_risk_qa),
+    "temperature": (0.5, _gen_risk_qa),
+    "timeout": (5.0, _gen_risk_qa),
+    "retries": (0, _gen_risk_qa),  # the one malformed reply fails each scene
+    "max_in_flight": (1, _gen_risk_qa),
+    "seed": (1, _demo),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(Config)])
+def test_config_key_takes_effect(tmp_path, capsys, monkeypatch, name) -> None:
+    value, run = EFFECTS[name]
+    default, changed = tmp_path / "default.json", tmp_path / "changed.json"
+    default.write_text("{}")
+    changed.write_text(json.dumps({name: value}))
+    rc_default, seen_default = run(tmp_path, str(default), capsys, monkeypatch)
+    rc_changed, seen_changed = run(tmp_path, str(changed), capsys, monkeypatch)
+    assert rc_default == 0
+    assert rc_changed in (0, 3)  # 3: every scene failed, for retries 0
+    assert seen_changed != seen_default

@@ -295,3 +295,11 @@ def test_config_rate_validation() -> None:
         MaskExperimentConfig(rates=(0, 0))
     with pytest.raises(ValueError):
         MaskExperimentConfig(rates=(0, 200))
+
+
+@pytest.mark.parametrize("rates", [(True, 2.7, "5"), (10, True), (2.7,), ("5",),
+                                   (None,), 30])
+def test_config_rates_must_be_integers(rates) -> None:
+    # int() would read (True, 2.7, "5") as the rates (1, 2, 5)
+    with pytest.raises(ValueError, match="rates"):
+        MaskExperimentConfig(rates=rates)
