@@ -6,7 +6,7 @@ Subpackages are deliberately flat:
 - ``matrix``        dense float64 matrix container + FKMX on-disk format
 - ``numerics``      matmul, cosine, MLP, stacked cross-attention, gradients
 - ``interactor``    relevance scoring, top-k selection, fusion, token budget
-- ``text_metrics``  corpus BLEU / ROUGE-L / CIDEr / accuracy / MAE
+- ``text_metrics``  corpus BLEU / ROUGE-L / CIDEr / exact-match accuracy
 - ``driving_eval``  box IoU + grounding mAP, open-loop L2 and collision, ORA
 - ``refinery``      tagged-text grammar, box/decimal normalization, records
 - ``chat``          minimal chat-completion client (HTTP + deterministic replay)

@@ -35,7 +35,10 @@ from .chat import (
 )
 from .config import Config, ConfigError, load_config, provenance_block
 from .driving_eval import (
+    AP_INTERPOLATIONS,
     HORIZONS,
+    L2_MODES,
+    ORA_GATING_MODES,
     align_ids,
     collision_rate,
     detection_from_dict,
@@ -47,6 +50,7 @@ from .driving_eval import (
     planning_record_from_dict,
 )
 from .interactor import (
+    REDUCTIONS,
     BevFeatureMap,
     InstructionEmbedding,
     SelectionConfig,
@@ -65,7 +69,12 @@ from .masking import (
 )
 from .matrix import FkmxFormatError, Matrix, ShapeError, load_fkmx, save_fkmx
 from .numerics import CrossAttnParams
-from .refinery import record_from_dict, record_to_dict, refine_records
+from .refinery import (
+    DATASET_SOURCES,
+    record_from_dict,
+    record_to_dict,
+    refine_records,
+)
 from .risk_qa import PipelineConfig, run_pipeline, scene_from_dict
 from .text_metrics import (
     EvalPair,
@@ -640,8 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--report", help="write the refine report JSON here")
-    p.add_argument("--source", choices=("nuscenes-qa", "nuscenes-mqa",
-                                        "omnidrive", "nuinstruct", "ora"),
+    p.add_argument("--source", choices=DATASET_SOURCES,
                    help="source tag for records that lack one")
     p.add_argument("--short-threshold", type=int, default=None,
                    help="max tokens for a short answer")
@@ -679,15 +687,11 @@ def build_parser() -> argparse.ArgumentParser:
             k.add_argument("--iou-thresholds", default=None,
                            help="comma-separated IoU thresholds")
             k.add_argument("--interpolation",
-                           choices=("all_point", "eleven_point"), default=None)
+                           choices=AP_INTERPOLATIONS, default=None)
         if kind == "planning":
-            k.add_argument("--l2-mode",
-                           choices=("at_horizon", "up_to_horizon"),
-                           default=None)
+            k.add_argument("--l2-mode", choices=L2_MODES, default=None)
         if kind == "ora":
-            k.add_argument("--gating",
-                           choices=("correct_exist", "all_gt_true"),
-                           default=None)
+            k.add_argument("--gating", choices=ORA_GATING_MODES, default=None)
         _add_common(k)
         k.set_defaults(func=cmd_eval, kind=kind)
 
@@ -703,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bev-grid", help="H,W of the BEV grid (default Nx1)")
     p.add_argument("--k-img", type=int, default=None)
     p.add_argument("--k-bev", type=int, default=None)
-    p.add_argument("--reduction", choices=("max", "mean"), default=None)
+    p.add_argument("--reduction", choices=REDUCTIONS, default=None)
     p.add_argument("--num-layers", type=int, default=2)
     p.add_argument("--num-heads", type=int, default=1)
     _add_common(p)

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import __version__
-from .driving_eval import ORA_GATING_MODES
+from .driving_eval import AP_INTERPOLATIONS, L2_MODES, ORA_GATING_MODES
 from .interactor import REDUCTIONS
 from .jsontypes import check_fields
 
@@ -31,9 +31,6 @@ __all__ = [
     "provenance_block",
     "sha256_file",
 ]
-
-L2_MODES = ("at_horizon", "up_to_horizon")
-AP_INTERPOLATIONS = ("all_point", "eleven_point")
 
 
 class ConfigError(ValueError):
@@ -57,6 +54,7 @@ _RULES = {
     "ora_gating": _one_of(ORA_GATING_MODES),
     "ego_length": (lambda v: v > 0, "must be positive"),
     "ego_width": (lambda v: v > 0, "must be positive"),
+    "temperature": (lambda v: v >= 0, "must be nonnegative"),
     "timeout": (lambda v: v > 0, "must be positive"),
     "retries": (lambda v: v >= 0, "must be nonnegative"),
     "max_in_flight": (lambda v: v >= 1, "must be at least 1"),

@@ -67,6 +67,8 @@ ORA_CATEGORIES = (
     "potential_risk",
 )
 ORA_GATING_MODES = ("correct_exist", "all_gt_true")
+L2_MODES = ("at_horizon", "up_to_horizon")
+AP_INTERPOLATIONS = ("all_point", "eleven_point")
 
 
 @dataclass(frozen=True)
@@ -151,24 +153,23 @@ def _ap_eleven_point(recalls: Sequence[float], precisions: Sequence[float]) -> f
     return total / 11.0
 
 
-_AP_METHODS = {"all_point": _ap_all_point, "eleven_point": _ap_eleven_point}
+_AP_METHODS = dict(zip(AP_INTERPOLATIONS, (_ap_all_point, _ap_eleven_point)))
 
 
 def _match_class(
-    preds: list[tuple[int, Detection]],
+    ranked: list[tuple[int, Detection]],
     gt_boxes: list[NormalizedBox],
     threshold: float,
 ) -> list[bool]:
-    """Greedy matching in descending score order (stable on ties).
+    """Greedy matching of predictions ranked by descending score (stable
+    on ties); one flag per prediction, in that order.
 
     Each prediction takes the unmatched ground-truth box of highest IoU
     at or above the threshold; equal IoUs resolve to the earlier box.
     """
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i][1].score, preds[i][0]))
     taken = [False] * len(gt_boxes)
-    flags = [False] * len(preds)
-    for rank, idx in enumerate(order):
-        det = preds[idx][1]
+    flags = []
+    for _, det in ranked:
         best_iou = 0.0
         best_gt = -1
         for g, gt_box in enumerate(gt_boxes):
@@ -180,7 +181,7 @@ def _match_class(
                 best_gt = g
         if best_gt >= 0:
             taken[best_gt] = True
-            flags[rank] = True
+        flags.append(best_gt >= 0)
     return flags
 
 
@@ -251,21 +252,22 @@ def grounding_map_report(
 
     gt_count = sum(len(boxes) for boxes in gts.values())
     for cls in classes:
-        n_gt = sum(1 for boxes in gts.values() for g in boxes if g.label == cls)
+        # per image: the class's GT boxes and its predictions ranked by
+        # descending score, ties in insertion order
+        images = [
+            ([g.box for g in gt_boxes if g.label == cls],
+             sorted(class_preds[cls].get(image_id, []),
+                    key=lambda p: (-p[1].score, p[0])))
+            for image_id, gt_boxes in gts.items()
+        ]
+        n_gt = sum(len(boxes) for boxes, _ in images)
         per_class[cls] = {}
         for thr in thresholds:
             scored: list[tuple[float, int, bool]] = []
-            for image_id, gt_boxes in gts.items():
-                boxes = [g.box for g in gt_boxes if g.label == cls]
-                image_preds = class_preds[cls].get(image_id, [])
-                flags = _match_class(image_preds, boxes, thr)
-                order = sorted(
-                    range(len(image_preds)),
-                    key=lambda i: (-image_preds[i][1].score, image_preds[i][0]),
-                )
-                for rank, idx in enumerate(order):
-                    ins, det = image_preds[idx]
-                    scored.append((det.score, ins, flags[rank]))
+            for boxes, ranked in images:
+                flags = _match_class(ranked, boxes, thr)
+                scored.extend((det.score, ins, hit)
+                              for (ins, det), hit in zip(ranked, flags))
             scored.sort(key=lambda item: (-item[0], item[1]))
             recalls: list[float] = []
             precisions: list[float] = []
@@ -363,8 +365,8 @@ def l2_error(
     including the horizon. ``avg`` is the mean of the three horizon
     numbers in both modes.
     """
-    if mode not in ("at_horizon", "up_to_horizon"):
-        raise ValueError("mode must be 'at_horizon' or 'up_to_horizon'")
+    if mode not in L2_MODES:
+        raise ValueError(f"mode must be one of {L2_MODES}")
     dists = [
         math.hypot(px - gx, py - gy)
         for (px, py), (gx, gy) in zip(pred.waypoints, gt.waypoints)

@@ -225,58 +225,38 @@ def interact(selected: Matrix, full: Matrix, p: CrossAttnParams) -> Matrix:
     return cross_attention(selected, full, full, p)
 
 
-def _params_per_view(
-    attn_mv: CrossAttnParams | Sequence[CrossAttnParams], n_views: int
-) -> list[CrossAttnParams]:
-    if isinstance(attn_mv, CrossAttnParams):
-        return [attn_mv] * n_views
-    params = list(attn_mv)
-    if len(params) != n_views:
-        raise ShapeError(
-            f"got {len(params)} per-view parameter sets for {n_views} views"
-        )
-    return params
-
-
 def fuse(
     views: ViewFeatureSet,
     bev: BevFeatureMap,
     inst: InstructionEmbedding,
     cfg: SelectionConfig,
-    attn_mv: CrossAttnParams | Sequence[CrossAttnParams],
+    attn_mv: CrossAttnParams,
     attn_bev: CrossAttnParams,
 ) -> FusedTokenSequence:
     """Select and interact per source, then concatenate views before BEV.
 
-    Per-view attention parameters are shared when a single set is given;
-    the BEV source always has its own set.
+    Every view shares the one per-view parameter set ``attn_mv``; the BEV
+    source has its own.
     """
     if views.d != inst.d or bev.d != inst.d:
         raise ShapeError(
             f"feature widths differ: views={views.d} bev={bev.d} inst={inst.d}"
         )
-    mv_params = _params_per_view(attn_mv, views.n_views)
+    sources = [(name, view, cfg.k_img, attn_mv)
+               for name, view in zip(views.view_names, views.views)]
+    sources.append(("bev", bev.tokens, cfg.k_bev, attn_bev))
 
     blocks: list[np.ndarray] = []
     provenance: list[TokenProvenance] = []
-    for name, view, params in zip(views.view_names, views.views, mv_params):
+    for name, tokens, k, params in sources:
         try:
-            scores = score_tokens(view, inst, cfg.reduction)
-            sel = select_topk(view, scores, cfg.k_img)
-            mixed = interact(sel.features, view, params)
+            scores = score_tokens(tokens, inst, cfg.reduction)
+            sel = select_topk(tokens, scores, k)
+            mixed = interact(sel.features, tokens, params)
         except (ShapeError, ValueError) as err:
             raise type(err)(f"view '{name}': {err}") from err
         blocks.append(mixed.data)
         provenance.extend(TokenProvenance(name, i) for i in sel.indices)
-
-    try:
-        scores = score_tokens(bev.tokens, inst, cfg.reduction)
-        sel = select_topk(bev.tokens, scores, cfg.k_bev)
-        mixed = interact(sel.features, bev.tokens, attn_bev)
-    except (ShapeError, ValueError) as err:
-        raise type(err)(f"view 'bev': {err}") from err
-    blocks.append(mixed.data)
-    provenance.extend(TokenProvenance("bev", i) for i in sel.indices)
 
     return FusedTokenSequence(
         tokens=Matrix(np.concatenate(blocks, axis=0)),

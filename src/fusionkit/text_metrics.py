@@ -1,4 +1,4 @@
-"""Corpus-level language metrics: BLEU, ROUGE-L, CIDEr, accuracy, MAE.
+"""Corpus-level language metrics: BLEU, ROUGE-L, CIDEr, exact-match accuracy.
 
 All scores are reported on a 0-100 scale. Conventions are pinned here so
 results are reproducible:
@@ -34,7 +34,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -48,8 +48,6 @@ __all__ = [
     "bleu_all",
     "rouge_l",
     "cider",
-    "accuracy",
-    "mae",
     "compute_caption_report",
 ]
 
@@ -72,7 +70,6 @@ class EvalPair:
     id: str
     candidate: str
     references: tuple[str, ...]
-    task_tag: str | None = None
 
     def __post_init__(self) -> None:
         refs = tuple(self.references)
@@ -89,9 +86,11 @@ def caption_pred_from_dict(d: Mapping) -> tuple[str, str]:
 
 def caption_gt_from_dict(d: Mapping) -> tuple[str, tuple[str, ...]]:
     """A ground-truth row ``{"id", "references": [...]}``, or ``{"id",
-    "caption"}`` when ``references`` is absent or empty."""
+    "caption"}`` when ``references`` is absent, null or empty."""
     pair_id = require_id(d, "id")
-    refs = d.get("references") or [require(d, "caption")]
+    refs = d.get("references")
+    if refs is None or refs == []:
+        refs = [require(d, "caption")]
     if not (isinstance(refs, list) and all(isinstance(r, str) for r in refs)):
         raise ValueError(f"references must be a list of strings, got {refs!r}")
     return pair_id, tuple(refs)
@@ -334,56 +333,34 @@ class _Grams:
         return per_pair.astype(np.int64)
 
     def cosines(
-        self,
-        texts: _Texts,
-        mc: np.ndarray,
-        mr: np.ndarray,
-        group: np.ndarray,
-        idf: np.ndarray,
-        idf_start: np.ndarray,
+        self, texts: _Texts, mc: np.ndarray, mr: np.ndarray, idf: np.ndarray
     ) -> np.ndarray:
         """Per pair: the candidate's TF-IDF cosine with each reference,
         summed in reference order.
 
-        ``group`` holds each pair's group, or -1 for a pair left out (it
-        gets 0). Groups share no pair, so one call scores them all: a
-        document frequency counts the references of one group, and a group
-        of N pairs looks up ``log(N / d)`` at ``idf[idf_start[group] + d]``.
-        Each norm and dot product adds its terms in the order of the
+        A gram's document frequency ``d`` counts the pairs whose references
+        hold it, and its IDF is ``idf[d]``; a gram no reference holds takes
+        d = 1. Each norm and dot product adds its terms in the order of the
         grams' first occurrence, as a loop over the candidate's, then the
         reference's, grams would.
         """
-        group_of = group[self.pair]
-        keep = group_of >= 0
         # a reference entry opens a document of its gram unless the entry
         # before it belongs to a reference of the same pair
-        ref = keep & (texts.slot[self.text] > 0)
+        ref = texts.slot[self.text] > 0
         opens = ref.copy()
         opens[1:] &= ~(ref[:-1] & (self.gram[1:] == self.gram[:-1])
                        & (self.pair[1:] == self.pair[:-1]))
         del ref
-        # the kept entries by group, then gram: a stable sort of entries
-        # that are sorted by gram already
-        kept = np.flatnonzero(keep)
-        kept = kept[np.argsort(group_of[kept], kind="stable")]
-        g, gram = group_of[kept], self.gram[kept]
-        new = np.ones(len(kept), bool)
-        new[1:] = (g[1:] != g[:-1]) | (gram[1:] != gram[:-1])
-        run = np.cumsum(new) - 1
-        df = np.bincount(run[opens[kept]], minlength=int(new.sum()))
-        del opens, gram, new
-        # a gram no reference of the group holds takes d = 1
-        idf_of = np.zeros(len(self.gram))
-        idf_of[kept] = idf[idf_start[g] + np.maximum(df[run], 1)]
-        del kept, g, run, df
+        df = np.bincount(self.gram[opens], minlength=self.n_grams)
+        del opens
+        idf_of = idf[np.maximum(df[self.gram], 1)]
+        del df
         w = self.count * idf_of
-        first = self.by_place[keep[self.by_place]]
-        squares = _ordered_sums(self.text[first], (w * w)[first], texts.count)
-        scored = keep[mc]
-        mc, mr = mc[scored], mr[scored]
+        squares = _ordered_sums(
+            self.text[self.by_place], (w * w)[self.by_place], texts.count)
         dots = _ordered_sums(
             self.text[mr], w[mc] * (self.count[mr] * idf_of[mc]), texts.count)
-        rt = texts.refs[group[texts.pair[texts.refs]] >= 0]
+        rt = texts.refs
         rp = texts.pair[rt]
         denom = np.sqrt(squares[texts.cand[rp]] * squares[rt])
         cos = np.zeros(len(rt))
@@ -391,26 +368,23 @@ class _Grams:
         return _ordered_sums(rp, cos, len(texts.n_refs))
 
 
+@dataclass(frozen=True)
 class _Totals:
-    """Corpus totals for one group of pairs: the whole corpus or the pairs
-    of one task tag."""
+    """Corpus totals of every metric; ``cider`` is None when CIDEr was
+    left out or its IDF degenerates (fewer than two documents)."""
 
-    def __init__(self, pairs: np.ndarray, max_n: int, with_cider: bool):
-        self.pairs = pairs  # indices of the member pairs, ascending
-        self.size = len(pairs)
-        self.bleu = [0] * (2 + 2 * max_n)
-        self.rouge = 0.0
-        self.hits = 0
-        self.cider = 0.0
-        # CIDEr's IDF degenerates below two documents
-        self.has_cider = with_cider and self.size >= 2
+    size: int
+    bleu: list[int]  # [cand_len, ref_len, m1, t1, m2, t2, ...]
+    rouge: float
+    hits: int
+    cider: float | None
 
     def scores(self, smoothing_eps: float) -> dict[str, float | None]:
         out: dict[str, float | None] = {
             f"BLEU{n}": _bleu_from_stats(self.bleu, n, smoothing_eps)
             for n in range(1, 5)
         }
-        out["CIDEr"] = 100.0 * self.cider / self.size if self.has_cider else None
+        out["CIDEr"] = None if self.cider is None else 100.0 * self.cider / self.size
         out["ROUGE_L"] = 100.0 * self.rouge / self.size
         out["ACC"] = 100.0 * self.hits / self.size
         return out
@@ -421,10 +395,9 @@ def _score(
     max_n: int = 4,
     beta: float = ROUGE_BETA,
     with_cider: bool = True,
-    by_tag: bool = False,
-) -> dict[str | None, _Totals]:
+) -> _Totals:
     """Every metric from one pass over the pairs and one columnar pass per
-    n-gram order; key None holds the corpus.
+    n-gram order.
 
     The pass over the pairs tokenizes each text once, scores ROUGE-L, the
     exact match and the BLEU lengths, and keeps only int32 token ids. Each
@@ -435,78 +408,43 @@ def _score(
     vocab = _TokenIds()
     token_ids, lengths = array("i"), array("i")
     n_refs = np.empty(len(pairs), np.int64)
-    rouge, hits, cand_len, ref_len = [], [], [], []
+    rouge, hits, cand_len, ref_len = 0.0, 0, 0, 0
     for i, p in enumerate(pairs):
         cand = tokenize(p.candidate)
         refs = [tokenize(r) for r in p.references]
-        rouge.append(_rouge_pair(cand, refs, b2))
-        hits.append(_match_any_reference(p))
+        rouge += _rouge_pair(cand, refs, b2)
+        hits += _match_any_reference(p)
         c_len = len(cand)
-        cand_len.append(c_len)
-        ref_len.append(
-            min((len(r) for r in refs), key=lambda rl: (abs(rl - c_len), rl)))
+        cand_len += c_len
+        ref_len += min((len(r) for r in refs), key=lambda rl: (abs(rl - c_len), rl))
         n_refs[i] = len(refs)
         for tokens in (cand, *refs):
             token_ids.extend(map(vocab.__getitem__, tokens))
             lengths.append(len(tokens))
     texts = _Texts(token_ids, lengths, n_refs)
 
-    groups = {None: _Totals(np.arange(len(pairs)), max_n, with_cider)}
-    tag_of = np.full(len(pairs), -1, np.int32)
-    if by_tag:
-        tags = sorted({p.task_tag for p in pairs if p.task_tag is not None})
-        index = {tag: i for i, tag in enumerate(tags)}
-        tag_of[:] = [index.get(p.task_tag, -1) for p in pairs]
-        by_tag_of = np.argsort(tag_of, kind="stable")  # untagged pairs first
-        bounds = np.cumsum(np.bincount(tag_of + 1, minlength=len(tags) + 1))
-        for i, tag in enumerate(tags):
-            members = by_tag_of[bounds[i]:bounds[i + 1]]
-            groups[tag] = _Totals(members, max_n, with_cider)
-    # CIDEr scores the corpus in one part and every tag in another: groups
-    # of one part share no pair. Per part: its groups, each pair's group
-    # (-1 when its group has no CIDEr), the IDF tables log(N / d) for
-    # d in 0..N end to end with where each starts, and per pair the sum
-    # over orders.
-    ciders = []
-    for part, group in (([groups[None]], np.zeros(len(pairs), np.int32)),
-                        ([g for tag, g in groups.items() if tag is not None], tag_of)):
-        tables = [[0.0] + [math.log(g.size / d) for d in range(1, g.size + 1)]
-                  if g.has_cider else [] for g in part]
-        if not any(tables):
-            continue
-        for g in part:
-            if not g.has_cider:
-                group[g.pairs] = -1
-        sizes = np.array([len(t) for t in tables])
-        idf = np.array([v for t in tables for v in t])
-        ciders.append(
-            (part, group, idf, np.cumsum(sizes) - sizes, np.zeros(len(pairs))))
-
-    # per pair: the lengths, then matches and totals per order
-    stats = [np.array(cand_len, np.int64), np.array(ref_len, np.int64)]
+    size = len(pairs)
+    # IDF by document frequency, log(N / d) for d in 0..N; CIDEr's IDF
+    # degenerates below two documents
+    idf = (np.array([0.0] + [math.log(size / d) for d in range(1, size + 1)])
+           if with_cider and size >= 2 else None)
+    bleu = [cand_len, ref_len]  # then matches and totals per order
+    per_n = np.zeros(size)  # per pair: CIDEr summed over orders
     grams = None
     for n in range(1, max_n + 1):
         grams = _Grams(texts, n, grams)
         mc, mr = grams.matches(texts)
-        stats += (grams.clipped(texts, mc, mr),
-                  np.maximum(texts.cand_len - (n - 1), 0))
-        for _, group, idf, idf_start, per_n in ciders:
-            per_n += grams.cosines(texts, mc, mr, group, idf, idf_start) / n_refs
-    stats = np.stack(stats, axis=1)
+        bleu += (int(grams.clipped(texts, mc, mr).sum()),
+                 int(np.maximum(texts.cand_len - (n - 1), 0).sum()))
+        if idf is not None:
+            per_n += grams.cosines(texts, mc, mr, idf) / n_refs
 
-    for g in groups.values():
-        g.bleu = [int(v) for v in stats[g.pairs].sum(axis=0)]
-        members = g.pairs.tolist()
-        for i in members:
-            g.rouge += rouge[i]
-        g.hits = sum(hits[i] for i in members)
-    for part, _, _, _, per_n in ciders:
-        cider_of = (per_n / max_n).tolist()
-        for g in part:
-            if g.has_cider:
-                for i in g.pairs.tolist():
-                    g.cider += cider_of[i]
-    return groups
+    cider = None
+    if idf is not None:
+        cider = 0.0
+        for v in (per_n / max_n).tolist():
+            cider += v
+    return _Totals(size, bleu, rouge, hits, cider)
 
 
 def bleu(
@@ -517,7 +455,7 @@ def bleu(
         raise ValueError("BLEU needs at least one pair")
     if not 1 <= max_n <= 4:
         raise ValueError("max_n must be in 1..4")
-    stats = _score(pairs, max_n, with_cider=False)[None].bleu
+    stats = _score(pairs, max_n, with_cider=False).bleu
     return _bleu_from_stats(stats, max_n, smoothing_eps)
 
 
@@ -527,7 +465,7 @@ def bleu_all(
     """BLEU-1 through BLEU-4 from one pass over the corpus."""
     if not pairs:
         raise ValueError("BLEU needs at least one pair")
-    stats = _score(pairs, with_cider=False)[None].bleu
+    stats = _score(pairs, with_cider=False).bleu
     return {
         f"BLEU{n}": _bleu_from_stats(stats, n, smoothing_eps) for n in range(1, 5)
     }
@@ -537,7 +475,7 @@ def rouge_l(pairs: Sequence[EvalPair], beta: float = ROUGE_BETA) -> float:
     """Mean best-reference LCS F-measure, recall-weighted by beta^2."""
     if not pairs:
         raise ValueError("ROUGE-L needs at least one pair")
-    return 100.0 * _score(pairs, beta=beta, with_cider=False)[None].rouge / len(pairs)
+    return 100.0 * _score(pairs, beta=beta, with_cider=False).rouge / len(pairs)
 
 
 _CIDER_TOO_SMALL = (
@@ -552,42 +490,11 @@ def cider(pairs: Sequence[EvalPair], max_n: int = CIDER_MAX_N) -> float:
         raise ValueError(_CIDER_TOO_SMALL)
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    return 100.0 * _score(pairs, max_n)[None].cider / len(pairs)
+    return 100.0 * _score(pairs, max_n).cider / len(pairs)
 
 
 def _default_normalizer(text: str) -> str:
     return text.strip().lower()
-
-
-def accuracy(
-    preds: Sequence[str],
-    gts: Sequence[str],
-    normalizer: Callable[[str], str] | None = None,
-) -> float:
-    """Exact-match percentage after normalization (default: trim+lowercase)."""
-    if len(preds) != len(gts):
-        raise ValueError("accuracy needs equal-length prediction and GT lists")
-    if not preds:
-        raise ValueError("accuracy is undefined on empty lists")
-    norm = normalizer if normalizer is not None else _default_normalizer
-    hits = sum(1 for p, g in zip(preds, gts) if norm(p) == norm(g))
-    return 100.0 * hits / len(preds)
-
-
-def mae(preds: Sequence[float], gts: Sequence[float]) -> float:
-    """Mean absolute error over aligned numeric answers."""
-    if len(preds) != len(gts):
-        raise ValueError("mae needs equal-length lists")
-    if not preds:
-        raise ValueError("mae is undefined on empty lists")
-    total = 0.0
-    for p, g in zip(preds, gts):
-        p = float(p)
-        g = float(g)
-        if not (math.isfinite(p) and math.isfinite(g)):
-            raise ValueError("mae inputs must be finite")
-        total += abs(p - g)
-    return total / len(preds)
 
 
 def _match_any_reference(pair: EvalPair) -> bool:
@@ -600,25 +507,18 @@ def compute_caption_report(
 ) -> MetricReport:
     """Full caption-style report: BLEU1-4, CIDEr, ROUGE_L, exact-match ACC.
 
-    CIDEr is reported as None when the corpus is too small for IDF. When
-    pairs carry task tags, per-tag sub-reports land in the metadata.
+    CIDEr is reported as None when the corpus is too small for IDF.
     """
     if not pairs:
         raise ValueError("cannot evaluate an empty corpus")
-    groups = _score(pairs, by_tag=True)
-    corpus = groups.pop(None)
+    corpus = _score(pairs)
     metadata: dict[str, object] = {
         "bleu_smoothing_eps": smoothing_eps,
         "rouge_beta": ROUGE_BETA,
         "cider_scale": "100x raw mean TF-IDF cosine",
     }
-    if not corpus.has_cider:
+    if corpus.cider is None:
         metadata["cider_note"] = _CIDER_TOO_SMALL
-    if groups:
-        metadata["per_task"] = {
-            tag: {"scores": g.scores(smoothing_eps), "pair_count": g.size}
-            for tag, g in groups.items()
-        }
     return MetricReport(
         scores=corpus.scores(smoothing_eps), pair_count=len(pairs), metadata=metadata
     )

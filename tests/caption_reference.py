@@ -1,5 +1,5 @@
 """Reference caption scorer: the per-pair ``Counter`` implementation that
-``fusionkit.text_metrics`` replaced with its columnar pass, kept verbatim.
+``fusionkit.text_metrics`` replaced with its columnar pass.
 
 Tests require the columnar scorer to equal it bit for bit on every output
 of ``bleu``, ``bleu_all``, ``rouge_l``, ``cider`` and
@@ -128,8 +128,7 @@ def _cider_pair(cand_counts, ref_counts, dfs, idf_of_df) -> float:
 
 
 class _Totals:
-    """Running corpus totals for one group of pairs: the whole corpus or
-    the pairs of one task tag."""
+    """Running corpus totals."""
 
     def __init__(self, size: int, max_n: int, with_cider: bool):
         self.size = size
@@ -167,55 +166,38 @@ def _score(
     max_n: int = 4,
     beta: float = ROUGE_BETA,
     with_cider: bool = True,
-    by_tag: bool = False,
-) -> dict[str | None, _Totals]:
-    """Every metric in two streaming passes; key None holds the corpus.
+) -> _Totals:
+    """Every metric in two streaming passes.
 
     Each text is tokenized once. The first pass collects reference n-gram
     sets for CIDEr's document frequencies; the second counts n-grams once
     per text and feeds the same counts to BLEU clipping and CIDEr.
     """
-    corpus = _Totals(len(pairs), max_n, with_cider)
-    groups: dict[str | None, _Totals] = {None: corpus}
-    members: list[tuple[_Totals, ...]] = []
-    if by_tag:
-        sizes = Counter(p.task_tag for p in pairs if p.task_tag is not None)
-        for tag in sorted(sizes):
-            groups[tag] = _Totals(sizes[tag], max_n, with_cider)
-    for p in pairs:
-        tagged = groups.get(p.task_tag) if p.task_tag is not None else None
-        members.append((corpus,) if tagged is None else (corpus, tagged))
+    g = _Totals(len(pairs), max_n, with_cider)
     texts = [
         (tokenize(p.candidate), [tokenize(r) for r in p.references]) for p in pairs
     ]
 
-    if any(g.dfs is not None for g in groups.values()):
-        for (_, refs), owners in zip(texts, members):
+    if g.dfs is not None:
+        for _, refs in texts:
             for n in range(1, max_n + 1):
-                seen = set().union(
+                g.dfs[n - 1].update(set().union(
                     *(zip(*[ref[i:] for i in range(n)]) for ref in refs)
-                )
-                for g in owners:
-                    if g.dfs is not None:
-                        g.dfs[n - 1].update(seen)
+                ))
 
     b2 = beta * beta
     orders = range(1, max_n + 1)
-    for p, (cand, refs), owners in zip(pairs, texts, members):
+    for p, (cand, refs) in zip(pairs, texts):
         cand_counts = [_ngram_counts(cand, n) for n in orders]
         ref_counts = [[_ngram_counts(ref, n) for n in orders] for ref in refs]
         row = _bleu_row(cand, refs, cand_counts, ref_counts)
-        rouge = _rouge_pair(cand, refs, b2)
-        hit = _match_any_reference(p)
-        for g in owners:
-            stats = g.bleu
-            for i, v in enumerate(row):
-                stats[i] += v
-            g.rouge += rouge
-            g.hits += hit
-            if g.dfs is not None:
-                g.cider += _cider_pair(cand_counts, ref_counts, g.dfs, g.idf_of_df)
-    return groups
+        for i, v in enumerate(row):
+            g.bleu[i] += v
+        g.rouge += _rouge_pair(cand, refs, b2)
+        g.hits += _match_any_reference(p)
+        if g.dfs is not None:
+            g.cider += _cider_pair(cand_counts, ref_counts, g.dfs, g.idf_of_df)
+    return g
 
 
 def bleu(
@@ -226,7 +208,7 @@ def bleu(
         raise ValueError("BLEU needs at least one pair")
     if not 1 <= max_n <= 4:
         raise ValueError("max_n must be in 1..4")
-    stats = _score(pairs, max_n, with_cider=False)[None].bleu
+    stats = _score(pairs, max_n, with_cider=False).bleu
     return _bleu_from_stats(stats, max_n, smoothing_eps)
 
 
@@ -236,7 +218,7 @@ def bleu_all(
     """BLEU-1 through BLEU-4 from one pass over the corpus."""
     if not pairs:
         raise ValueError("BLEU needs at least one pair")
-    stats = _score(pairs, with_cider=False)[None].bleu
+    stats = _score(pairs, with_cider=False).bleu
     return {
         f"BLEU{n}": _bleu_from_stats(stats, n, smoothing_eps) for n in range(1, 5)
     }
@@ -246,7 +228,7 @@ def rouge_l(pairs: Sequence[EvalPair], beta: float = ROUGE_BETA) -> float:
     """Mean best-reference LCS F-measure, recall-weighted by beta^2."""
     if not pairs:
         raise ValueError("ROUGE-L needs at least one pair")
-    return 100.0 * _score(pairs, beta=beta, with_cider=False)[None].rouge / len(pairs)
+    return 100.0 * _score(pairs, beta=beta, with_cider=False).rouge / len(pairs)
 
 
 _CIDER_TOO_SMALL = (
@@ -259,7 +241,7 @@ def cider(pairs: Sequence[EvalPair], max_n: int = CIDER_MAX_N) -> float:
     """Plain CIDEr; the reported value is 100x the raw mean cosine."""
     if len(pairs) < 2:
         raise ValueError(_CIDER_TOO_SMALL)
-    return 100.0 * _score(pairs, max_n)[None].cider / len(pairs)
+    return 100.0 * _score(pairs, max_n).cider / len(pairs)
 
 
 def _match_any_reference(pair: EvalPair) -> bool:
@@ -272,13 +254,11 @@ def compute_caption_report(
 ) -> MetricReport:
     """Full caption-style report: BLEU1-4, CIDEr, ROUGE_L, exact-match ACC.
 
-    CIDEr is reported as None when the corpus is too small for IDF. When
-    pairs carry task tags, per-tag sub-reports land in the metadata.
+    CIDEr is reported as None when the corpus is too small for IDF.
     """
     if not pairs:
         raise ValueError("cannot evaluate an empty corpus")
-    groups = _score(pairs, by_tag=True)
-    corpus = groups.pop(None)
+    corpus = _score(pairs)
     metadata: dict[str, object] = {
         "bleu_smoothing_eps": smoothing_eps,
         "rouge_beta": ROUGE_BETA,
@@ -286,11 +266,6 @@ def compute_caption_report(
     }
     if corpus.dfs is None:
         metadata["cider_note"] = _CIDER_TOO_SMALL
-    if groups:
-        metadata["per_task"] = {
-            tag: {"scores": g.scores(smoothing_eps), "pair_count": g.size}
-            for tag, g in groups.items()
-        }
     return MetricReport(
         scores=corpus.scores(smoothing_eps), pair_count=len(pairs), metadata=metadata
     )

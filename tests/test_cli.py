@@ -634,6 +634,16 @@ def _agents(**fields) -> list:
         ("caption", {"id": None, "caption": "a"}, {"id": "None", "references": ["a"]}),
         ("caption", {"id": "True", "caption": "a"}, {"id": True, "references": ["a"]}),
         ("caption", {"id": 1.0, "caption": "a"}, {"id": "1.0", "references": ["a"]}),
+        # a falsy references of the wrong type is not an absent one: it must
+        # not fall back to the row's caption
+        ("caption", {"id": "1", "caption": "a"},
+         {"id": "1", "references": False, "caption": "a"}),
+        ("caption", {"id": "1", "caption": "a"},
+         {"id": "1", "references": 0, "caption": "a"}),
+        ("caption", {"id": "1", "caption": "a"},
+         {"id": "1", "references": "", "caption": "a"}),
+        ("caption", {"id": "1", "caption": "a"},
+         {"id": "1", "references": {}, "caption": "a"}),
         ("planning", {**PLAN, "trajectory": ["12"] * 6}, PLAN),
         ("planning", {**PLAN, "trajectory": [["0.5", True]] * 6}, PLAN),
         ("planning", PLAN, {**PLAN, "agents": _agents(cx="2.0")}),
@@ -688,6 +698,8 @@ def _agents(**fields) -> list:
          "caption-int-references", "caption-string-references",
          "caption-null-reference", "caption-null-caption",
          "caption-null-id", "caption-gt-bool-id", "caption-float-id",
+         "caption-false-references", "caption-zero-references",
+         "caption-empty-string-references", "caption-object-references",
          "planning-string-waypoints", "planning-string-bool-waypoint",
          "planning-gt-string-agent-field", "planning-gt-bool-agent-field",
          "planning-null-id",

@@ -226,6 +226,17 @@ def test_wrong_typed_config_value_exit_2(tmp_path, capsys, name, value) -> None:
     assert "Traceback" not in captured.err
 
 
+def test_negative_temperature_exit_2(tmp_path, capsys) -> None:
+    path = tmp_path / "cfg.json"
+    path.write_text('{"temperature": -3}')
+    rc = main(["budget", "--config", str(path), "--view-tokens", "576",
+               "--bev-tokens", "2500"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: temperature must be nonnegative")
+    assert "Traceback" not in captured.err
+
+
 # ------------------------------------------------- every key takes effect
 # Each runner runs one command with a config file and returns its exit code
 # and what the key should change: printed text, output bytes, or the chat

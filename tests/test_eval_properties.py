@@ -198,7 +198,6 @@ def test_collision_paths_match_scalar_loop_across_blocks():
 
 VOCAB = ("the", "car", "red", "stops", "left", "turn", "bus", "waits", "a",
          "pedestrian", "crosses", "slowly", ".", ",", "!", "?", "Stop", "LEFT")
-TAGS = ("perception", "prediction", "planning", None)
 
 
 def seeded_corpus(seed=2024, n_pairs=60):
@@ -211,11 +210,9 @@ def seeded_corpus(seed=2024, n_pairs=60):
     for i in range(n_pairs):
         refs = tuple(text(0 if i == 7 else 1, 14) for _ in range(rnd.randint(1, 3)))
         cand = "" if i == 3 else (rnd.choice(refs) if i % 9 == 0 else text(1, 14))
-        pairs.append(EvalPair(id=f"c{i:02d}", candidate=cand, references=refs,
-                              task_tag=TAGS[i % 4]))
-    # a tag held by one pair only: its sub-report has no CIDEr
+        pairs.append(EvalPair(id=f"c{i:02d}", candidate=cand, references=refs))
     pairs.append(EvalPair(id="solo", candidate="the bus waits .",
-                          references=("a bus waits .",), task_tag="solo"))
+                          references=("a bus waits .",)))
     return pairs
 
 
@@ -227,34 +224,11 @@ FROZEN_SCORES = {
     "CIDEr": 12.787553789695913, "ROUGE_L": 33.13473240639788,
     "ACC": 11.475409836065573,
 }
-FROZEN_PER_TASK = {
-    "perception": {"scores": {
-        "BLEU1": 36.284591359950966, "BLEU2": 21.246849648271752,
-        "BLEU3": 16.171078928183906, "BLEU4": 13.546152308190425,
-        "CIDEr": 11.976524442410428, "ROUGE_L": 29.698736855501185,
-        "ACC": 13.333333333333334}, "pair_count": 15},
-    "planning": {"scores": {
-        "BLEU1": 53.17460317460318, "BLEU2": 21.8872218212015,
-        "BLEU3": 15.808834169306666, "BLEU4": 13.510762811739488,
-        "CIDEr": 11.34159269205207, "ROUGE_L": 35.75772030043797,
-        "ACC": 13.333333333333334}, "pair_count": 15},
-    "prediction": {"scores": {
-        "BLEU1": 60.431654676258994, "BLEU2": 36.27465431082915,
-        "BLEU3": 26.830783186054823, "BLEU4": 23.15928023660434,
-        "CIDEr": 13.176899035376426, "ROUGE_L": 40.234739475023346,
-        "ACC": 13.333333333333334}, "pair_count": 15},
-    "solo": {"scores": {
-        "BLEU1": 75.0, "BLEU2": 70.71067811865476, "BLEU3": 62.99605249474366,
-        "BLEU4": 0.39763536438352537, "CIDEr": None, "ROUGE_L": 75.0,
-        "ACC": 0.0}, "pair_count": 1},
-}
 
 
 def test_caption_report_equals_frozen_values_exactly():
     report = compute_caption_report(seeded_corpus())
     assert report.scores == FROZEN_SCORES
-    assert report.metadata["per_task"] == FROZEN_PER_TASK
-    assert list(report.metadata["per_task"]) == sorted(FROZEN_PER_TASK)
     assert report.pair_count == 61
 
 

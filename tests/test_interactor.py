@@ -181,23 +181,10 @@ def test_fuse_labels_errors_with_view_name():
     cfg = SelectionConfig(k_img=4, k_bev=4)
     good = CrossAttnParams.identity(6)
     bad = CrossAttnParams.identity(5)
-    with pytest.raises(ShapeError, match="front_left"):
-        fuse(views, bev, inst, cfg, [good, bad], good)
-    with pytest.raises(ShapeError, match="bev"):
+    with pytest.raises(ShapeError, match="^view 'front': "):
+        fuse(views, bev, inst, cfg, bad, good)
+    with pytest.raises(ShapeError, match="^view 'bev': "):
         fuse(views, bev, inst, cfg, good, bad)
-
-
-def test_fuse_shares_or_splits_view_params():
-    rng = np.random.default_rng(7)
-    views, bev, inst = make_inputs(rng, n_views=2)
-    cfg = SelectionConfig(k_img=4, k_bev=4)
-    shared = CrossAttnParams.random(6, rng=np.random.default_rng(8))
-    per_view = [shared, shared]
-    a = fuse(views, bev, inst, cfg, shared, shared)
-    b = fuse(views, bev, inst, cfg, per_view, shared)
-    assert a.tokens == b.tokens
-    with pytest.raises(ShapeError):
-        fuse(views, bev, inst, cfg, [shared], shared)
 
 
 # ------------------------------------------------------------------ budget

@@ -5,12 +5,10 @@ import pytest
 
 from fusionkit.text_metrics import (
     EvalPair,
-    accuracy,
     bleu,
     bleu_all,
     cider,
     compute_caption_report,
-    mae,
     rouge_l,
     tokenize,
 )
@@ -18,8 +16,8 @@ from fusionkit.text_metrics import (
 from oracles import oracle_bleu, oracle_cider, oracle_rouge_l
 
 
-def pair(idx, cand, refs, tag=None):
-    return EvalPair(id=f"p{idx}", candidate=cand, references=tuple(refs), task_tag=tag)
+def pair(idx, cand, refs):
+    return EvalPair(id=f"p{idx}", candidate=cand, references=tuple(refs))
 
 
 def random_corpus(rng, n_pairs=None):
@@ -166,40 +164,14 @@ def test_cider_disjoint_candidate_scores_zero():
     assert cider(pairs) == 0.0
 
 
-# -------------------------------------------------------- accuracy and mae
-
-
-def test_accuracy_default_normalizer():
-    assert accuracy(["Yes", " no "], ["yes", "no"]) == 100.0
-    assert accuracy(["yes", "no"], ["yes", "yes"]) == 50.0
-    with pytest.raises(ValueError):
-        accuracy(["a"], ["a", "b"])
-    with pytest.raises(ValueError):
-        accuracy([], [])
-
-
-def test_accuracy_custom_normalizer():
-    strip_dots = lambda s: s.replace(".", "")
-    assert accuracy(["ok."], ["ok"], normalizer=strip_dots) == 100.0
-
-
-def test_mae_basic_and_errors():
-    assert mae([1.0, 2.0], [2.0, 4.0]) == pytest.approx(1.5)
-    assert mae([3.0], [3.0]) == 0.0
-    with pytest.raises(ValueError):
-        mae([1.0], [])
-    with pytest.raises(ValueError):
-        mae([float("nan")], [0.0])
-
-
 # ------------------------------------------------------------------ report
 
 
 def test_caption_report_shape_and_per_task():
     pairs = [
-        pair(0, "a b c d", ["a b c d"], tag="perception"),
-        pair(1, "x y", ["x y z"], tag="planning"),
-        pair(2, "m n o p", ["m n o p"], tag="perception"),
+        pair(0, "a b c d", ["a b c d"]),
+        pair(1, "x y", ["x y z"]),
+        pair(2, "m n o p", ["m n o p"]),
     ]
     report = compute_caption_report(pairs)
     assert set(report.scores) == {
@@ -214,11 +186,8 @@ def test_caption_report_shape_and_per_task():
     assert report.pair_count == 3
     assert report.scale_0_100
     assert report.metadata["bleu_smoothing_eps"] == 1e-9
-    per_task = report.metadata["per_task"]
-    assert set(per_task) == {"perception", "planning"}
-    assert per_task["perception"]["pair_count"] == 2
-    # single-pair sub-corpus cannot define CIDEr
-    assert per_task["planning"]["scores"]["CIDEr"] is None
+    # one corpus, no per-task sub-reports
+    assert "per_task" not in report.metadata
     assert report.scores["ACC"] == pytest.approx(100.0 * 2 / 3)
 
 
