@@ -57,7 +57,6 @@ GRID_MAX = 999
 HORIZONS = ("1s", "2s", "3s")
 _HORIZON_LAST_INDEX = {"1s": 1, "2s": 3, "3s": 5}
 WAYPOINT_COUNT = 6
-WAYPOINT_INTERVAL_S = 0.5
 
 ORA_LEVELS = ("low", "medium", "high")
 ORA_CATEGORIES = (
@@ -252,27 +251,35 @@ def grounding_map_report(
 
     gt_count = sum(len(boxes) for boxes in gts.values())
     for cls in classes:
-        # per image: the class's GT boxes and its predictions ranked by
-        # descending score, ties in insertion order
-        images = [
-            ([g.box for g in gt_boxes if g.label == cls],
-             sorted(class_preds[cls].get(image_id, []),
-                    key=lambda p: (-p[1].score, p[0])))
-            for image_id, gt_boxes in gts.items()
-        ]
+        # the class's predictions ranked once, by descending score with ties
+        # in insertion order; each image ranks its own by the same key, so
+        # its ranking is its share of this one, tagged with global ranks
+        order = sorted(
+            ((ins, image_id, det)
+             for image_id, dets in class_preds[cls].items()
+             for ins, det in dets),
+            key=lambda p: (-p[2].score, p[0]),
+        )
+        ranked_in: dict[str, list[tuple[int, Detection]]] = {}
+        for rank, (_, image_id, det) in enumerate(order):
+            ranked_in.setdefault(image_id, []).append((rank, det))
+        # only images holding a GT box or a prediction of the class
+        images = []
+        for image_id, gt_boxes in gts.items():
+            boxes = [g.box for g in gt_boxes if g.label == cls]
+            if boxes or image_id in ranked_in:
+                images.append((boxes, ranked_in.get(image_id, [])))
         n_gt = sum(len(boxes) for boxes, _ in images)
         per_class[cls] = {}
         for thr in thresholds:
-            scored: list[tuple[float, int, bool]] = []
+            hits = [False] * len(order)
             for boxes, ranked in images:
-                flags = _match_class(ranked, boxes, thr)
-                scored.extend((det.score, ins, hit)
-                              for (ins, det), hit in zip(ranked, flags))
-            scored.sort(key=lambda item: (-item[0], item[1]))
+                for (rank, _), hit in zip(ranked, _match_class(ranked, boxes, thr)):
+                    hits[rank] = hit
             recalls: list[float] = []
             precisions: list[float] = []
             tp = 0
-            for rank, (_, _, is_tp) in enumerate(scored, start=1):
+            for rank, is_tp in enumerate(hits, start=1):
                 tp += 1 if is_tp else 0
                 recalls.append(tp / n_gt if n_gt else 0.0)
                 precisions.append(tp / rank)
@@ -794,15 +801,3 @@ def ora_sample_from_dict(d: Mapping) -> OraSample:
         grounding=grounding,
     )
 
-
-def ora_sample_to_dict(s: OraSample) -> dict:
-    out: dict = {"sample_id": s.sample_id, "exist": s.exist}
-    if s.exist:
-        out["level"] = s.level
-        out["category"] = s.category
-        out["object"] = s.object
-    if s.reason:
-        out["reason"] = s.reason
-    if s.grounding is not None:
-        out["grounding"] = s.grounding.as_list()
-    return out

@@ -8,12 +8,18 @@ fused sequence.
 
 Determinism: scoring, selection and attention are pure functions of
 their inputs; ties in selection break toward the lower original index.
+``fuse`` may compute some sources in forked child processes; each source
+runs the same code there, so the fused bits do not depend on the split.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import BinaryIO, Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -225,6 +231,98 @@ def interact(selected: Matrix, full: Matrix, p: CrossAttnParams) -> Matrix:
     return cross_attention(selected, full, full, p)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 where the OS offers no
+    ``sched_getaffinity`` (Windows, macOS), so ``fuse`` never forks there."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _source_macs(rows: int, k: int, inst_rows: int, p: CrossAttnParams) -> int:
+    # Multiply-adds of one source, from its shapes: the cosine scores, the
+    # key and value projections for all layers, then per layer the query
+    # and output projections and the two attention products.
+    d, kept = p.d, min(k, rows)
+    return (rows * d * inst_rows + 2 * rows * d * d * p.num_layers
+            + p.num_layers * (2 * kept * d * d + 2 * kept * rows * d))
+
+
+def _split(costs: Sequence[int]) -> list[list[int]]:
+    """Source indices per worker, the calling process's group first.
+
+    Workers stop at the count where the largest source alone bounds the
+    wall time, and at the CPU count; sources go to the least-loaded worker,
+    largest first (longest-processing-time greedy). A process with another
+    thread alive is never forked, so it gets one group.
+    """
+    workers = min(_cpu_count(), -(-sum(costs) // max(costs)))
+    if workers < 2 or threading.active_count() > 1:
+        return [list(range(len(costs)))]
+    groups: list[list[int]] = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        g = loads.index(min(loads))
+        groups[g].append(i)
+        loads[g] += costs[i]
+    return [sorted(g) for g in groups if g]
+
+
+def _child(run: Callable, group: list[int], pipe_fd: int) -> NoReturn:
+    # Sends [(source index, kept indices, mixed rows)] and exits without
+    # running the parent's cleanup; any failure is a non-zero exit.
+    code = 1
+    try:
+        payload = pickle.dumps([(i, *run(i)) for i in group],
+                               pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(pipe_fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_groups(run: Callable, groups: list[list[int]]) -> dict:
+    """Runs ``groups[0]`` here and each other group in a forked child.
+
+    Raises if any worker fails: an exception, a non-zero exit, or a reply
+    that does not unpickle. Every child is reaped on every path.
+    """
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        for group in groups[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                os.close(r)
+                _child(run, group, w)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        results = {i: run(i) for i in groups[0]}
+        while children:
+            pid, pipe = children[0]
+            data = pipe.read()
+            pipe.close()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if status != 0:
+                raise ChildProcessError(f"fuse worker exited with status {status}")
+            results.update((i, (indices, mixed))
+                           for i, indices, mixed in pickle.loads(data))
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def fuse(
     views: ViewFeatureSet,
     bev: BevFeatureMap,
@@ -237,6 +335,14 @@ def fuse(
 
     Every view shares the one per-view parameter set ``attn_mv``; the BEV
     source has its own.
+
+    Sources are independent, so they are split between the calling process
+    and forked children by their multiply-add counts (see ``_split``). It
+    runs serially on one CPU, without ``os.sched_getaffinity``, when one
+    source bounds the wall time alone, or while another thread is alive.
+    Each source runs the same code wherever it runs, so the result does not
+    depend on the split. If any worker fails, every source is rerun
+    serially in source order, so an error names the first failing source.
     """
     if views.d != inst.d or bev.d != inst.d:
         raise ShapeError(
@@ -246,21 +352,30 @@ def fuse(
                for name, view in zip(views.view_names, views.views)]
     sources.append(("bev", bev.tokens, cfg.k_bev, attn_bev))
 
-    blocks: list[np.ndarray] = []
-    provenance: list[TokenProvenance] = []
-    for name, tokens, k, params in sources:
+    def run(i: int) -> tuple[tuple[int, ...], np.ndarray]:
+        name, tokens, k, params = sources[i]
         try:
             scores = score_tokens(tokens, inst, cfg.reduction)
             sel = select_topk(tokens, scores, k)
             mixed = interact(sel.features, tokens, params)
         except (ShapeError, ValueError) as err:
             raise type(err)(f"view '{name}': {err}") from err
-        blocks.append(mixed.data)
-        provenance.extend(TokenProvenance(name, i) for i in sel.indices)
+        return sel.indices, mixed.data
 
+    groups = _split([_source_macs(tokens.rows, k, inst.tokens.rows, params)
+                     for _, tokens, k, params in sources])
+    try:
+        results = _run_groups(run, groups)
+    except Exception:  # noqa: BLE001 - any failing worker: rerun serially
+        if len(groups) == 1:
+            raise
+        results = {i: run(i) for i in range(len(sources))}
+
+    order = range(len(sources))
     return FusedTokenSequence(
-        tokens=Matrix(np.concatenate(blocks, axis=0)),
-        provenance=tuple(provenance),
+        tokens=Matrix(np.concatenate([results[i][1] for i in order], axis=0)),
+        provenance=tuple(TokenProvenance(sources[i][0], j)
+                         for i in order for j in results[i][0]),
     )
 
 

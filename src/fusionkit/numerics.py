@@ -14,11 +14,9 @@ that, the kernel is cache-blocked in the manner of Goto & van de Geijn
 each chunk of k is multiplied into a panel-sized scratch buffer by one
 ``np.einsum("ki,kj->kij")``. That einsum sums over no index, so each of
 its elements is one rounded product; the sums stay separate ``np.add``
-calls into the panel, one k at a time in ascending order. A product with
-two or more panels and enough work runs its panels on a small thread
-pool (numpy releases the GIL inside these loops); a one-panel product
-stays on the calling thread. The thread count changes the wall time,
-never a bit.
+calls into the panel, one k at a time in ascending order. The kernel runs
+on the calling thread and starts none; parallel work is split above it,
+between the independent sources of ``interactor.fuse``.
 
 Cross-attention projects each source's keys and values once for all
 layers: one product against every layer's key weights side by side, one
@@ -29,9 +27,6 @@ the bits of a per-layer product.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,42 +52,6 @@ __all__ = [
 _PANEL = 32768
 # k values multiplied per numpy call into a (kc, rows, cols) scratch buffer.
 _KC = 4
-# A product runs its panels on the pool only if it has two or more panels
-# and at least this many multiply-adds; on anything smaller, GIL hand-offs
-# between its many small numpy calls cost more than a second thread saves.
-_THREAD_MIN_MACS = 2_000_000
-_MAX_THREADS = 4
-
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the pool object but none of its threads
-    global _pool
-    _pool = None
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _threads() -> ThreadPoolExecutor | None:
-    """The shared panel pool, created on first use; None on one CPU."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            workers = min(_MAX_THREADS, _cpu_count())
-            if workers < 2:
-                return None
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="fk-mm")
-        return _pool
 
 
 def _mm_panel(at: np.ndarray, b: np.ndarray, out: np.ndarray,
@@ -114,8 +73,8 @@ def _mm_panel(at: np.ndarray, b: np.ndarray, out: np.ndarray,
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Per output element this is exactly the op sequence of the naive loop
     # `acc = 0.0; acc += a[i][k] * b[k][j]` for k ascending, so results
-    # match such an oracle bitwise; panels and threads only split the
-    # independent output elements between numpy calls.
+    # match such an oracle bitwise; panels only split the independent
+    # output elements between numpy calls.
     m, k = a.shape
     n = b.shape[1]
     if m > n:
@@ -125,16 +84,9 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.ascontiguousarray(b)
     out = np.zeros((m, n))
     panels = max(1, min(m, -(-m * n // _PANEL)))
-    pool = _threads() if panels > 1 and m * n * k >= _THREAD_MIN_MACS else None
     cuts = [m * i // panels for i in range(panels + 1)]
-    if pool is None:
-        for r0, r1 in zip(cuts, cuts[1:]):
-            _mm_panel(at, b, out, r0, r1)
-    else:
-        jobs = [pool.submit(_mm_panel, at, b, out, r0, r1)
-                for r0, r1 in zip(cuts, cuts[1:])]
-        for job in jobs:
-            job.result()
+    for r0, r1 in zip(cuts, cuts[1:]):
+        _mm_panel(at, b, out, r0, r1)
     return out
 
 

@@ -17,7 +17,6 @@ from fusionkit.cli import (
     main,
 )
 from fusionkit.config import Config
-from fusionkit.driving_eval import ora_sample_to_dict
 from fusionkit.interactor import (
     BevFeatureMap,
     InstructionEmbedding,
@@ -28,7 +27,7 @@ from fusionkit.interactor import (
 from fusionkit.matrix import Matrix, load_fkmx, save_fkmx
 from fusionkit.risk_qa import PipelineConfig
 
-from test_driving_eval import _ora_fixture
+from test_driving_eval import _ora_fixture, ora_sample_to_dict
 from test_risk_qa import (
     EXPECTED_CATEGORIES,
     QA_RESPONSE_FIXTURE,

@@ -21,7 +21,6 @@ from fusionkit.driving_eval import (
     iou,
     l2_error,
     ora_sample_from_dict,
-    ora_sample_to_dict,
     ora_score,
     planning_record_from_dict,
     rectangles_collide,
@@ -32,6 +31,20 @@ from oracles import (
     exhaustive_match_flags,
     rectangles_overlap_by_area,
 )
+
+
+def ora_sample_to_dict(s: OraSample) -> dict:
+    # the inverse of ora_sample_from_dict, for writing test records
+    out: dict = {"sample_id": s.sample_id, "exist": s.exist}
+    if s.exist:
+        out["level"] = s.level
+        out["category"] = s.category
+        out["object"] = s.object
+    if s.reason:
+        out["reason"] = s.reason
+    if s.grounding is not None:
+        out["grounding"] = s.grounding.as_list()
+    return out
 
 
 # ------------------------------------------------------------------- boxes

@@ -1,8 +1,13 @@
 import math
+import os
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 
+from fusionkit import interactor
 from fusionkit.matrix import Matrix, ShapeError
 from fusionkit.numerics import CrossAttnParams
 from fusionkit.interactor import (
@@ -185,6 +190,226 @@ def test_fuse_labels_errors_with_view_name():
         fuse(views, bev, inst, cfg, bad, good)
     with pytest.raises(ShapeError, match="^view 'bev': "):
         fuse(views, bev, inst, cfg, good, bad)
+
+
+# ------------------------------------------------- sources split over processes
+# fuse runs its first group of sources here and each other group in a
+# forked child; the CPU probe is patched to force either path
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of os.fork calls made while the test runs."""
+    calls = []
+    real = os.fork
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def cpus(monkeypatch, n):
+    monkeypatch.setattr(interactor, "_cpu_count", lambda: n)
+
+
+def paper_inputs(seed):
+    rng = np.random.default_rng(seed)
+    views, bev, inst = make_inputs(rng, n_views=6, tokens=576, d=64,
+                                   bev_tokens=2500)
+    return (views, bev, inst, SelectionConfig(k_img=90, k_bev=300),
+            CrossAttnParams.random(64, 2, 1, rng),
+            CrossAttnParams.random(64, 2, 2, rng))
+
+
+def small_inputs(seed, bad=()):
+    # three 12-token views and a 60-token BEV: the BEV alone is the first
+    # group and the views the second; `bad` names the parameter sets
+    # ("views", "bev") given a width that fails cross-attention
+    rng = np.random.default_rng(seed)
+    views, bev, inst = make_inputs(rng, n_views=3, tokens=12, bev_tokens=60)
+    attn_mv, attn_bev = (CrossAttnParams.random(5 if name in bad else 6, rng=rng)
+                         for name in ("views", "bev"))
+    return views, bev, inst, SelectionConfig(k_img=4, k_bev=8), attn_mv, attn_bev
+
+
+def balanced_inputs(seed):
+    # seven sources of 12 tokens: no one source bounds the wall time
+    rng = np.random.default_rng(seed)
+    views, bev, inst = make_inputs(rng, n_views=6, tokens=12, bev_tokens=12)
+    attn = CrossAttnParams.random(6, rng=rng)
+    return views, bev, inst, SelectionConfig(k_img=4, k_bev=4), attn, attn
+
+
+def assert_same_fused(got, want):
+    assert got.provenance == want.provenance
+    assert got.tokens.data.tobytes() == want.tokens.data.tobytes()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_stops_where_the_largest_source_bounds_the_wall_time(monkeypatch):
+    p = CrossAttnParams.identity(64)
+    paper = [interactor._source_macs(576, 90, 4, p)] * 6 + [
+        interactor._source_macs(2500, 300, 4, p)]
+    assert 0.6 < paper[-1] / sum(paper) < 0.65  # the BEV source
+    for n in (2, 3, 16):
+        cpus(monkeypatch, n)
+        assert interactor._split(paper) == [[6], [0, 1, 2, 3, 4, 5]]
+        assert interactor._split([7]) == [[0]]
+    cpus(monkeypatch, 3)
+    # longest-processing-time greedy, ties to the lower index
+    assert interactor._split([5, 5, 5, 5, 4, 1]) == [[0, 3], [1, 4], [2, 5]]
+    cpus(monkeypatch, 1)
+    assert interactor._split(paper) == [list(range(7))]
+
+
+def test_small_inputs_split_bev_from_views(monkeypatch):
+    _, _, _, _, attn_mv, attn_bev = small_inputs(0)
+    costs = [interactor._source_macs(12, 4, 4, attn_mv)] * 3 + [
+        interactor._source_macs(60, 8, 4, attn_bev)]
+    cpus(monkeypatch, 2)
+    assert interactor._split(costs) == [[3], [0, 1, 2]]
+
+
+@pytest.mark.parametrize("make, n_cpus, children", [
+    (paper_inputs, 2, 1), (small_inputs, 4, 1), (balanced_inputs, 4, 3),
+])
+def test_forked_fuse_matches_serial_bitwise(monkeypatch, forks, make, n_cpus,
+                                            children):
+    args = make(11)
+    cpus(monkeypatch, 1)
+    serial = fuse(*args)
+    assert not forks
+    cpus(monkeypatch, n_cpus)
+    forked = fuse(*args)
+    assert len(forks) == children
+    assert_same_fused(forked, serial)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("bad, first", [
+    (("views",), "front"),  # the child's group
+    (("bev",), "bev"),  # the calling process's group
+    (("views", "bev"), "front"),  # both
+])
+def test_forked_fuse_raises_the_serial_error(monkeypatch, forks, bad, first):
+    args = small_inputs(2, bad)
+    cpus(monkeypatch, 1)
+    with pytest.raises(ShapeError) as serial:
+        fuse(*args)
+    assert str(serial.value).startswith(f"view '{first}': cross_attention: ")
+    cpus(monkeypatch, 2)
+    with pytest.raises(ShapeError) as forked:
+        fuse(*args)
+    assert forks
+    assert str(forked.value) == str(serial.value)
+    assert_no_child_left()
+
+
+def _in_child(real, fail):
+    # `real`, except that a forked child calls `fail` in its place
+    parent = os.getpid()
+
+    def wrapped(*a, **kw):
+        if os.getpid() != parent:
+            return fail(real, *a, **kw)
+        return real(*a, **kw)
+    return wrapped
+
+
+def _crash(real, *a, **kw):
+    os._exit(3)
+
+
+def _raise(real, *a, **kw):
+    raise RuntimeError("worker failed")
+
+
+def _truncate(real, *a, **kw):
+    return real(*a, **kw)[:-5]
+
+
+@pytest.mark.parametrize("owner, name, fail", [
+    (interactor, "interact", _crash),
+    (interactor, "interact", _raise),
+    (interactor.pickle, "dumps", _truncate),
+])
+def test_failed_child_falls_back_to_serial(monkeypatch, forks, owner, name, fail):
+    args = small_inputs(3)
+    cpus(monkeypatch, 1)
+    serial = fuse(*args)
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(owner, name, _in_child(getattr(owner, name), fail))
+    assert_same_fused(fuse(*args), serial)
+    assert forks
+    assert_no_child_left()
+
+
+def _hang(real, *a, **kw):
+    time.sleep(60)
+    return real(*a, **kw)
+
+
+def test_parent_group_error_kills_the_running_child(monkeypatch, forks):
+    # the BEV fails here while the child is still on the views; fuse must
+    # kill it rather than wait for it
+    args = small_inputs(7, bad=("bev",))
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(interactor, "interact",
+                        _in_child(interactor.interact, _hang))
+    start = time.monotonic()
+    with pytest.raises(ShapeError, match="^view 'bev': "):
+        fuse(*args)
+    assert time.monotonic() - start < 30
+    assert forks
+    assert_no_child_left()
+
+
+def test_no_fork_while_another_thread_is_alive(monkeypatch, forks):
+    args = small_inputs(4)
+    cpus(monkeypatch, 1)
+    serial = fuse(*args)
+    cpus(monkeypatch, 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert_same_fused(fuse(*args), serial)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert not forks
+    fuse(*args)
+    assert forks
+
+
+def test_no_fork_on_one_cpu_or_without_sched_getaffinity(monkeypatch, forks):
+    args = small_inputs(5)
+    probe = interactor._cpu_count
+    cpus(monkeypatch, 1)
+    fuse(*args)
+    monkeypatch.setattr(interactor, "_cpu_count", probe)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert probe() == 1
+    fuse(*args)
+    assert not forks
+
+
+def test_forked_fuse_raises_no_warning(monkeypatch, forks):
+    # Python 3.12 warns on a fork while the process runs other threads
+    args = small_inputs(6)
+    cpus(monkeypatch, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fuse(*args)
+    assert forks
 
 
 # ------------------------------------------------------------------ budget

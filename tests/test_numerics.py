@@ -1,6 +1,4 @@
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -68,7 +66,7 @@ def test_matmul_shape_mismatch():
 
 
 # ------------------------------------------------------------- _mm kernel
-# The blocked, threaded `_mm` must reproduce the plain ascending-k loop it
+# The blocked `_mm` must reproduce the plain ascending-k loop it
 # replaced bit for bit: `_mm_loop` below is that loop, kept verbatim.
 
 
@@ -91,7 +89,8 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     assert got.tobytes() == want.tobytes()
 
 
-_P, _KC, _T = numerics._PANEL, numerics._KC, numerics._THREAD_MIN_MACS
+_P, _KC = numerics._PANEL, numerics._KC
+_T = 2_000_000  # multiply-adds from which products once ran on a thread pool
 
 KERNEL_SHAPES = [  # (m, k, n)
     (1, 1, 1), (1, 7, 9), (9, 7, 1), (6, 1, 6), (1, 1, 40), (40, 1, 1),
@@ -101,7 +100,7 @@ KERNEL_SHAPES = [  # (m, k, n)
     # output sizes across one panel, on either side of the diagonal
     (1, 3, _P - 1), (1, 3, _P + 1), (_P + 1, 3, 1), (3, 2, _P // 3 + 1),
     (_P // 64 + 3, 5, 64), (181, 2, 181),
-    # multiply-adds on either side of the threading threshold
+    # multiply-adds on either side of the former threading threshold
     (100, 2, _T // 200 - 1), (100, 2, _T // 200), (_T // 200, 2, 100),
     (37, 9, _T // 333 + 5),
 ]
@@ -154,28 +153,6 @@ def test_mm_keeps_cancellation_order():
         assert_same_bits(_mm(a, b), _mm_loop(a, b))
 
 
-@pytest.mark.parametrize("workers", [1, 8])
-def test_mm_pool_size_does_not_change_bits(monkeypatch, workers):
-    # 8 workers on fewer cores, switching threads as often as possible
-    rng = np.random.default_rng(21)
-    q = rng.standard_normal((300, 64))
-    k = rng.standard_normal((2500, 64))
-    attn = rng.standard_normal((300, 2500))
-    w = rng.standard_normal((64, 64))
-    pairs = [(q, k.T), (attn, k), (k, w)]
-    default = [_mm(x, y) for x, y in pairs]
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-6)
-        with ThreadPoolExecutor(workers) as pool:
-            monkeypatch.setattr(numerics, "_pool", pool)
-            other = [_mm(x, y) for x, y in pairs]
-    finally:
-        sys.setswitchinterval(interval)
-    for x, y in zip(default, other):
-        assert_same_bits(x, y)
-
-
 def test_paper_scale_fuse_matches_loop_kernel(monkeypatch):
     rng = np.random.default_rng(12)
     d = 64
@@ -197,40 +174,11 @@ def test_paper_scale_fuse_matches_loop_kernel(monkeypatch):
 @pytest.mark.parametrize("m, n", [(6, 11), (11, 6), (300, 1000)])
 def test_mm_chunk_edges_match_loop(m, k, n):
     # k at and around one and two chunks of products; (300, 1000) also
-    # spans several panels, and from k = 7 on runs them on the pool
+    # spans several panels
     rng = np.random.default_rng([m, k, n, 2])
     a = rng.standard_normal((m, k))
     b = rng.standard_normal((k, n))
     assert_same_bits(_mm(a, b), _mm_loop(a, b))
-
-
-_ONE_PANEL_K = _T // _P + 1  # enough multiply-adds, but a single panel
-_TWO_PANEL_K = -(-_T // (_P + 64))  # fewest k reaching _T with m*n = _P + 64
-
-
-@pytest.mark.parametrize("m, k, n, threaded", [
-    (64, _ONE_PANEL_K, _P // 64, False),
-    (_P // 64, _ONE_PANEL_K, 64, False),
-    (64, _TWO_PANEL_K - 1, _P // 64 + 1, False),
-    (64, _TWO_PANEL_K, _P // 64 + 1, True),
-    (_P // 64 + 1, _TWO_PANEL_K, 64, True),
-])
-def test_mm_threads_only_for_two_panels_and_enough_work(monkeypatch, m, k, n,
-                                                       threaded):
-    calls = []
-    threads = numerics._threads
-
-    def counted():
-        calls.append(1)
-        return threads()
-
-    monkeypatch.setattr(numerics, "_threads", counted)
-    rng = np.random.default_rng([m, k, n, 3])
-    a = rng.standard_normal((m, k))
-    b = rng.standard_normal((k, n))
-    got = _mm(a, b)
-    assert bool(calls) == threaded
-    assert_same_bits(got, _mm_loop(a, b))
 
 
 @pytest.mark.parametrize("m, k, n", [(5, 2 * _KC + 3, 7), (200, 13, 300)])
@@ -467,7 +415,7 @@ def test_kv_projected_once_per_source_matches_per_layer(monkeypatch, num_layers,
 
 
 def test_kv_projected_once_per_source_matches_per_layer_at_bev_width(monkeypatch):
-    # a 2500-row source whose side-by-side projection runs on the pool
+    # a 2500-row source whose side-by-side projection spans many panels
     rng = np.random.default_rng(19)
     d = 64
     p = CrossAttnParams.random(d, 3, 2, rng)
