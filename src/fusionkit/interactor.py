@@ -14,15 +14,12 @@ runs the same code there, so the fused bits do not depend on the split.
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, NoReturn, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .forking import run_groups, worker_count
 from .jsontypes import check_fields
 from .matrix import Matrix, ShapeError
 from .numerics import CrossAttnParams, cosine_similarity_matrix, cross_attention
@@ -231,15 +228,6 @@ def interact(selected: Matrix, full: Matrix, p: CrossAttnParams) -> Matrix:
     return cross_attention(selected, full, full, p)
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on; 1 where the OS offers no
-    ``sched_getaffinity`` (Windows, macOS), so ``fuse`` never forks there."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return 1
-
-
 def _source_macs(rows: int, k: int, inst_rows: int, p: CrossAttnParams) -> int:
     # Multiply-adds of one source, from its shapes: the cosine scores, the
     # key and value projections for all layers, then per layer the query
@@ -257,8 +245,8 @@ def _split(costs: Sequence[int]) -> list[list[int]]:
     largest first (longest-processing-time greedy). A process with another
     thread alive is never forked, so it gets one group.
     """
-    workers = min(_cpu_count(), -(-sum(costs) // max(costs)))
-    if workers < 2 or threading.active_count() > 1:
+    workers = worker_count(-(-sum(costs) // max(costs)))
+    if workers < 2:
         return [list(range(len(costs)))]
     groups: list[list[int]] = [[] for _ in range(workers)]
     loads = [0] * workers
@@ -267,60 +255,6 @@ def _split(costs: Sequence[int]) -> list[list[int]]:
         groups[g].append(i)
         loads[g] += costs[i]
     return [sorted(g) for g in groups if g]
-
-
-def _child(run: Callable, group: list[int], pipe_fd: int) -> NoReturn:
-    # Sends [(source index, kept indices, mixed rows)] and exits without
-    # running the parent's cleanup; any failure is a non-zero exit.
-    code = 1
-    try:
-        payload = pickle.dumps([(i, *run(i)) for i in group],
-                               pickle.HIGHEST_PROTOCOL)
-        with os.fdopen(pipe_fd, "wb") as pipe:
-            pipe.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _run_groups(run: Callable, groups: list[list[int]]) -> dict:
-    """Runs ``groups[0]`` here and each other group in a forked child.
-
-    Raises if any worker fails: an exception, a non-zero exit, or a reply
-    that does not unpickle. Every child is reaped on every path.
-    """
-    children: list[tuple[int, BinaryIO]] = []
-    try:
-        for group in groups[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                os.close(r)
-                _child(run, group, w)
-            os.close(w)
-            children.append((pid, os.fdopen(r, "rb")))
-        results = {i: run(i) for i in groups[0]}
-        while children:
-            pid, pipe = children[0]
-            data = pipe.read()
-            pipe.close()
-            _, status = os.waitpid(pid, 0)
-            children.pop(0)
-            if status != 0:
-                raise ChildProcessError(f"fuse worker exited with status {status}")
-            results.update((i, (indices, mixed))
-                           for i, indices, mixed in pickle.loads(data))
-        return results
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def fuse(
@@ -365,7 +299,7 @@ def fuse(
     groups = _split([_source_macs(tokens.rows, k, inst.tokens.rows, params)
                      for _, tokens, k, params in sources])
     try:
-        results = _run_groups(run, groups)
+        results = run_groups(run, groups)
     except Exception:  # noqa: BLE001 - any failing worker: rerun serially
         if len(groups) == 1:
             raise

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 from .driving_eval import NormalizedBox, TrajectoryPlan, plan_from_list
@@ -458,6 +458,17 @@ class RefineReport:
             "boxes_normalized": self.boxes_normalized,
             "decimals_converted": self.decimals_converted,
         }
+
+    def merge(self, other: RefineReport) -> None:
+        """Adds ``other``'s counts to this report's, key by key for the
+        drop tallies."""
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, dict):
+                for key, n in theirs.items():
+                    mine[key] = mine.get(key, 0) + n
+            else:
+                setattr(self, f.name, mine + theirs)
 
 
 def _box_drop_reason(b: BoxSpan) -> str | None:

@@ -13,6 +13,7 @@ from fusionkit.cli import (
     ValidationError,
     _make_client,
     _read_jsonl,
+    _read_lines,
     demo_params,
     main,
 )
@@ -356,6 +357,45 @@ def test_read_jsonl_splits_on_newlines_only(tmp_path) -> None:
         _read_jsonl(str(path), dict)
     with pytest.raises(InputError, match="cannot read"):
         _read_jsonl(str(tmp_path / "absent.jsonl"), dict)
+
+
+@pytest.mark.parametrize("command", ["refine", "caption"])
+def test_invalid_utf8_line_exits_2_naming_its_line(tmp_path, capsys,
+                                                   command) -> None:
+    # one valid record, then a line that starts with the bytes ff fe
+    if command == "refine":
+        first = {"id": "a", "conversation": [{"role": "human", "value": "Hi"}]}
+    else:
+        first = {"id": "a", "caption": "a car", "references": ["a car"]}
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(json.dumps(first).encode() + b'\n\xff\xfe{"id": "b"}\n')
+    if command == "refine":
+        argv = ["refine", "--input", str(path),
+                "--output", str(tmp_path / "out.jsonl")]
+    else:
+        argv = ["eval", "caption", "--pred", str(path), "--gt", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}:2: not valid UTF-8\n"
+
+
+def test_read_jsonl_accepts_utf8_beyond_ascii(tmp_path) -> None:
+    path = tmp_path / "in.jsonl"
+    path.write_text('{"a": "café \U0001f697"}\n', encoding="utf-8")
+    assert _read_jsonl(str(path), dict) == [{"a": "café \U0001f697"}]
+    # an encoded lone surrogate is not UTF-8 either
+    path.write_bytes(b'{"a": 1}\n{"a": "\xed\xa0\x80"}\n')
+    with pytest.raises(InputError, match=r"in\.jsonl:2: not valid UTF-8$"):
+        _read_jsonl(str(path), dict)
+
+
+def test_read_jsonl_on_read_lines_keeps_absolute_line_numbers(tmp_path) -> None:
+    path = tmp_path / "in.jsonl"
+    path.write_text('{"a": 1}\r\n\r\n{"a": 2}\n{"a": 3}\n[4]\n', encoding="utf-8")
+    lines = _read_lines(str(path))
+    assert len(lines) == 5
+    assert _read_jsonl(str(path), dict, lines[1:4], 2) == [{"a": 2}, {"a": 3}]
+    with pytest.raises(InputError, match=r"in\.jsonl:5: each line must hold"):
+        _read_jsonl(str(path), dict, lines[3:], 4)
 
 
 def test_read_jsonl_names_the_record_a_decoder_rejects(tmp_path) -> None:

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fusionkit import interactor
+from fusionkit import forking, interactor
 from fusionkit.matrix import Matrix, ShapeError
 from fusionkit.numerics import CrossAttnParams
 from fusionkit.interactor import (
@@ -212,7 +212,7 @@ def forks(monkeypatch):
 
 
 def cpus(monkeypatch, n):
-    monkeypatch.setattr(interactor, "_cpu_count", lambda: n)
+    monkeypatch.setattr(forking, "_cpu_count", lambda: n)
 
 
 def paper_inputs(seed):
@@ -338,7 +338,7 @@ def _truncate(real, *a, **kw):
 @pytest.mark.parametrize("owner, name, fail", [
     (interactor, "interact", _crash),
     (interactor, "interact", _raise),
-    (interactor.pickle, "dumps", _truncate),
+    (forking.pickle, "dumps", _truncate),
 ])
 def test_failed_child_falls_back_to_serial(monkeypatch, forks, owner, name, fail):
     args = small_inputs(3)
@@ -392,10 +392,10 @@ def test_no_fork_while_another_thread_is_alive(monkeypatch, forks):
 
 def test_no_fork_on_one_cpu_or_without_sched_getaffinity(monkeypatch, forks):
     args = small_inputs(5)
-    probe = interactor._cpu_count
+    probe = forking._cpu_count
     cpus(monkeypatch, 1)
     fuse(*args)
-    monkeypatch.setattr(interactor, "_cpu_count", probe)
+    monkeypatch.setattr(forking, "_cpu_count", probe)
     monkeypatch.delattr(os, "sched_getaffinity")
     assert probe() == 1
     fuse(*args)
