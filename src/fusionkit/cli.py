@@ -52,7 +52,7 @@ from .driving_eval import (
     ora_score,
     planning_record_from_dict,
 )
-from .forking import run_groups, worker_count
+from .forking import run_pieces
 from .interactor import (
     REDUCTIONS,
     BevFeatureMap,
@@ -132,6 +132,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from err
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not valid UTF-8") from None
 
 
 def _open_jsonl(path: str) -> TextIO:
@@ -256,10 +258,11 @@ def _emit(csv_text: str, args: argparse.Namespace) -> None:
 
 # ---------------------------------------------------------------- cmd_refine
 
-# Fewest input lines worth a worker. Measured on a 2-CPU x86-64 VM: a
-# record takes about 0.4 ms to refine; forking a 100 MB process takes about
-# 10 ms, and piping a worker's output back about 9 us per record. A worker
-# with this many lines spends about a tenth of its time on that overhead.
+# Input lines per run of refine, and so the fewest a worker gets. Measured
+# on a 2-CPU x86-64 VM: a record takes about 0.4 ms to refine; forking a
+# 100 MB process takes about 10 ms, and piping a worker's output back about
+# 9 us per record. A worker with this many lines spends about a tenth of
+# its time on that overhead.
 _MIN_LINES_PER_WORKER = 256
 
 
@@ -274,16 +277,11 @@ def _line_runs(lines: Sequence[str], runs: int) -> list[tuple[int, int]]:
 
 
 def cmd_refine(args: argparse.Namespace) -> int:
-    """Refine the input's records, one run of lines per worker.
-
-    Records are independent, so the input is cut into contiguous runs of
-    lines (see ``_line_runs``): the calling process refines the first and
-    each other run is refined in a forked child (``forking.run_groups``).
-    The runs' texts are joined in input order and their reports summed, so
-    every output byte equals a serial run's. It runs serially on one CPU,
-    without ``os.sched_getaffinity``, while another thread is alive, or
-    below ``2 * _MIN_LINES_PER_WORKER`` lines; if any worker fails, the
-    whole input is refined again serially, so errors read as before.
+    """Refine the input's records in runs of about
+    ``_MIN_LINES_PER_WORKER`` lines (see ``_line_runs``), which
+    ``forking.run_pieces`` may share between forked workers. The runs'
+    texts are joined in input order and their reports summed, so every
+    output byte equals a one-run refine's.
     """
     cfg = _config_from_args(
         args, short_answer_threshold=args.short_threshold, seed=args.seed
@@ -320,21 +318,15 @@ def cmd_refine(args: argparse.Namespace) -> int:
                 len(decoded))
 
     lines = _read_lines(args.input)
-    runs = _line_runs(lines, worker_count(len(lines) // _MIN_LINES_PER_WORKER))
-    try:
-        parts = run_groups(refine_run, [[i] for i in range(len(runs))])
-    except Exception:  # noqa: BLE001 - any failing worker: rerun serially
-        if len(runs) == 1:
-            raise
-        runs = [(0, len(lines))]
-        parts = {0: refine_run(0)}
+    runs = _line_runs(lines, max(1, len(lines) // _MIN_LINES_PER_WORKER))
+    parts = run_pieces(refine_run, [sum(map(len, lines[start:stop]))
+                                    for start, stop in runs])
 
     texts: list[str] = []
     report = RefineReport()
     validation_errors: list[dict] = []
     count = 0
-    for i in range(len(runs)):
-        text, run_report, errors, run_count = parts[i]
+    for text, run_report, errors, run_count in parts:
         texts.append(text)
         report.merge(run_report)
         validation_errors += [{"record_index": count + j, **r} for j, r in errors]

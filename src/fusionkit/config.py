@@ -122,6 +122,8 @@ def load_config(path: str | Path | None, **overrides) -> Config:
             raw = Path(path).read_text(encoding="utf-8")
         except OSError as err:
             raise ConfigError(f"cannot read config file: {err}") from err
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: not valid UTF-8") from None
         try:
             data = json.loads(raw)
         except json.JSONDecodeError as err:

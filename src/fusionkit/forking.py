@@ -1,13 +1,18 @@
 """Independent pieces of one command's work, run in forked processes.
 
-``run_groups`` runs the first group of pieces in the calling process and
-each other group in a forked child, which sends its results back
-pickled through a pipe. ``worker_count`` decides how many workers to use:
-never more than the CPUs this process may run on, and one where the OS
-offers no ``sched_getaffinity`` (Windows, macOS) or while another thread
-is alive, because a forked child gets a copy of every lock another thread
-may hold. Callers rerun their work serially when ``run_groups`` raises, so
-a worker's failure never changes what a command prints or writes.
+``run_pieces(run, costs)`` returns ``[run(i) for i in range(len(costs))]``
+and is the one place that decides how. It uses
+``min(CPUs, ceil(sum(costs) / max(costs)))`` workers: no more than the
+CPUs this process may run on, nor than it takes for the largest piece
+alone to bound the wall time. It uses one where the OS offers no
+``sched_getaffinity`` (Windows, macOS), and while another Python thread is
+alive, since a forked child gets a copy of every lock that thread may
+hold. Pieces go largest first to the least-loaded worker (Graham's LPT
+rule). The calling process runs the first group; each other group runs in
+a forked child that pipes its results back pickled. A piece runs the same
+code wherever it runs, so results do not depend on the grouping. If any
+worker fails, every piece reruns here in piece order, so the error raised
+is the first failing piece's, as in a serial run.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ import os
 import pickle
 import signal
 import threading
-from typing import BinaryIO, Callable, NoReturn
+import warnings
+from typing import BinaryIO, Callable, NoReturn, Sequence
 
 
 def _cpu_count() -> int:
@@ -28,12 +34,20 @@ def _cpu_count() -> int:
         return 1
 
 
-def worker_count(useful: int) -> int:
-    """Workers for work that ``useful`` workers can share: at most the
-    CPU count, and 1 while another thread is alive."""
-    if threading.active_count() > 1:
-        return 1
-    return min(_cpu_count(), useful)
+def _split(costs: Sequence[int]) -> list[list[int]]:
+    """Piece indices per worker, the calling process's group first."""
+    workers = 1
+    if threading.active_count() == 1 and any(costs):
+        workers = min(_cpu_count(), -(-sum(costs) // max(costs)))
+    if workers < 2:
+        return [list(range(len(costs)))]
+    groups: list[list[int]] = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        g = loads.index(min(loads))
+        groups[g].append(i)
+        loads[g] += costs[i]
+    return [sorted(g) for g in groups if g]
 
 
 def _child(run: Callable, group: list[int], pipe_fd: int) -> NoReturn:
@@ -50,19 +64,26 @@ def _child(run: Callable, group: list[int], pipe_fd: int) -> NoReturn:
         os._exit(code)
 
 
-def run_groups(run: Callable, groups: list[list[int]]) -> dict:
+def _run_groups(run: Callable, groups: list[list[int]]) -> dict:
     """``{piece: run(piece)}`` for every piece in ``groups``.
 
     Runs ``groups[0]`` here and each other group in a forked child. Raises
-    if any worker fails: an exception, a non-zero exit, or a reply that
-    does not unpickle. Every child is reaped on every path.
+    if any worker fails. Every child is reaped on every path.
     """
     children: list[tuple[int, BinaryIO]] = []
     try:
         for group in groups[1:]:
             r, w = os.pipe()
             try:
-                pid = os.fork()
+                with warnings.catch_warnings():
+                    # Python 3.12 warns on a fork while the process has other
+                    # OS threads. Python threads were refused in _split; what
+                    # is left are native pools such as OpenBLAS's, which
+                    # quiesce through pthread_atfork.
+                    warnings.filterwarnings(
+                        "ignore", r"This process .* is multi-threaded",
+                        DeprecationWarning)
+                    pid = os.fork()
             except OSError:
                 os.close(r)
                 os.close(w)
@@ -88,3 +109,16 @@ def run_groups(run: Callable, groups: list[list[int]]) -> dict:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+def run_pieces(run: Callable[[int], object], costs: Sequence[int]) -> list:
+    """``[run(i) for i in range(len(costs))]``, split over forked workers
+    by the pieces' relative ``costs``."""
+    groups = _split(costs)
+    if len(groups) > 1:
+        try:
+            results = _run_groups(run, groups)
+            return [results[i] for i in range(len(costs))]
+        except Exception:  # noqa: BLE001 - any failing worker: rerun serially
+            pass
+    return [run(i) for i in range(len(costs))]

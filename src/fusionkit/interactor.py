@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .forking import run_groups, worker_count
+from .forking import run_pieces
 from .jsontypes import check_fields
 from .matrix import Matrix, ShapeError
 from .numerics import CrossAttnParams, cosine_similarity_matrix, cross_attention
@@ -217,9 +217,9 @@ def select_topk(features: Matrix, scores: Sequence[float], k: int) -> SelectionR
     order = np.lexsort((np.arange(vec.shape[0]), -vec))
     keep = order[: min(k, features.rows)]
     return SelectionResult(
-        indices=tuple(int(i) for i in keep),
+        indices=tuple(keep.tolist()),
         features=Matrix(features.data[keep]),
-        scores=tuple(float(vec[i]) for i in keep),
+        scores=tuple(vec[keep].tolist()),
     )
 
 
@@ -237,26 +237,6 @@ def _source_macs(rows: int, k: int, inst_rows: int, p: CrossAttnParams) -> int:
             + p.num_layers * (2 * kept * d * d + 2 * kept * rows * d))
 
 
-def _split(costs: Sequence[int]) -> list[list[int]]:
-    """Source indices per worker, the calling process's group first.
-
-    Workers stop at the count where the largest source alone bounds the
-    wall time, and at the CPU count; sources go to the least-loaded worker,
-    largest first (longest-processing-time greedy). A process with another
-    thread alive is never forked, so it gets one group.
-    """
-    workers = worker_count(-(-sum(costs) // max(costs)))
-    if workers < 2:
-        return [list(range(len(costs)))]
-    groups: list[list[int]] = [[] for _ in range(workers)]
-    loads = [0] * workers
-    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        g = loads.index(min(loads))
-        groups[g].append(i)
-        loads[g] += costs[i]
-    return [sorted(g) for g in groups if g]
-
-
 def fuse(
     views: ViewFeatureSet,
     bev: BevFeatureMap,
@@ -268,15 +248,8 @@ def fuse(
     """Select and interact per source, then concatenate views before BEV.
 
     Every view shares the one per-view parameter set ``attn_mv``; the BEV
-    source has its own.
-
-    Sources are independent, so they are split between the calling process
-    and forked children by their multiply-add counts (see ``_split``). It
-    runs serially on one CPU, without ``os.sched_getaffinity``, when one
-    source bounds the wall time alone, or while another thread is alive.
-    Each source runs the same code wherever it runs, so the result does not
-    depend on the split. If any worker fails, every source is rerun
-    serially in source order, so an error names the first failing source.
+    source has its own. Sources are independent, so ``forking.run_pieces``
+    may run some in forked children, weighted by their multiply-add counts.
     """
     if views.d != inst.d or bev.d != inst.d:
         raise ShapeError(
@@ -296,20 +269,14 @@ def fuse(
             raise type(err)(f"view '{name}': {err}") from err
         return sel.indices, mixed.data
 
-    groups = _split([_source_macs(tokens.rows, k, inst.tokens.rows, params)
-                     for _, tokens, k, params in sources])
-    try:
-        results = run_groups(run, groups)
-    except Exception:  # noqa: BLE001 - any failing worker: rerun serially
-        if len(groups) == 1:
-            raise
-        results = {i: run(i) for i in range(len(sources))}
-
-    order = range(len(sources))
+    results = run_pieces(run, [_source_macs(tokens.rows, k, inst.tokens.rows,
+                                            params)
+                               for _, tokens, k, params in sources])
     return FusedTokenSequence(
-        tokens=Matrix(np.concatenate([results[i][1] for i in order], axis=0)),
-        provenance=tuple(TokenProvenance(sources[i][0], j)
-                         for i in order for j in results[i][0]),
+        tokens=Matrix(np.concatenate([mixed for _, mixed in results], axis=0)),
+        provenance=tuple(TokenProvenance(source[0], j)
+                         for source, (indices, _) in zip(sources, results)
+                         for j in indices),
     )
 
 

@@ -903,6 +903,16 @@ def test_mask_exp_unknown_view_exit_3(tmp_path, capsys) -> None:
     capsys.readouterr()
 
 
+def test_mask_exp_candidates_not_utf8_exit_2(tmp_path, capsys) -> None:
+    views, _, _ = _demo_inputs(tmp_path)
+    cand = tmp_path / "cand.json"
+    cand.write_bytes(b'{"front": [0], "note": "\xff"}')
+    rc = main(["mask-exp", "--views", *views, "--candidates", str(cand),
+               "--csv", str(tmp_path / "m.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {cand}: not valid UTF-8\n"
+
+
 # ------------------------------------------------------------------ config
 
 
@@ -925,3 +935,12 @@ def test_config_unknown_key_exit_2(tmp_path, capsys) -> None:
                "--config", str(cfg)])
     assert rc == 2
     assert "k_image" in capsys.readouterr().err
+
+
+def test_config_not_utf8_exit_2(tmp_path, capsys) -> None:
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"k_img": 2, "x": "\xff"}')
+    rc = main(["budget", "--view-tokens", "5", "--bev-tokens", "5",
+               "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {cfg}: not valid UTF-8\n"

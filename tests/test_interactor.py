@@ -24,6 +24,14 @@ from fusionkit.interactor import (
     token_budget,
 )
 
+from conftest import (
+    _crash,
+    _in_child,
+    _raise,
+    _truncate,
+    assert_no_child_left,
+    cpus,
+)
 from oracles import full_sort_topk
 
 
@@ -193,26 +201,8 @@ def test_fuse_labels_errors_with_view_name():
 
 
 # ------------------------------------------------- sources split over processes
-# fuse runs its first group of sources here and each other group in a
-# forked child; the CPU probe is patched to force either path
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The number of os.fork calls made while the test runs."""
-    calls = []
-    real = os.fork
-
-    def counted():
-        calls.append(1)
-        return real()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
-
-def cpus(monkeypatch, n):
-    monkeypatch.setattr(forking, "_cpu_count", lambda: n)
+# fuse hands its sources to forking.run_pieces; the fixtures and helpers
+# that force either path are in conftest.py
 
 
 def paper_inputs(seed):
@@ -248,11 +238,6 @@ def assert_same_fused(got, want):
     assert got.tokens.data.tobytes() == want.tokens.data.tobytes()
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_split_stops_where_the_largest_source_bounds_the_wall_time(monkeypatch):
     p = CrossAttnParams.identity(64)
     paper = [interactor._source_macs(576, 90, 4, p)] * 6 + [
@@ -260,13 +245,13 @@ def test_split_stops_where_the_largest_source_bounds_the_wall_time(monkeypatch):
     assert 0.6 < paper[-1] / sum(paper) < 0.65  # the BEV source
     for n in (2, 3, 16):
         cpus(monkeypatch, n)
-        assert interactor._split(paper) == [[6], [0, 1, 2, 3, 4, 5]]
-        assert interactor._split([7]) == [[0]]
+        assert forking._split(paper) == [[6], [0, 1, 2, 3, 4, 5]]
+        assert forking._split([7]) == [[0]]
     cpus(monkeypatch, 3)
     # longest-processing-time greedy, ties to the lower index
-    assert interactor._split([5, 5, 5, 5, 4, 1]) == [[0, 3], [1, 4], [2, 5]]
+    assert forking._split([5, 5, 5, 5, 4, 1]) == [[0, 3], [1, 4], [2, 5]]
     cpus(monkeypatch, 1)
-    assert interactor._split(paper) == [list(range(7))]
+    assert forking._split(paper) == [list(range(7))]
 
 
 def test_small_inputs_split_bev_from_views(monkeypatch):
@@ -274,7 +259,7 @@ def test_small_inputs_split_bev_from_views(monkeypatch):
     costs = [interactor._source_macs(12, 4, 4, attn_mv)] * 3 + [
         interactor._source_macs(60, 8, 4, attn_bev)]
     cpus(monkeypatch, 2)
-    assert interactor._split(costs) == [[3], [0, 1, 2]]
+    assert forking._split(costs) == [[3], [0, 1, 2]]
 
 
 @pytest.mark.parametrize("make, n_cpus, children", [
@@ -310,29 +295,6 @@ def test_forked_fuse_raises_the_serial_error(monkeypatch, forks, bad, first):
     assert forks
     assert str(forked.value) == str(serial.value)
     assert_no_child_left()
-
-
-def _in_child(real, fail):
-    # `real`, except that a forked child calls `fail` in its place
-    parent = os.getpid()
-
-    def wrapped(*a, **kw):
-        if os.getpid() != parent:
-            return fail(real, *a, **kw)
-        return real(*a, **kw)
-    return wrapped
-
-
-def _crash(real, *a, **kw):
-    os._exit(3)
-
-
-def _raise(real, *a, **kw):
-    raise RuntimeError("worker failed")
-
-
-def _truncate(real, *a, **kw):
-    return real(*a, **kw)[:-5]
 
 
 @pytest.mark.parametrize("owner, name, fail", [
@@ -406,10 +368,11 @@ def test_forked_fuse_raises_no_warning(monkeypatch, forks):
     # Python 3.12 warns on a fork while the process runs other threads
     args = small_inputs(6)
     cpus(monkeypatch, 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         fuse(*args)
     assert forks
+    assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
 
 
 # ------------------------------------------------------------------ budget

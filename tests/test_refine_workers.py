@@ -1,8 +1,8 @@
 """refine split over forked workers: the same bytes as a serial run.
 
-``cmd_refine`` refines the first run of input lines here and each other
-run in a forked child; the CPU probe, and for small inputs the minimum
-lines per worker, are patched to force either path.
+``cmd_refine`` cuts its input into runs of lines that
+``forking.run_pieces`` shares between workers; the CPU probe, and for
+small inputs the lines per run, are patched to force either path.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ import pytest
 from fusionkit import cli, forking
 from fusionkit.refinery import RefineReport
 
-from test_interactor import (  # noqa: F401 - forks is a fixture
+from conftest import (
     _crash,
     _in_child,
     _raise,
     _truncate,
     assert_no_child_left,
     cpus,
-    forks,
 )
 
 RECORDS = 2400
@@ -115,8 +114,8 @@ def test_forked_refine_matches_serial(monkeypatch, forks, tmp_path, corpus,
                                       n_cpus):
     path, invalid, serial = corpus
     lines = cli._read_lines(str(path))
-    runs = cli._line_runs(lines, n_cpus)
-    assert len(runs) == n_cpus
+    runs = cli._line_runs(lines, len(lines) // cli._MIN_LINES_PER_WORKER)
+    assert len(runs) == 9
     for start, stop in runs:  # each run holds invalid records
         assert any(start < line <= stop for line in invalid)
     cpus(monkeypatch, n_cpus)
@@ -219,10 +218,11 @@ def test_forked_refine_raises_no_warning(monkeypatch, forks, tmp_path, small):
     # Python 3.12 warns on a fork while the process runs other threads
     path, serial = small
     cpus(monkeypatch, 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert refine(path, tmp_path / "forked") == serial
     assert forks
+    assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
 
 
 # ------------------------------------------------------------- the pieces
