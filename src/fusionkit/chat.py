@@ -224,9 +224,13 @@ class HttpChatClient:
             raise ChatError(message)
         try:
             payload = json.loads(raw)
-            return payload["choices"][0]["message"]["content"]
+            content = payload["choices"][0]["message"]["content"]
         except (ValueError, LookupError, TypeError) as err:
             raise ChatError(f"malformed chat response: {err}") from err
+        if not isinstance(content, str):
+            raise ChatError(f"malformed chat response: content is "
+                            f"{type(content).__name__}, not a string")
+        return content
 
 
 def _request_failed(reason: object) -> ChatError:

@@ -6,9 +6,12 @@ interactor-demo (token selection + fusion on FKMX inputs), mask-exp
 (token-redundancy harness), budget (sequence-length accounting).
 
 Exit codes: 0 success, 2 input/config error, 3 semantic/validation
-failure, 64 usage error. Values from a --config JSON file are overridden
-by flags; every report embeds the tool version, the effective config and
-its hash, and sha256s of the input files. With fixed inputs and seeds,
+failure, 64 usage error; ``main`` alone maps an error to its code. A flag
+sets the config key named by its argparse ``dest`` and overrides the
+value from a --config JSON file; argparse ``type=`` converters turn flag
+strings into values, so a bad value exits 64 before any input is read.
+Every report embeds the tool version, the effective config and its
+hash, and sha256s of the input files. With fixed inputs and seeds,
 reruns write byte-identical outputs (single exception: the demo
 sidecar's wall-clock timing field).
 """
@@ -23,8 +26,9 @@ import os
 import sys
 import time
 from contextlib import nullcontext
+from dataclasses import fields
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, TextIO, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TextIO, TypeVar
 
 import numpy as np
 
@@ -71,7 +75,7 @@ from .masking import (
     run_mask_experiment,
     token_stats_downstream,
 )
-from .matrix import FkmxFormatError, Matrix, ShapeError, load_fkmx, save_fkmx
+from .matrix import FkmxFormatError, Matrix, load_fkmx, save_fkmx
 from .numerics import CrossAttnParams
 from .refinery import (
     DATASET_SOURCES,
@@ -95,12 +99,13 @@ EXIT_INPUT = 2
 EXIT_VALIDATION = 3
 EXIT_USAGE = 64
 
-CAPTION_CSV_COLUMNS = ("BLEU1", "BLEU2", "BLEU3", "BLEU4", "CIDEr",
-                       "ROUGE_L", "ACC")
-PLANNING_CSV_HEADER = (
-    "L2_1s,L2_2s,L2_3s,L2_avg,COLL_1s,COLL_2s,COLL_3s,COLL_avg"
-)
-ORA_CSV_HEADER = "exist,level,cate,object"
+CAPTION_CSV_HEADER = ("BLEU1", "BLEU2", "BLEU3", "BLEU4", "CIDEr",
+                      "ROUGE_L", "ACC")
+PLANNING_CSV_HEADER = ("L2_1s", "L2_2s", "L2_3s", "L2_avg",
+                       "COLL_1s", "COLL_2s", "COLL_3s", "COLL_avg")
+ORA_CSV_HEADER = ("exist", "level", "cate", "object")
+
+_CONFIG_KEYS = frozenset(f.name for f in fields(Config))
 
 T = TypeVar("T")
 
@@ -111,10 +116,6 @@ class UsageError(Exception):
 
 class InputError(Exception):
     """Unreadable or unparseable input; maps to exit 2."""
-
-
-class ValidationError(Exception):
-    """Inputs readable but semantically wrong; maps to exit 3."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,7 +186,7 @@ def _read_jsonl(path: str, decode: Callable[[dict], T],
             try:
                 out.append(decode(row))
             except ValueError as err:
-                raise ValidationError(f"{path} record {len(out)}: {err}") from err
+                raise ValueError(f"{path} record {len(out)}: {err}") from err
     return out
 
 
@@ -213,40 +214,48 @@ def _load_matrix(path: str) -> Matrix:
         raise InputError(f"{path}: {err}") from err
 
 
-def _cell(value: float | None, fmt: str = "{:.4f}") -> str:
-    return "N/A" if value is None else fmt.format(value)
+def _cell(value: float | None) -> str:
+    return "N/A" if value is None else f"{value:.4f}"
+
+
+def _csv(header: Sequence[str], values: Iterable[float | None]) -> str:
+    """A report's CSV: the header row, then one row of ``_cell`` values."""
+    return ",".join(header) + "\n" + ",".join(map(_cell, values)) + "\n"
 
 
 # ------------------------------------------------------------- flag parsing
 
 
-def _parse_size(text: str) -> tuple[int, int]:
+def _list_of(kind: Callable[[str], T], noun: str) -> Callable[[str], tuple[T, ...]]:
+    """An argparse ``type=``: comma-separated ``kind`` values, blanks
+    skipped, so ``""`` is the empty tuple."""
+    def parse(text: str) -> tuple[T, ...]:
+        try:
+            return tuple(kind(v) for v in text.split(",") if v.strip() != "")
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"wants comma-separated {noun}, got {text!r}") from None
+    return parse
+
+
+def _size(text: str) -> tuple[int, int]:
+    """An argparse ``type=``: WIDTHxHEIGHT, both sides at least 2."""
     try:
         w, h = text.lower().split("x")
         size = (int(w), int(h))
-    except ValueError as err:
-        raise UsageError(f"--image-size wants WIDTHxHEIGHT, got {text!r}") from err
-    if size[0] < 2 or size[1] < 2:
-        raise UsageError("--image-size sides must be at least 2")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"wants WIDTHxHEIGHT, got {text!r}") from None
+    if min(size) < 2:
+        raise argparse.ArgumentTypeError("sides must be at least 2")
     return size
 
 
-def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(",") if v.strip() != "")
-    except ValueError as err:
-        raise UsageError(f"{flag} wants comma-separated integers, got {text!r}") from err
-
-
-def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(",") if v.strip() != "")
-    except ValueError as err:
-        raise UsageError(f"{flag} wants comma-separated numbers, got {text!r}") from err
-
-
-def _config_from_args(args: argparse.Namespace, **overrides) -> Config:
-    return load_config(getattr(args, "config", None), **overrides)
+def _config_from_args(args: argparse.Namespace) -> Config:
+    """The --config file's values, each overridden by the flag whose
+    ``dest`` names that key; a flag left at None keeps the file's value."""
+    return load_config(args.config, **{
+        key: value for key, value in vars(args).items() if key in _CONFIG_KEYS})
 
 
 def _emit(csv_text: str, args: argparse.Namespace) -> None:
@@ -283,10 +292,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
     texts are joined in input order and their reports summed, so every
     output byte equals a one-run refine's.
     """
-    cfg = _config_from_args(
-        args, short_answer_threshold=args.short_threshold, seed=args.seed
-    )
-    image_size = _parse_size(args.image_size) if args.image_size else None
+    cfg = _config_from_args(args)
 
     def decode(row: dict):
         # an invalid record becomes an error entry, listed in the report
@@ -310,7 +316,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
         refined, report = refine_records(
             records,
             short_threshold=cfg.short_answer_threshold,
-            image_size=image_size,
+            image_size=args.image_size,
             quantize_decimals=args.quantize_decimals,
         )
         errors = [(j, r) for j, r in enumerate(decoded) if isinstance(r, dict)]
@@ -352,27 +358,16 @@ def cmd_refine(args: argparse.Namespace) -> int:
 
 def _make_client(args: argparse.Namespace, cfg: Config) -> ChatClient:
     if args.mock:
-        if not Path(args.mock).is_dir():
-            raise InputError(f"replay directory {args.mock} does not exist")
         return ReplayChatClient(args.mock)
     if cfg.endpoint:
         return HttpChatClient(
             cfg.endpoint, api_key=os.environ.get(API_KEY_ENV, ""), timeout=cfg.timeout
         )
-    try:
-        return HttpChatClient.from_env(timeout=cfg.timeout)
-    except ChatError as err:
-        raise InputError(str(err)) from err
+    return HttpChatClient.from_env(timeout=cfg.timeout)
 
 
 def cmd_gen_risk_qa(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(
-        args,
-        retries=args.retries,
-        max_in_flight=args.jobs,
-        endpoint=args.endpoint,
-        seed=args.seed,
-    )
+    cfg = _config_from_args(args)
     client = _make_client(args, cfg)
     scenes = _read_jsonl(args.scenes, scene_from_dict)
 
@@ -423,12 +418,7 @@ def _eval_caption(args: argparse.Namespace, cfg: Config) -> tuple[str, dict]:
         k: (v * scale if v is not None else None)
         for k, v in report.scores.items()
     }
-    csv_text = (
-        ",".join(CAPTION_CSV_COLUMNS)
-        + "\n"
-        + ",".join(_cell(scores[c]) for c in CAPTION_CSV_COLUMNS)
-        + "\n"
-    )
+    csv_text = _csv(CAPTION_CSV_HEADER, (scores[c] for c in CAPTION_CSV_HEADER))
     doc = {
         "scores": scores,
         "pair_count": report.pair_count,
@@ -447,21 +437,12 @@ def _eval_grounding(args: argparse.Namespace, cfg: Config) -> tuple[str, dict]:
 
     pred_map = by_image(_read_jsonl(args.pred, detection_from_dict))
     gt_map = by_image(_read_jsonl(args.gt, gt_box_from_dict))
-    try:
-        report = grounding_map_report(
-            pred_map, gt_map, cfg.iou_thresholds, cfg.ap_interpolation
-        )
-    except ValueError as err:
-        raise ValidationError(str(err)) from err
-    thresholds = [f"AP@{t:g}" for t in cfg.iou_thresholds]
-    csv_text = (
-        ",".join(["mAP", *thresholds])
-        + "\n"
-        + ",".join(
-            [_cell(report.map)]
-            + [_cell(report.per_threshold[t]) for t in cfg.iou_thresholds]
-        )
-        + "\n"
+    report = grounding_map_report(
+        pred_map, gt_map, cfg.iou_thresholds, cfg.ap_interpolation
+    )
+    csv_text = _csv(
+        ("mAP", *(f"AP@{t:g}" for t in cfg.iou_thresholds)),
+        (report.map, *(report.per_threshold[t] for t in cfg.iou_thresholds)),
     )
     return csv_text, report.to_dict()
 
@@ -482,18 +463,12 @@ def _eval_planning(args: argparse.Namespace, cfg: Config) -> tuple[str, dict]:
 
     n = len(samples)
     if n == 0:
-        raise ValidationError("planning eval needs at least one sample")
+        raise ValueError("planning eval needs at least one sample")
     l2 = {h: l2_sums[h] / n for h in l2_sums}
     coll = collision_rate(samples, cfg.ego_length, cfg.ego_width)
     keys = (*HORIZONS, "avg")
-    csv_text = (
-        PLANNING_CSV_HEADER
-        + "\n"
-        + ",".join(
-            [_cell(l2[h]) for h in keys] + [_cell(coll[h]) for h in keys]
-        )
-        + "\n"
-    )
+    csv_text = _csv(PLANNING_CSV_HEADER,
+                    [*(l2[h] for h in keys), *(coll[h] for h in keys)])
     doc = {
         "l2": l2,
         "l2_mode": cfg.l2_mode,
@@ -507,20 +482,9 @@ def _eval_planning(args: argparse.Namespace, cfg: Config) -> tuple[str, dict]:
 def _eval_ora(args: argparse.Namespace, cfg: Config) -> tuple[str, dict]:
     preds = _read_jsonl(args.pred, ora_sample_from_dict)
     gts = _read_jsonl(args.gt, ora_sample_from_dict)
-    try:
-        report = ora_score(preds, gts, cfg.ora_gating)
-    except ValueError as err:
-        raise ValidationError(str(err)) from err
-    csv_text = (
-        ORA_CSV_HEADER
-        + "\n"
-        + ",".join(
-            _cell(v)
-            for v in (report.exist_acc, report.level_acc, report.cate_acc,
-                      report.object_acc)
-        )
-        + "\n"
-    )
+    report = ora_score(preds, gts, cfg.ora_gating)
+    csv_text = _csv(ORA_CSV_HEADER, (report.exist_acc, report.level_acc,
+                                     report.cate_acc, report.object_acc))
     return csv_text, report.to_dict()
 
 
@@ -533,17 +497,7 @@ _EVAL_KINDS = {
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    overrides: dict = {"seed": args.seed}
-    if getattr(args, "iou_thresholds", None):
-        overrides["iou_thresholds"] = _parse_float_list(
-            args.iou_thresholds, "--iou-thresholds")
-    if getattr(args, "interpolation", None):
-        overrides["ap_interpolation"] = args.interpolation
-    if getattr(args, "l2_mode", None):
-        overrides["l2_mode"] = args.l2_mode
-    if getattr(args, "gating", None):
-        overrides["ora_gating"] = args.gating
-    cfg = _config_from_args(args, **overrides)
+    cfg = _config_from_args(args)
 
     csv_text, doc = _EVAL_KINDS[args.kind](args, cfg)
     _emit(csv_text, args)
@@ -569,34 +523,24 @@ def demo_params(
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(
-        args, k_img=args.k_img, k_bev=args.k_bev,
-        reduction=args.reduction, seed=args.seed,
-    )
+    if args.bev_grid and len(args.bev_grid) != 2:
+        raise UsageError("--bev-grid wants H,W")
+    cfg = _config_from_args(args)
     view_mats = [_load_matrix(p) for p in args.views]
     bev_mat = _load_matrix(args.bev)
     inst_mat = _load_matrix(args.instruction)
-    grid = (
-        tuple(_parse_int_list(args.bev_grid, "--bev-grid"))
-        if args.bev_grid
-        else (bev_mat.rows, 1)
-    )
-    if len(grid) != 2:
-        raise UsageError("--bev-grid wants H,W")
 
     started = time.perf_counter()
-    try:
-        views = ViewFeatureSet(views=tuple(view_mats))
-        bev = BevFeatureMap(tokens=bev_mat, grid_shape=grid)
-        inst = InstructionEmbedding(tokens=inst_mat)
-        sel_cfg = SelectionConfig(
-            k_img=cfg.k_img, k_bev=cfg.k_bev, reduction=cfg.reduction)
-        attn_mv, attn_bev = demo_params(
-            inst.d, args.num_layers, args.num_heads, cfg.seed)
-        fused = fuse(views, bev, inst, sel_cfg, attn_mv, attn_bev)
-        budget = token_budget(sel_cfg, views.token_counts, bev_mat.rows)
-    except (ShapeError, ValueError) as err:
-        raise ValidationError(str(err)) from err
+    views = ViewFeatureSet(views=tuple(view_mats))
+    bev = BevFeatureMap(tokens=bev_mat,
+                        grid_shape=args.bev_grid or (bev_mat.rows, 1))
+    inst = InstructionEmbedding(tokens=inst_mat)
+    sel_cfg = SelectionConfig(
+        k_img=cfg.k_img, k_bev=cfg.k_bev, reduction=cfg.reduction)
+    attn_mv, attn_bev = demo_params(
+        inst.d, args.num_layers, args.num_heads, cfg.seed)
+    fused = fuse(views, bev, inst, sel_cfg, attn_mv, attn_bev)
+    budget = token_budget(sel_cfg, views.token_counts, bev_mat.rows)
     elapsed = time.perf_counter() - started
 
     save_fkmx(fused.tokens, args.out)
@@ -628,7 +572,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_mask_exp(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, seed=args.seed)
+    cfg = _config_from_args(args)
     view_mats = [_load_matrix(p) for p in args.views]
     try:
         candidates = json.loads(_read_text(args.candidates))
@@ -637,26 +581,17 @@ def cmd_mask_exp(args: argparse.Namespace) -> int:
     if not isinstance(candidates, dict):
         raise InputError(f"{args.candidates}: wants {{view: [indices]}}")
 
-    rates = (
-        _parse_int_list(args.rates, "--rates")
-        if args.rates
-        else MaskExperimentConfig().rates
+    features = ViewFeatureSet(views=tuple(view_mats))
+    # dry-run at rate 0: rejects bad view names / indices up front
+    # instead of failing every row downstream
+    apply_token_mask(features, MaskSpec(candidate_indices=candidates, rate=0))
+    exp_cfg = MaskExperimentConfig(
+        rates=args.rates or MaskExperimentConfig().rates,
+        blind=not args.no_blind,
+        seed=cfg.seed,
+        candidate_indices=candidates,
     )
-    try:
-        features = ViewFeatureSet(views=tuple(view_mats))
-        # dry-run at rate 0: rejects bad view names / indices up front
-        # instead of failing every row downstream
-        apply_token_mask(
-            features, MaskSpec(candidate_indices=candidates, rate=0))
-        exp_cfg = MaskExperimentConfig(
-            rates=rates,
-            blind=not args.no_blind,
-            seed=cfg.seed,
-            candidate_indices=candidates,
-        )
-        rows = run_mask_experiment(exp_cfg, features, token_stats_downstream)
-    except (ShapeError, ValueError) as err:
-        raise ValidationError(str(err)) from err
+    rows = run_mask_experiment(exp_cfg, features, token_stats_downstream)
 
     _emit(rows_to_csv(rows), args)
     if args.json:
@@ -685,13 +620,12 @@ def cmd_mask_exp(args: argparse.Namespace) -> int:
 
 
 def cmd_budget(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, k_img=args.k_img, k_bev=args.k_bev)
-    counts = _parse_int_list(args.view_tokens, "--view-tokens")
-    if not counts:
+    cfg = _config_from_args(args)
+    if not args.view_tokens:
         raise InputError("budget needs at least one view token count")
     sel_cfg = SelectionConfig(k_img=cfg.k_img, k_bev=cfg.k_bev)
     try:
-        report = token_budget(sel_cfg, counts, args.bev_tokens)
+        report = token_budget(sel_cfg, args.view_tokens, args.bev_tokens)
     except ValueError as err:
         raise InputError(str(err)) from err
     if args.json:
@@ -722,10 +656,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write the refine report JSON here")
     p.add_argument("--source", choices=DATASET_SOURCES,
                    help="source tag for records that lack one")
-    p.add_argument("--short-threshold", type=int, default=None,
+    p.add_argument("--short-threshold", dest="short_answer_threshold",
+                   type=int, default=None, metavar="SHORT_THRESHOLD",
                    help="max tokens for a short answer")
-    p.add_argument("--image-size", help="treat boxes as WIDTHxHEIGHT pixels "
-                                        "and normalize to the 0..999 grid")
+    p.add_argument("--image-size", type=_size,
+                   help="treat boxes as WIDTHxHEIGHT pixels "
+                        "and normalize to the 0..999 grid")
     p.add_argument("--quantize-decimals", action="store_true",
                    help="round decimal literals in plain text to integers")
     _add_common(p)
@@ -739,8 +675,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mock", help="replay directory of canned responses")
     p.add_argument("--endpoint", help="chat endpoint URL "
                                       "(default: config or FK_API_ENDPOINT)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="max scenes in flight")
+    p.add_argument("--jobs", dest="max_in_flight", type=int, default=None,
+                   metavar="JOBS", help="max scenes in flight")
     p.add_argument("--retries", type=int, default=None,
                    help="repair retries per malformed reply")
     _add_common(p)
@@ -755,14 +691,15 @@ def build_parser() -> argparse.ArgumentParser:
         k.add_argument("--csv", help="write the CSV here instead of stdout")
         k.add_argument("--json", help="write the full JSON report here")
         if kind == "grounding":
-            k.add_argument("--iou-thresholds", default=None,
-                           help="comma-separated IoU thresholds")
-            k.add_argument("--interpolation",
+            k.add_argument("--iou-thresholds", type=_list_of(float, "numbers"),
+                           default=None, help="comma-separated IoU thresholds")
+            k.add_argument("--interpolation", dest="ap_interpolation",
                            choices=AP_INTERPOLATIONS, default=None)
         if kind == "planning":
             k.add_argument("--l2-mode", choices=L2_MODES, default=None)
         if kind == "ora":
-            k.add_argument("--gating", choices=ORA_GATING_MODES, default=None)
+            k.add_argument("--gating", dest="ora_gating",
+                           choices=ORA_GATING_MODES, default=None)
         _add_common(k)
         k.set_defaults(func=cmd_eval, kind=kind)
 
@@ -775,7 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="instruction-embedding FKMX file")
     p.add_argument("--out", required=True, help="fused FKMX output")
     p.add_argument("--sidecar", help="JSON sidecar with budget + provenance")
-    p.add_argument("--bev-grid", help="H,W of the BEV grid (default Nx1)")
+    p.add_argument("--bev-grid", type=_list_of(int, "integers"),
+                   help="H,W of the BEV grid (default Nx1)")
     p.add_argument("--k-img", type=int, default=None)
     p.add_argument("--k-bev", type=int, default=None)
     p.add_argument("--reduction", choices=REDUCTIONS, default=None)
@@ -789,7 +727,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-camera FKMX files, in view order")
     p.add_argument("--candidates", required=True,
                    help="JSON file {view: [token indices]}")
-    p.add_argument("--rates", help="comma-separated mask percentages")
+    p.add_argument("--rates", type=_list_of(int, "integers"),
+                   help="comma-separated mask percentages")
     p.add_argument("--no-blind", action="store_true",
                    help="skip the blind-input control row")
     p.add_argument("--csv", help="write the CSV here instead of stdout")
@@ -798,8 +737,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mask_exp)
 
     p = sub.add_parser("budget", help="predict fused sequence length")
-    p.add_argument("--view-tokens", required=True,
-                   help="comma-separated per-view token counts")
+    p.add_argument("--view-tokens", type=_list_of(int, "integers"),
+                   required=True, help="comma-separated per-view token counts")
     p.add_argument("--bev-tokens", type=int, required=True)
     p.add_argument("--k-img", type=int, default=None)
     p.add_argument("--k-bev", type=int, default=None)
@@ -818,13 +757,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (InputError, ConfigError, ChatError) as err:
+    except (InputError, ConfigError, ChatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValidationError, ValueError, KeyError) as err:
+    except (ValueError, KeyError) as err:
         print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -14,7 +14,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import __version__
 from .driving_eval import AP_INTERPOLATIONS, L2_MODES, ORA_GATING_MODES
@@ -154,21 +154,15 @@ def sha256_file(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def provenance_block(
-    cfg: Config, inputs: Mapping[str, str | Path] | Sequence[str | Path] = (),
-) -> dict:
+def provenance_block(cfg: Config, inputs: Mapping[str, str | Path]) -> dict:
     """The provenance dict every report embeds.
 
-    ``inputs`` maps labels to paths (or is a plain path list); each is
-    hashed so a report can be traced to its exact inputs.
+    ``inputs`` maps labels to paths; each is hashed so a report can be
+    traced to its exact inputs.
     """
-    if isinstance(inputs, Mapping):
-        items = inputs.items()
-    else:
-        items = ((str(p), p) for p in inputs)
     return {
         "tool_version": __version__,
         "config_hash": config_hash(cfg),
-        "inputs": {str(label): sha256_file(p) for label, p in items},
+        "inputs": {label: sha256_file(p) for label, p in inputs.items()},
         "effective_config": cfg.to_dict(),
     }

@@ -121,6 +121,11 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if self.path == "/junk":
             payload = b'{"unexpected": true}'
+        elif self.path in ("/null", "/list"):
+            content = None if self.path == "/null" else [{"text": "pong"}]
+            payload = json.dumps(
+                {"choices": [{"message": {"content": content}}]}
+            ).encode()
         else:
             payload = json.dumps(
                 {"choices": [{"message": {"content": "pong"}}]}
@@ -172,9 +177,10 @@ def test_http_client_surfaces_status_and_shape_errors(http_server):
     boom = HttpChatClient(endpoint=f"{http_server}/boom")
     with pytest.raises(ChatError, match="HTTP 500"):
         boom.complete(_request())
-    junk = HttpChatClient(endpoint=f"{http_server}/junk")
-    with pytest.raises(ChatError, match="malformed"):
-        junk.complete(_request())
+    for path in ("junk", "null", "list"):
+        shapeless = HttpChatClient(endpoint=f"{http_server}/{path}")
+        with pytest.raises(ChatError, match="malformed"):
+            shapeless.complete(_request())
 
 
 def test_http_client_connection_error():

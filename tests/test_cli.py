@@ -10,10 +10,10 @@ import pytest
 
 from fusionkit.cli import (
     InputError,
-    ValidationError,
     _make_client,
     _read_jsonl,
     _read_lines,
+    build_parser,
     demo_params,
     main,
 )
@@ -406,7 +406,7 @@ def test_read_jsonl_names_the_record_a_decoder_rejects(tmp_path) -> None:
 
     path = tmp_path / "in.jsonl"
     path.write_text('{"a": 1}\n\n{"a": 2}\n{"a": -1}\n', encoding="utf-8")
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(ValueError) as err:
         _read_jsonl(str(path), decode)
     # blank lines are not records: the third record sits on line 4
     assert str(err.value) == f"{path} record 2: a must be nonnegative"
@@ -944,3 +944,101 @@ def test_config_not_utf8_exit_2(tmp_path, capsys) -> None:
                "--config", str(cfg)])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {cfg}: not valid UTF-8\n"
+
+
+# every (command, option) whose argparse dest is a Config field, with that
+# field: the flag sets exactly the config key its dest names
+FLAG_CONFIG_KEYS = {
+    **{(command, "--seed"): "seed" for command in (
+        "refine", "gen-risk-qa", "eval caption", "eval grounding",
+        "eval planning", "eval ora", "interactor-demo", "mask-exp", "budget")},
+    ("refine", "--short-threshold"): "short_answer_threshold",
+    ("gen-risk-qa", "--endpoint"): "endpoint",
+    ("gen-risk-qa", "--jobs"): "max_in_flight",
+    ("gen-risk-qa", "--retries"): "retries",
+    ("eval grounding", "--iou-thresholds"): "iou_thresholds",
+    ("eval grounding", "--interpolation"): "ap_interpolation",
+    ("eval planning", "--l2-mode"): "l2_mode",
+    ("eval ora", "--gating"): "ora_gating",
+    ("interactor-demo", "--k-img"): "k_img",
+    ("interactor-demo", "--k-bev"): "k_bev",
+    ("interactor-demo", "--reduction"): "reduction",
+    ("budget", "--k-img"): "k_img",
+    ("budget", "--k-bev"): "k_bev",
+}
+
+
+def _option_dests(parser: argparse.ArgumentParser, command: str = ""):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _option_dests(sub, f"{command} {name}".strip())
+        elif action.option_strings:
+            yield command, action.option_strings[0], action.dest
+
+
+def test_flag_dests_name_config_keys() -> None:
+    keys = set(Config.__dataclass_fields__)
+    found = {(command, option): dest
+             for command, option, dest in _option_dests(build_parser())
+             if dest in keys}
+    assert found == FLAG_CONFIG_KEYS
+
+
+def _command_with_report(tmp_path, command: str):
+    report = tmp_path / "report.json"
+    if command == "refine":
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, REFINE_RECORDS)
+        return ["refine", "--input", str(src), "--output",
+                str(tmp_path / "out.jsonl"), "--report", str(report)], report
+    if command == "gen-risk-qa":
+        replay = tmp_path / "replay"
+        replay.mkdir()
+        scenes = tmp_path / "scenes.jsonl"
+        scenes.write_text("")
+        return ["gen-risk-qa", "--scenes", str(scenes), "--mock", str(replay),
+                "--out-qa", str(tmp_path / "q.jsonl"),
+                "--out-grounding", str(tmp_path / "g.jsonl"),
+                "--report", str(report)], report
+    pred = tmp_path / "pred.jsonl"
+    gt = tmp_path / "gt.jsonl"
+    if command == "grounding":
+        box = {"image_id": "i1", "box": [0, 0, 99, 99], "label": "car"}
+        write_jsonl(pred, [{**box, "score": 0.9}])
+        write_jsonl(gt, [box])
+    else:
+        preds, gts = _ora_fixture()
+        write_jsonl(pred, [ora_sample_to_dict(s) for s in preds])
+        write_jsonl(gt, [ora_sample_to_dict(s) for s in gts])
+    return ["eval", command, "--pred", str(pred), "--gt", str(gt),
+            "--json", str(report)], report
+
+
+@pytest.mark.parametrize("command, flags, key, file_value, effective", [
+    ("refine", ["--short-threshold", "7"], "short_answer_threshold", 3, 7),
+    ("gen-risk-qa", ["--jobs", "3"], "max_in_flight", 1, 3),
+    ("grounding", ["--interpolation", "all_point"], "ap_interpolation",
+     "eleven_point", "all_point"),
+    ("grounding", ["--iou-thresholds", "0.7,0.9"], "iou_thresholds", [0.5],
+     [0.7, 0.9]),
+    # an empty list is a value the key rejects, not an absent flag
+    ("grounding", ["--iou-thresholds", ""], "iou_thresholds", [0.5], None),
+    ("ora", ["--gating", "correct_exist"], "ora_gating", "all_gt_true",
+     "correct_exist"),
+], ids=["short-threshold", "jobs", "interpolation", "iou-thresholds",
+        "iou-thresholds-empty", "gating"])
+def test_flag_overrides_its_config_key(tmp_path, capsys, command, flags, key,
+                                       file_value, effective) -> None:
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: file_value}))
+    argv, report = _command_with_report(tmp_path, command)
+    rc = main([*argv, "--config", str(cfg), *flags])
+    err = capsys.readouterr().err
+    if effective is None:
+        assert rc == 2
+        assert err.startswith(f"error: {key} ")
+        return
+    assert rc == 0, err
+    doc = json.loads(report.read_text())
+    assert doc["provenance"]["effective_config"][key] == effective

@@ -135,9 +135,6 @@ def test_sha256_file_and_provenance(tmp_path) -> None:
     assert block["config_hash"] == config_hash(Config())
     assert block["inputs"] == {"records": expected}
     assert block["effective_config"]["k_img"] == 90
-    # path-list form labels by the path itself
-    block2 = provenance_block(Config(), [f])
-    assert block2["inputs"] == {str(f): expected}
 
 
 # ------------------------------------------------------ JSON types per key
