@@ -12,6 +12,9 @@ Subpackages are deliberately flat:
 - ``chat``          minimal chat-completion client (HTTP + deterministic replay)
 - ``risk_qa``       two-step risk extraction / QA generation pipeline
 - ``masking``       seeded token-masking experiment harness
+- ``forking``       the one fork policy shared by ``fuse`` and ``refine``
+- ``config``        frozen tool config, JSON file + flag layering, provenance
+- ``jsontypes``     JSON type checks for record decoders and config fields
 - ``cli``           the ``fusionkit`` command line tool
 """
 

@@ -23,6 +23,7 @@ import bisect
 import itertools
 import json
 import os
+import re
 import sys
 import time
 from contextlib import nullcontext
@@ -119,6 +120,12 @@ class InputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # a token starting with a minus and a digit is a value, not a flag,
+        # so a comma list like -5,3 reaches its converter and range check
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # argparse exits 2 on bad flags; the contract reserves 2 for input
     # errors, so route parse failures through UsageError instead
     def error(self, message: str) -> "argparse.NoReturn":  # type: ignore[name-defined]

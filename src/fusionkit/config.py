@@ -47,8 +47,9 @@ _RULES = {
     "k_bev": (lambda v: v >= 1, "must be at least 1"),
     "reduction": _one_of(REDUCTIONS),
     "short_answer_threshold": (lambda v: v >= 0, "must be nonnegative"),
-    "iou_thresholds": (lambda v: v and all(0.0 < t <= 1.0 for t in v),
-                       "must be a non-empty list of values in (0, 1]"),
+    "iou_thresholds": (lambda v: v and all(0.0 < t <= 1.0 for t in v)
+                       and len(set(v)) == len(v),
+                       "must be a non-empty list of distinct values in (0, 1]"),
     "ap_interpolation": _one_of(AP_INTERPOLATIONS),
     "l2_mode": _one_of(L2_MODES),
     "ora_gating": _one_of(ORA_GATING_MODES),

@@ -53,10 +53,12 @@ __all__ = [
     "ORA_CATEGORIES",
 ]
 
-GRID_MAX = 999
+GRID_MAX = 999  # box corners lie on the inclusive grid 0..GRID_MAX
+WAYPOINT_TIMES = tuple(0.5 * i for i in range(1, 7))  # seconds
+WAYPOINT_COUNT = len(WAYPOINT_TIMES)
 HORIZONS = ("1s", "2s", "3s")
-_HORIZON_LAST_INDEX = {"1s": 1, "2s": 3, "3s": 5}
-WAYPOINT_COUNT = 6
+# the waypoint sitting at each horizon
+_HORIZON_LAST_INDEX = {h: WAYPOINT_TIMES.index(float(h[:-1])) for h in HORIZONS}
 
 ORA_LEVELS = ("low", "medium", "high")
 ORA_CATEGORIES = (
@@ -155,35 +157,6 @@ def _ap_eleven_point(recalls: Sequence[float], precisions: Sequence[float]) -> f
 _AP_METHODS = dict(zip(AP_INTERPOLATIONS, (_ap_all_point, _ap_eleven_point)))
 
 
-def _match_class(
-    ranked: list[tuple[int, Detection]],
-    gt_boxes: list[NormalizedBox],
-    threshold: float,
-) -> list[bool]:
-    """Greedy matching of predictions ranked by descending score (stable
-    on ties); one flag per prediction, in that order.
-
-    Each prediction takes the unmatched ground-truth box of highest IoU
-    at or above the threshold; equal IoUs resolve to the earlier box.
-    """
-    taken = [False] * len(gt_boxes)
-    flags = []
-    for _, det in ranked:
-        best_iou = 0.0
-        best_gt = -1
-        for g, gt_box in enumerate(gt_boxes):
-            if taken[g]:
-                continue
-            overlap = iou(det.box, gt_box)
-            if overlap >= threshold and overlap > best_iou:
-                best_iou = overlap
-                best_gt = g
-        if best_gt >= 0:
-            taken[best_gt] = True
-        flags.append(best_gt >= 0)
-    return flags
-
-
 @dataclass(frozen=True)
 class GroundingReport:
     map: float
@@ -217,73 +190,62 @@ def grounding_map_report(
     images absent from ``gts``. Classes never seen in the ground truth do
     not enter the mean; their detections are ignored rather than averaged
     in as zero-AP phantom classes.
+
+    Per class and threshold, AP is one walk over the class's detections
+    from every image, by descending score with ties in input order. Each
+    detection takes the unmatched GT box of its own image with the
+    highest IoU at or above the threshold (equal IoUs: the earlier box).
     """
     if interpolation not in _AP_METHODS:
         raise ValueError(f"interpolation must be one of {sorted(_AP_METHODS)}")
     thresholds = list(iou_thresholds)
     if not thresholds or any(not (0.0 < t <= 1.0) for t in thresholds):
         raise ValueError("IoU thresholds must lie in (0, 1]")
+    if len(set(thresholds)) != len(thresholds):
+        raise ValueError(f"IoU thresholds must be distinct, got {thresholds}")
     unknown = sorted(set(preds) - set(gts))
     if unknown:
         raise ValueError(f"predictions name unknown image ids: {unknown}")
 
-    classes = sorted({g.label for boxes in gts.values() for g in boxes})
-    if not classes:
+    # per class: each image's GT boxes, and the detections in input order
+    gt_boxes: dict[str, dict[str, list[NormalizedBox]]] = {}
+    for image_id, boxes in gts.items():
+        for g in boxes:
+            gt_boxes.setdefault(g.label, {}).setdefault(image_id, []).append(g.box)
+    if not gt_boxes:
         raise ValueError("ground truth holds no boxes; mAP is undefined")
-    ap_fn = _AP_METHODS[interpolation]
-
-    # per class: score-ordered predictions across images, under one
-    # global insertion counter so ties stay stable
-    per_class: dict[str, dict[float, float]] = {}
-    pred_count = 0
-    insertion = 0
-    class_preds: dict[str, dict[str, list[tuple[int, Detection]]]] = {
-        c: {} for c in classes
-    }
+    classes = sorted(gt_boxes)
+    detections: dict[str, list[tuple[str, Detection]]] = {c: [] for c in classes}
     for image_id, dets in preds.items():
         for det in dets:
-            pred_count += 1
-            if det.label in class_preds:
-                class_preds[det.label].setdefault(image_id, []).append(
-                    (insertion, det)
-                )
-            insertion += 1
+            if det.label in detections:
+                detections[det.label].append((image_id, det))
+    ap_fn = _AP_METHODS[interpolation]
 
-    gt_count = sum(len(boxes) for boxes in gts.values())
+    per_class: dict[str, dict[float, float]] = {}
     for cls in classes:
-        # the class's predictions ranked once, by descending score with ties
-        # in insertion order; each image ranks its own by the same key, so
-        # its ranking is its share of this one, tagged with global ranks
-        order = sorted(
-            ((ins, image_id, det)
-             for image_id, dets in class_preds[cls].items()
-             for ins, det in dets),
-            key=lambda p: (-p[2].score, p[0]),
-        )
-        ranked_in: dict[str, list[tuple[int, Detection]]] = {}
-        for rank, (_, image_id, det) in enumerate(order):
-            ranked_in.setdefault(image_id, []).append((rank, det))
-        # only images holding a GT box or a prediction of the class
-        images = []
-        for image_id, gt_boxes in gts.items():
-            boxes = [g.box for g in gt_boxes if g.label == cls]
-            if boxes or image_id in ranked_in:
-                images.append((boxes, ranked_in.get(image_id, [])))
-        n_gt = sum(len(boxes) for boxes, _ in images)
+        images = gt_boxes[cls]
+        n_gt = sum(map(len, images.values()))
+        ranked = sorted(detections[cls], key=lambda p: -p[1].score)
         per_class[cls] = {}
         for thr in thresholds:
-            hits = [False] * len(order)
-            for boxes, ranked in images:
-                for (rank, _), hit in zip(ranked, _match_class(ranked, boxes, thr)):
-                    hits[rank] = hit
+            taken = {image_id: [False] * len(b) for image_id, b in images.items()}
             recalls: list[float] = []
             precisions: list[float] = []
             tp = 0
-            for rank, is_tp in enumerate(hits, start=1):
-                tp += 1 if is_tp else 0
-                recalls.append(tp / n_gt if n_gt else 0.0)
+            for rank, (image_id, det) in enumerate(ranked, start=1):
+                best_iou, best = 0.0, -1
+                for g, box in enumerate(images.get(image_id, ())):
+                    if not taken[image_id][g]:
+                        overlap = iou(det.box, box)
+                        if overlap >= thr and overlap > best_iou:
+                            best_iou, best = overlap, g
+                if best >= 0:
+                    taken[image_id][best] = True
+                    tp += 1
+                recalls.append(tp / n_gt)
                 precisions.append(tp / rank)
-            per_class[cls][thr] = ap_fn(recalls, precisions) if n_gt else 0.0
+            per_class[cls][thr] = ap_fn(recalls, precisions)
 
     per_threshold = {
         thr: sum(per_class[c][thr] for c in classes) / len(classes)
@@ -297,8 +259,8 @@ def grounding_map_report(
             c: {t: 100.0 * v for t, v in row.items()}
             for c, row in per_class.items()
         },
-        gt_count=gt_count,
-        prediction_count=pred_count,
+        gt_count=sum(map(len, gts.values())),
+        prediction_count=sum(map(len, preds.values())),
     )
 
 
@@ -427,23 +389,16 @@ def rectangles_collide(
 
 
 def _ego_headings(waypoints: Sequence[tuple[float, float]]) -> list[float]:
-    # backward difference per waypoint; waypoint 0 borrows the first
-    # segment; degenerate segments carry the previous heading forward
-    headings = [0.0] * len(waypoints)
-    first = 0.0
-    x0, y0 = waypoints[0]
-    x1, y1 = waypoints[1]
-    if (x1 - x0, y1 - y0) != (0.0, 0.0):
-        first = math.atan2(y1 - y0, x1 - x0)
-    headings[0] = first
-    prev = first
-    for i in range(1, len(waypoints)):
-        dx = waypoints[i][0] - waypoints[i - 1][0]
-        dy = waypoints[i][1] - waypoints[i - 1][1]
-        if (dx, dy) != (0.0, 0.0):
-            prev = math.atan2(dy, dx)
-        headings[i] = prev
-    return headings
+    # each waypoint takes the heading of the segment into it, waypoint 0
+    # that of the first segment; a zero-length segment keeps the last one
+    headings = []
+    heading = 0.0
+    for (x0, y0), (x1, y1) in zip(waypoints, waypoints[1:]):
+        dx, dy = x1 - x0, y1 - y0
+        if dx or dy:
+            heading = math.atan2(dy, dx)
+        headings.append(heading)
+    return headings[:1] + headings
 
 
 def _corner_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -518,23 +473,6 @@ def _waypoint_hits(
     return hits.reshape(len(samples), WAYPOINT_COUNT)
 
 
-def _horizon_hits(
-    samples: Sequence[tuple[TrajectoryPlan, AgentSnapshots]],
-    ego_length: float,
-    ego_width: float,
-) -> np.ndarray:
-    """(len(samples), len(HORIZONS)) bool, in numpy blocks of samples."""
-    if ego_length <= 0.0 or ego_width <= 0.0:
-        raise ValueError("ego extents must be positive")
-    last = [_HORIZON_LAST_INDEX[h] for h in HORIZONS]
-    blocks = []
-    for start in range(0, len(samples), _COLLISION_BLOCK):
-        block = samples[start : start + _COLLISION_BLOCK]
-        hits = _waypoint_hits(block, ego_length, ego_width)
-        blocks.append(np.logical_or.accumulate(hits, axis=1)[:, last])
-    return np.concatenate(blocks)
-
-
 def collision_rate(
     samples: Sequence[tuple[TrajectoryPlan, AgentSnapshots]],
     ego_length: float,
@@ -548,8 +486,15 @@ def collision_rate(
     """
     if not samples:
         raise ValueError("collision rate needs at least one sample")
-    counts = _horizon_hits(samples, ego_length, ego_width).sum(axis=0).tolist()
-    rates = {h: 100.0 * c / len(samples) for h, c in zip(HORIZONS, counts)}
+    if ego_length <= 0.0 or ego_width <= 0.0:
+        raise ValueError("ego extents must be positive")
+    last = [_HORIZON_LAST_INDEX[h] for h in HORIZONS]
+    counts = np.zeros(len(HORIZONS), dtype=np.int64)
+    for start in range(0, len(samples), _COLLISION_BLOCK):
+        hits = _waypoint_hits(samples[start : start + _COLLISION_BLOCK],
+                              ego_length, ego_width)
+        counts += np.logical_or.accumulate(hits, axis=1)[:, last].sum(axis=0)
+    rates = {h: 100.0 * c / len(samples) for h, c in zip(HORIZONS, counts.tolist())}
     rates["avg"] = sum(rates[h] for h in HORIZONS) / len(HORIZONS)
     return rates
 

@@ -23,15 +23,7 @@ from .forking import run_pieces
 from .jsontypes import check_fields
 from .matrix import Matrix, ShapeError
 from .numerics import CrossAttnParams, cosine_similarity_matrix, cross_attention
-
-DEFAULT_VIEW_NAMES = (
-    "front",
-    "front_left",
-    "front_right",
-    "back",
-    "back_left",
-    "back_right",
-)
+from .refinery import CAMERA_VIEWS as DEFAULT_VIEW_NAMES
 
 REDUCTIONS = ("max", "mean")
 

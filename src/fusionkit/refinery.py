@@ -26,7 +26,13 @@ import re
 from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
-from .driving_eval import NormalizedBox, TrajectoryPlan, plan_from_list
+from .driving_eval import (
+    GRID_MAX,
+    WAYPOINT_TIMES,
+    NormalizedBox,
+    TrajectoryPlan,
+    plan_from_list,
+)
 from .jsontypes import require_id, require_numbers, require_str
 from .text_metrics import tokenize
 
@@ -59,6 +65,7 @@ __all__ = [
     "record_to_dict",
 ]
 
+# the six-camera vocabulary, also the interactor's default view names
 CAMERA_VIEWS = (
     "front",
     "front_left",
@@ -71,8 +78,6 @@ DATASET_SOURCES = ("nuscenes-qa", "nuscenes-mqa", "omnidrive", "nuinstruct", "or
 EGO_COMMANDS = ("TURN LEFT", "TURN RIGHT", "GO STRAIGHT")
 ANSWER_CLASSES = ("short", "long")
 
-GRID_TIMES = tuple(0.5 * i for i in range(1, 7))
-BOX_COORD_MAX = 999
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
@@ -273,8 +278,8 @@ def normalize_box(
         raise ValueError("inverted pixel box; filter it instead of normalizing")
 
     def norm(c: float, size: int) -> int:
-        scaled = round_half_away(c / (size - 1) * BOX_COORD_MAX)
-        return min(max(scaled, 0), BOX_COORD_MAX)
+        scaled = round_half_away(c / (size - 1) * GRID_MAX)
+        return min(max(scaled, 0), GRID_MAX)
 
     return NormalizedBox(norm(x1, img_w), norm(y1, img_h),
                          norm(x2, img_w), norm(y2, img_h))
@@ -364,13 +369,13 @@ def unify_trajectory(
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("timestamps must be strictly increasing")
     lo, hi = times[0], times[-1]
-    missing = [g for g in GRID_TIMES if not lo <= g <= hi]
+    missing = [g for g in WAYPOINT_TIMES if not lo <= g <= hi]
     if missing:
         raise TrajectoryCoverageError(missing, (lo, hi))
 
     waypoints = []
     idx = 0
-    for g in GRID_TIMES:
+    for g in WAYPOINT_TIMES:
         while times[idx + 1] < g:
             idx += 1
         t0, x0, y0 = pts[idx]
@@ -472,7 +477,7 @@ class RefineReport:
 
 
 def _box_drop_reason(b: BoxSpan) -> str | None:
-    if any(not 0 <= v <= BOX_COORD_MAX for v in b.as_tuple()):
+    if any(not 0 <= v <= GRID_MAX for v in b.as_tuple()):
         return "out_of_range"
     if b.x2 < b.x1 or b.y2 < b.y1:
         return "inverted"

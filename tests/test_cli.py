@@ -488,6 +488,20 @@ def test_eval_grounding_perfect_fixture(tmp_path, capsys) -> None:
     assert out == "mAP,AP@0.5\n100.0000,100.0000\n"
 
 
+def test_eval_grounding_repeated_threshold_exit_2(tmp_path, capsys) -> None:
+    pred = tmp_path / "pred.jsonl"
+    gt = tmp_path / "gt.jsonl"
+    write_jsonl(pred, [{"image_id": "i1", "box": [0, 0, 99, 99],
+                        "score": 0.9, "label": "car"}])
+    write_jsonl(gt, [{"image_id": "i1", "box": [0, 0, 99, 99], "label": "car"}])
+    rc = main(["eval", "grounding", "--pred", str(pred), "--gt", str(gt),
+               "--iou-thresholds", "0.5,0.5"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: iou_thresholds ")
+
+
 def test_eval_grounding_unknown_image_exit_3(tmp_path, capsys) -> None:
     pred = tmp_path / "pred.jsonl"
     gt = tmp_path / "gt.jsonl"
@@ -807,6 +821,38 @@ def _demo_inputs(tmp_path, d: int = 8, seed: int = 11):
     inst = tmp_path / "inst.fkmx"
     save_fkmx(Matrix(rng.standard_normal((3, d))), inst)
     return paths, str(bev), str(inst)
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("budget", "--view-tokens", "-5,3"),
+    ("mask-exp", "--rates", "-5,10"),
+    ("interactor-demo", "--bev-grid", "-4,-4"),
+    ("eval grounding", "--iou-thresholds", "-0.5,0.5"),
+])
+def test_negative_comma_list_is_a_value(tmp_path, capsys, command, flag,
+                                        value) -> None:
+    # "--flag -5,3" and "--flag=-5,3" reach the same value check
+    views, bev, inst = _demo_inputs(tmp_path)
+    candidates = tmp_path / "candidates.json"
+    candidates.write_text('{"front": [0, 1]}')
+    gt = tmp_path / "gt.jsonl"
+    write_jsonl(gt, [{"image_id": "a", "box": [0, 0, 9, 9], "label": "car"}])
+    argv = {
+        "budget": ["budget", "--bev-tokens", "5"],
+        "mask-exp": ["mask-exp", "--views", *views, "--candidates",
+                     str(candidates), "--csv", str(tmp_path / "m.csv")],
+        "interactor-demo": ["interactor-demo", "--views", *views, "--bev", bev,
+                            "--instruction", inst,
+                            "--out", str(tmp_path / "f.fkmx")],
+        "eval grounding": ["eval", "grounding", "--pred", str(gt),
+                           "--gt", str(gt)],
+    }[command]
+    results = []
+    for tail in ([flag, value], [f"{flag}={value}"]):
+        rc = main([*argv, *tail])
+        results.append((rc, capsys.readouterr().err))
+    assert results[0] == results[1]
+    assert results[0][0] in (2, 3)
 
 
 def test_demo_matches_library_call_bit_exactly(tmp_path, capsys) -> None:

@@ -57,6 +57,8 @@ def test_validation() -> None:
         Config(iou_thresholds=())
     with pytest.raises(ConfigError):
         Config(iou_thresholds=(1.5,))
+    with pytest.raises(ConfigError, match="distinct"):
+        Config(iou_thresholds=(0.5, 0.75, 0.5))
     with pytest.raises(ConfigError):
         Config(l2_mode="endpoint")
     with pytest.raises(ConfigError):

@@ -137,6 +137,62 @@ def test_ap_matches_exhaustive_assignment_oracle():
         assert got == pytest.approx(expected, abs=1e-12)
 
 
+def test_map_matches_oracle_across_images():
+    # one ranking per class over every image: one-decimal scores tie
+    # across images, and each image's flags come from exhaustive
+    # assignment over its own detections in that global order
+    rng = random.Random(7)
+    classes = ("car", "bus")
+    thresholds = (0.5, 0.75)
+
+    def near(box):
+        # a shifted copy, so that matches at both thresholds are common
+        dx, dy = rng.randrange(3), rng.randrange(3)
+        return NormalizedBox(box.x1 + dx, box.y1 + dy, box.x2 + dx, box.y2 + dy)
+
+    for _ in range(60):
+        gts, preds = {}, {}
+        for image in range(rng.randrange(2, 5)):
+            boxes = [GroundTruthBox(_random_box(rng, 40), rng.choice(classes))
+                     for _ in range(rng.randrange(0, 4))]
+            dets = []
+            for _ in range(rng.randrange(0, 5)):
+                if boxes and rng.random() < 0.7:
+                    g = rng.choice(boxes)
+                    box, label = near(g.box), g.label
+                else:
+                    box, label = _random_box(rng, 40), rng.choice(classes)
+                dets.append(Detection(box, round(rng.random(), 1), label))
+            gts[f"img{image}"], preds[f"img{image}"] = boxes, dets
+        if not any(gts.values()):
+            continue
+        report = grounding_map_report(preds, gts, iou_thresholds=thresholds)
+        for cls in report.per_class:
+            dets = [(image_id, d) for image_id, ds in preds.items()
+                    for d in ds if d.label == cls]
+            order = sorted(range(len(dets)), key=lambda i: (-dets[i][1].score, i))
+            n_gt = sum(g.label == cls for boxes in gts.values() for g in boxes)
+            for thr in thresholds:
+                flags = [False] * len(order)
+                for image_id, boxes in gts.items():
+                    ranks = [r for r, i in enumerate(order)
+                             if dets[i][0] == image_id]
+                    ious = [[iou(dets[order[r]][1].box, g.box)
+                             for g in boxes if g.label == cls] for r in ranks]
+                    for r, hit in zip(ranks, exhaustive_match_flags(ious, thr)):
+                        flags[r] = hit
+                expected = direct_interpolated_ap(flags, n_gt)
+                got = report.per_class[cls][thr] / 100.0
+                assert got == pytest.approx(expected, abs=1e-12)
+
+
+def test_map_rejects_repeated_thresholds():
+    gts = {"a": [GroundTruthBox(NormalizedBox(0, 0, 9, 9), "car")]}
+    preds = {"a": [Detection(NormalizedBox(0, 0, 9, 9), 0.9, "car")]}
+    with pytest.raises(ValueError, match="distinct"):
+        grounding_map_report(preds, gts, iou_thresholds=(0.5, 0.5))
+
+
 def test_map_perfect_predictions():
     gts = {
         "a": [GroundTruthBox(NormalizedBox(0, 0, 9, 9), "car")],
