@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
+from .jsontypes import field_dict
+
 __all__ = [
     "ChatRequest",
     "ChatClient",
@@ -62,13 +64,8 @@ class ChatRequest:
         object.__setattr__(self, "messages", tuple(frozen))
 
     def canonical_json(self) -> str:
-        body = {
-            "model": self.model,
-            "messages": [dict(m) for m in self.messages],
-            "temperature": self.temperature,
-            "seed": self.seed,
-        }
-        return json.dumps(body, sort_keys=True, separators=(",", ":"))
+        return json.dumps(field_dict(self), sort_keys=True,
+                          separators=(",", ":"))
 
     def request_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()

@@ -41,7 +41,13 @@ from .chat import (
     HttpChatClient,
     ReplayChatClient,
 )
-from .config import Config, ConfigError, load_config, provenance_block
+from .config import (
+    Config,
+    ConfigError,
+    check_flags,
+    load_config,
+    provenance_block,
+)
 from .driving_eval import (
     AP_INTERPOLATIONS,
     HORIZONS,
@@ -67,7 +73,7 @@ from .interactor import (
     fuse,
     token_budget,
 )
-from .jsontypes import require_id
+from .jsontypes import field_dict, require_id
 from .masking import (
     MaskExperimentConfig,
     MaskSpec,
@@ -260,9 +266,18 @@ def _size(text: str) -> tuple[int, int]:
 
 def _config_from_args(args: argparse.Namespace) -> Config:
     """The --config file's values, each overridden by the flag whose
-    ``dest`` names that key; a flag left at None keeps the file's value."""
+    ``dest`` names that key; a flag left at None keeps the file's value.
+    Flags that set no key are range-checked first (``check_flags``)."""
+    flags = vars(args)
+    check_flags(flags)
     return load_config(args.config, **{
-        key: value for key, value in vars(args).items() if key in _CONFIG_KEYS})
+        key: value for key, value in flags.items() if key in _CONFIG_KEYS})
+
+
+def _library_config(kind: type[T], cfg: Config) -> T:
+    """A library config dataclass from the ``Config`` keys of the same
+    names."""
+    return kind(**{f.name: getattr(cfg, f.name) for f in fields(kind)})
 
 
 def _emit(csv_text: str, args: argparse.Namespace) -> None:
@@ -379,17 +394,7 @@ def cmd_gen_risk_qa(args: argparse.Namespace) -> int:
     scenes = _read_jsonl(args.scenes, scene_from_dict)
 
     pairs, targets, report = run_pipeline(
-        scenes,
-        client,
-        PipelineConfig(
-            step1_model=cfg.step1_model,
-            step2_model=cfg.step2_model,
-            temperature=cfg.temperature,
-            seed=cfg.seed,
-            retries=cfg.retries,
-            max_in_flight=cfg.max_in_flight,
-        ),
-    )
+        scenes, client, _library_config(PipelineConfig, cfg))
     _write_text(args.out_qa, _jsonl([p.to_dict() for p in pairs]))
     _write_text(args.out_grounding, _jsonl([t.to_dict() for t in targets]))
     if args.report:
@@ -426,13 +431,8 @@ def _eval_caption(args: argparse.Namespace, cfg: Config) -> tuple[str, dict]:
         for k, v in report.scores.items()
     }
     csv_text = _csv(CAPTION_CSV_HEADER, (scores[c] for c in CAPTION_CSV_HEADER))
-    doc = {
-        "scores": scores,
-        "pair_count": report.pair_count,
-        "scale_0_100": cfg.metric_scale_100,
-        "metadata": dict(report.metadata),
-    }
-    return csv_text, doc
+    return csv_text, {**report.to_dict(), "scores": scores,
+                      "scale_0_100": cfg.metric_scale_100}
 
 
 def _eval_grounding(args: argparse.Namespace, cfg: Config) -> tuple[str, dict]:
@@ -542,8 +542,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     bev = BevFeatureMap(tokens=bev_mat,
                         grid_shape=args.bev_grid or (bev_mat.rows, 1))
     inst = InstructionEmbedding(tokens=inst_mat)
-    sel_cfg = SelectionConfig(
-        k_img=cfg.k_img, k_bev=cfg.k_bev, reduction=cfg.reduction)
+    sel_cfg = _library_config(SelectionConfig, cfg)
     attn_mv, attn_bev = demo_params(
         inst.d, args.num_layers, args.num_heads, cfg.seed)
     fused = fuse(views, bev, inst, sel_cfg, attn_mv, attn_bev)
@@ -603,16 +602,7 @@ def cmd_mask_exp(args: argparse.Namespace) -> int:
     _emit(rows_to_csv(rows), args)
     if args.json:
         doc = {
-            "rows": [
-                {
-                    "exp": r.exp,
-                    "mode": r.mode,
-                    "rate": r.rate,
-                    "metrics": dict(r.metrics) if r.metrics else None,
-                    "error": r.error,
-                }
-                for r in rows
-            ],
+            "rows": [field_dict(r) for r in rows],
             "provenance": provenance_block(
                 cfg,
                 {f"view{i}": p for i, p in enumerate(args.views)}
@@ -630,7 +620,7 @@ def cmd_budget(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     if not args.view_tokens:
         raise InputError("budget needs at least one view token count")
-    sel_cfg = SelectionConfig(k_img=cfg.k_img, k_bev=cfg.k_bev)
+    sel_cfg = _library_config(SelectionConfig, cfg)
     try:
         report = token_budget(sel_cfg, args.view_tokens, args.bev_tokens)
     except ValueError as err:

@@ -19,13 +19,14 @@ from typing import Mapping
 from . import __version__
 from .driving_eval import AP_INTERPOLATIONS, L2_MODES, ORA_GATING_MODES
 from .interactor import REDUCTIONS
-from .jsontypes import check_fields
+from .jsontypes import check_fields, field_dict
 
 __all__ = [
     "AP_INTERPOLATIONS",
     "L2_MODES",
     "Config",
     "ConfigError",
+    "check_flags",
     "config_hash",
     "load_config",
     "provenance_block",
@@ -62,6 +63,31 @@ _RULES = {
     "seed": (lambda v: v >= 0, "must be nonnegative"),
 }
 
+# The same for the flags with no config key: argparse dest -> (predicate,
+# the rule it checks); the message names the flag
+_FLAG_RULES = {
+    "view_tokens": (lambda v: all(n >= 0 for n in v), "must be nonnegative"),
+    "bev_tokens": (lambda v: v >= 1, "must be at least 1"),
+    "bev_grid": (lambda v: all(n >= 1 for n in v), "must be at least 1"),
+    "num_layers": (lambda v: v >= 1, "must be at least 1"),
+    "num_heads": (lambda v: v >= 1, "must be at least 1"),
+    "rates": (lambda v: all(0 <= r <= 100 for r in v),
+              "must be percentages in [0, 100]"),
+}
+
+
+def _check(rules: Mapping, values: Mapping, label) -> None:
+    for name, (ok, rule) in rules.items():
+        value = values.get(name)
+        if value is not None and not ok(value):
+            raise ConfigError(f"{label(name)} {rule}, got {value!r}")
+
+
+def check_flags(values: Mapping) -> None:
+    """Range-check the parsed flags that set no config key, by argparse
+    dest; a flag left at None is not checked."""
+    _check(_FLAG_RULES, values, lambda dest: "--" + dest.replace("_", "-"))
+
 
 @dataclass(frozen=True)
 class Config:
@@ -94,10 +120,7 @@ class Config:
 
     def __post_init__(self) -> None:
         check_fields(self, ConfigError)
-        for name, (ok, rule) in _RULES.items():
-            value = getattr(self, name)
-            if not ok(value):
-                raise ConfigError(f"{name} {rule}, got {value!r}")
+        _check(_RULES, field_dict(self), str)
 
     def to_dict(self) -> dict:
         return asdict(self)

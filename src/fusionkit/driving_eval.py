@@ -24,6 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .jsontypes import (
+    field_dict,
     is_integral,
     require,
     require_bool,
@@ -545,18 +546,9 @@ class OraReport:
     gating: str
 
     def to_dict(self) -> dict:
-        def cell(v: float | None):
-            return v if v is not None else "N/A"
-
-        return {
-            "exist_acc": self.exist_acc,
-            "level_acc": cell(self.level_acc),
-            "cate_acc": cell(self.cate_acc),
-            "object_acc": cell(self.object_acc),
-            "total": self.total,
-            "gated": self.gated,
-            "gating": self.gating,
-        }
+        # an accuracy with no gated samples is written "N/A"
+        return {k: "N/A" if v is None else v
+                for k, v in field_dict(self).items()}
 
 
 def align_ids(pred_ids: Sequence[str], gt_ids: Sequence[str]) -> None:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .forking import run_pieces
-from .jsontypes import check_fields
+from .jsontypes import check_fields, field_dict
 from .matrix import Matrix, ShapeError
 from .numerics import CrossAttnParams, cosine_similarity_matrix, cross_attention
 from .refinery import CAMERA_VIEWS as DEFAULT_VIEW_NAMES
@@ -168,13 +168,7 @@ class BudgetReport:
         return self.fused_length / self.raw_length
 
     def to_dict(self) -> dict:
-        return {
-            "per_view_selected": list(self.per_view_selected),
-            "bev_selected": self.bev_selected,
-            "fused_length": self.fused_length,
-            "raw_length": self.raw_length,
-            "ratio": self.ratio,
-        }
+        return {**field_dict(self), "ratio": self.ratio}
 
 
 def score_tokens(

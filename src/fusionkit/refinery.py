@@ -33,7 +33,7 @@ from .driving_eval import (
     TrajectoryPlan,
     plan_from_list,
 )
-from .jsontypes import require_id, require_numbers, require_str
+from .jsontypes import field_dict, require_id, require_numbers, require_str
 from .text_metrics import tokenize
 
 __all__ = [
@@ -454,15 +454,7 @@ class RefineReport:
     def to_dict(self) -> dict:
         if self.kept + self.dropped != self.input_count:
             raise ValueError("report out of balance: kept + dropped != input")
-        return {
-            "input_count": self.input_count,
-            "kept": self.kept,
-            "dropped": self.dropped,
-            "box_drops": dict(sorted(self.box_drops.items())),
-            "record_drops": dict(sorted(self.record_drops.items())),
-            "boxes_normalized": self.boxes_normalized,
-            "decimals_converted": self.decimals_converted,
-        }
+        return field_dict(self)
 
     def merge(self, other: RefineReport) -> None:
         """Adds ``other``'s counts to this report's, key by key for the
@@ -536,8 +528,11 @@ def refine_records(
 
     A whole record is dropped when some assistant turn had boxes, keeps
     none, and the question before it carries grounding tags in the input:
-    that sample asks for boxes it can no longer teach. Its normalized
-    boxes, dropped boxes and rounded decimals are still counted. Every
+    that sample asks for boxes it can no longer teach. With
+    quantize_decimals, a record is also dropped when a decimal literal
+    rounds beyond the signed 64-bit range; the plain text that holds it
+    is left unrounded. A dropped record's normalized boxes, dropped boxes
+    and rounded decimals are still counted. Every
     kept record with an assistant turn gets the answer class of its last
     answer; a record without one keeps its class.
     """
@@ -546,7 +541,7 @@ def refine_records(
     for record in records:
         turns: list[ConversationTurn] = []
         answer = None
-        lost_grounding = False
+        lost_grounding = decimal_out_of_range = False
         question_grounded = False
         for turn in record.conversation:
             segments: list[Segment] = []
@@ -569,7 +564,11 @@ def refine_records(
                         continue
                     kept_boxes = True
                 elif quantize_decimals and isinstance(seg, PlainText):
-                    text, hits = _quantize_plain_decimals(seg.text)
+                    try:
+                        text, hits = _quantize_plain_decimals(seg.text)
+                    except (ValueError, OverflowError):  # inf, or past int64
+                        decimal_out_of_range = True
+                        hits = 0
                     if hits:
                         report.decimals_converted += hits
                         seg = PlainText(text)
@@ -584,11 +583,11 @@ def refine_records(
             # still asks for boxes
             question_grounded = turn.value.has_grounding_tags()
             turns.append(ConversationTurn(turn.role, value) if changed else turn)
-        if lost_grounding:
+        drop = ("decimal_out_of_range" if decimal_out_of_range
+                else "grounding_lost_all_boxes" if lost_grounding else None)
+        if drop is not None:
             report.dropped += 1
-            report.record_drops["grounding_lost_all_boxes"] = (
-                report.record_drops.get("grounding_lost_all_boxes", 0) + 1
-            )
+            report.record_drops[drop] = report.record_drops.get(drop, 0) + 1
             continue
         report.kept += 1
         refined.append(replace(
@@ -680,14 +679,7 @@ def record_to_dict(r: UnifiedRecord) -> dict:
     if r.trajectory is not None:
         out["trajectory"] = [[x, y] for x, y in r.trajectory.waypoints]
     if r.ego_status is not None:
-        e = r.ego_status
-        out["ego_status"] = {
-            "lateral_velocity": e.lateral_velocity,
-            "longitudinal_velocity": e.longitudinal_velocity,
-            "lateral_acceleration": e.lateral_acceleration,
-            "longitudinal_acceleration": e.longitudinal_acceleration,
-            "command": e.command,
-        }
+        out["ego_status"] = field_dict(r.ego_status)
     if r.answer_class is not None:
         out["answer_class"] = r.answer_class
     return out

@@ -26,7 +26,13 @@ from typing import Mapping, Sequence
 
 from .chat import ChatClient, ChatError, ChatRequest, TransientChatError
 from .driving_eval import NormalizedBox, box_from_list
-from .jsontypes import check_fields, is_integral, require_id, require_str
+from .jsontypes import (
+    check_fields,
+    field_dict,
+    is_integral,
+    require_id,
+    require_str,
+)
 from .refinery import CAMERA_VIEWS
 
 __all__ = [
@@ -62,7 +68,6 @@ RISK_TYPES = (
     "Potential risk",
 )
 RISK_STATUSES = ("High", "Medium", "Low")
-_STATUS_RANK = {"Low": 0, "Medium": 1, "High": 2}
 
 BEARINGS = {
     "ahead": "ahead",
@@ -192,8 +197,7 @@ class RiskAssessmentDoc:
         return [
             phrase
             for phrase, risks in self.objects.items()
-            if max(_STATUS_RANK[e.status] for e in risks.values())
-            == _STATUS_RANK["High"]
+            if any(e.status == "High" for e in risks.values())
         ]
 
 
@@ -212,13 +216,7 @@ class QaPair:
             raise ValueError(f"qa_category must be one of {QA_CATEGORIES}")
 
     def to_dict(self) -> dict:
-        return {
-            "question": self.question,
-            "answer": self.answer,
-            "qa_category": self.qa_category,
-            "scene_id": self.scene_id,
-            "step": self.step,
-        }
+        return field_dict(self)
 
 
 @dataclass(frozen=True)
@@ -236,10 +234,12 @@ class GroundingTarget:
 
 
 class RiskSchemaError(ValueError):
-    """Model output violates the response schema; path points inside it."""
+    """Model output violates the response schema for ``reason``; ``path``
+    points inside it."""
 
-    def __init__(self, message: str, path: str):
-        super().__init__(f"{message} (at {path})")
+    def __init__(self, reason: str, path: str):
+        super().__init__(f"{reason} (at {path})")
+        self.reason = reason
         self.path = path
 
 
@@ -538,16 +538,7 @@ class RunReport:
     unmatched_grounding: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "scenes_processed": self.scenes_processed,
-            "scenes_failed": list(self.scenes_failed),
-            "failures": dict(self.failures),
-            "retries": self.retries,
-            "transport_retries": self.transport_retries,
-            "pairs_per_category": dict(sorted(self.pairs_per_category.items())),
-            "grounding_targets": self.grounding_targets,
-            "unmatched_grounding": self.unmatched_grounding,
-        }
+        return field_dict(self)
 
 
 @dataclass
@@ -562,19 +553,25 @@ class _SceneResult:
     error: str = ""
 
 
-def _complete_with_repair(
-    client: ChatClient, request: ChatRequest, parse, retries: int,
-    result: _SceneResult,
-) -> tuple[object, int]:
-    """Run request → parse, repairing the conversation on bad output.
+def _ask(client: ChatClient, cfg: PipelineConfig, model: str, prompt: str,
+         parse, result: _SceneResult):
+    """``parse`` of ``model``'s reply to ``prompt``, sent as one user message.
 
     Each failed parse appends the bad reply and the fixed repair
-    instruction, then resends. A TransientChatError resends the same
-    request after the next TRANSPORT_BACKOFF_S wait, counted in
-    ``result.transport_retries``; once the schedule is spent, or on any
-    other ChatError, the error aborts the scene.
+    instruction, then resends, counted in ``result.retries``; a parse that
+    still fails after ``cfg.retries`` resends aborts the scene. A
+    TransientChatError resends the same request after the next
+    TRANSPORT_BACKOFF_S wait, counted in ``result.transport_retries``;
+    once the schedule is spent, or on any other ChatError, the error
+    aborts the scene.
     """
-    attempts = 0
+    request = ChatRequest(
+        model=model,
+        messages=({"role": "user", "content": prompt},),
+        temperature=cfg.temperature,
+        seed=cfg.seed,
+    )
+    repairs = 0
     waits = iter(TRANSPORT_BACKOFF_S)
     while True:
         try:
@@ -589,54 +586,34 @@ def _complete_with_repair(
             result.transport_retries += 1
             continue
         try:
-            return parse(reply), attempts
-        except (RiskSchemaError, ValueError) as err:
-            if attempts >= retries:
+            return parse(reply)
+        except ValueError as err:
+            if repairs == cfg.retries:
                 raise RiskSchemaError(
-                    f"still malformed after {attempts} repair attempts: {err}",
+                    f"still malformed after {repairs} repair attempts: "
+                    f"{getattr(err, 'reason', err)}",
                     getattr(err, "path", "$"),
                 ) from err
-            attempts += 1
+            repairs += 1
+            result.retries += 1
             request = request.with_followup(reply, REPAIR_INSTRUCTION)
 
 
 def _run_scene(scene: Scene, client: ChatClient, cfg: PipelineConfig) -> _SceneResult:
     result = _SceneResult(scene_id=scene.scene_id)
     try:
-        step1 = ChatRequest(
-            model=cfg.step1_model,
-            messages=(
-                {"role": "user", "content": build_risk_prompt(scene.objects)},
-            ),
-            temperature=cfg.temperature,
-            seed=cfg.seed,
-        )
-        doc, retries1 = _complete_with_repair(
-            client, step1, parse_risk_response, cfg.retries, result
-        )
-        result.retries += retries1
+        doc = _ask(client, cfg, cfg.step1_model,
+                   build_risk_prompt(scene.objects), parse_risk_response, result)
         if doc.is_empty:
             return result  # nothing risky found: a valid, empty outcome
-
-        step2 = ChatRequest(
-            model=cfg.step2_model,
-            messages=({"role": "user", "content": build_qa_prompt(doc)},),
-            temperature=cfg.temperature,
-            seed=cfg.seed,
-        )
-        pairs, retries2 = _complete_with_repair(
-            client,
-            step2,
-            lambda text: parse_qa_response(text, scene_id=scene.scene_id),
-            cfg.retries,
-            result,
-        )
-        result.retries += retries2
+        pairs = _ask(client, cfg, cfg.step2_model, build_qa_prompt(doc),
+                     lambda text: parse_qa_response(text, scene_id=scene.scene_id),
+                     result)
         result.pairs = [categorize_qa(p, doc) for p in pairs]
         result.targets, result.unmatched = derive_grounding_targets(
             doc, scene.objects, scene_id=scene.scene_id
         )
-    except (RiskSchemaError, ChatError, ValueError) as err:
+    except (ChatError, ValueError) as err:
         result.failed = True
         result.error = str(err)
     return result

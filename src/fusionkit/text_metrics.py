@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .jsontypes import require, require_id, require_str
+from .jsontypes import field_dict, require, require_id, require_str
 
 __all__ = [
     "EvalPair",
@@ -106,12 +106,7 @@ class MetricReport:
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "scores": dict(self.scores),
-            "pair_count": self.pair_count,
-            "scale_0_100": self.scale_0_100,
-            "metadata": dict(self.metadata),
-        }
+        return field_dict(self)
 
 
 def _bleu_from_stats(stats, max_n: int, eps: float) -> float:

@@ -242,6 +242,26 @@ def test_refine_options_flow_through(tmp_path) -> None:
     assert " 4 m" in row["conversation"][1]["value"]
 
 
+def test_refine_decimal_out_of_range_is_a_drop(tmp_path, capsys) -> None:
+    src = tmp_path / "in.jsonl"
+    write_jsonl(src, [
+        {"id": "big", "conversation": [
+            {"role": "human", "value": "How far?"},
+            {"role": "assistant", "value": "about 99999999999999999999.5 m"}]},
+        *REFINE_RECORDS,
+    ])
+    report = tmp_path / "report.json"
+    rc = main(["refine", "--input", str(src), "--output",
+               str(tmp_path / "out.jsonl"), "--report", str(report),
+               "--quantize-decimals"])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "refine: 1 kept, 2 dropped, 0 invalid of 3 records\n")
+    doc = json.loads(report.read_text())["refine"]
+    assert doc["record_drops"] == {"decimal_out_of_range": 1,
+                                   "grounding_lost_all_boxes": 1}
+
+
 # ------------------------------------------------------------- gen-risk-qa
 
 
@@ -853,6 +873,43 @@ def test_negative_comma_list_is_a_value(tmp_path, capsys, command, flag,
         results.append((rc, capsys.readouterr().err))
     assert results[0] == results[1]
     assert results[0][0] in (2, 3)
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("budget", "--view-tokens", "-5,3"),
+    ("budget", "--bev-tokens", "0"),
+    ("interactor-demo", "--bev-grid", "-4,-4"),
+    ("interactor-demo", "--num-layers", "0"),
+    ("interactor-demo", "--num-heads", "0"),
+    ("mask-exp", "--rates", "-5,10"),
+    ("mask-exp", "--rates", "10,101"),
+])
+def test_out_of_range_flag_exits_2_before_reading_input(tmp_path, capsys,
+                                                        command, flag,
+                                                        value) -> None:
+    # the inputs do not exist: a flag checked after reading them would
+    # fail on the read instead
+    missing = str(tmp_path / "missing")
+    argv = {
+        "budget": ["budget", "--view-tokens", "5", "--bev-tokens", "5"],
+        "interactor-demo": ["interactor-demo", "--views", missing, "--bev",
+                            missing, "--instruction", missing,
+                            "--out", str(tmp_path / "f.fkmx")],
+        "mask-exp": ["mask-exp", "--views", missing, "--candidates", missing],
+    }[command]
+    rc = main([*argv, f"{flag}={value}"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {flag} must ")
+
+
+def test_demo_heads_not_dividing_width_exit_3(tmp_path, capsys) -> None:
+    views, bev, inst = _demo_inputs(tmp_path, d=8)
+    rc = main(["interactor-demo", "--views", *views, "--bev", bev,
+               "--instruction", inst, "--out", str(tmp_path / "f.fkmx"),
+               "--num-heads", "3"])
+    assert rc == 3
+    capsys.readouterr()
 
 
 def test_demo_matches_library_call_bit_exactly(tmp_path, capsys) -> None:

@@ -174,6 +174,15 @@ def test_every_config_field_has_a_json_type(make) -> None:
     assert [getattr(obj, f.name) for f in fields(obj)] == before
 
 
+@pytest.mark.parametrize("kind", [SelectionConfig, PipelineConfig])
+def test_library_config_fields_are_config_keys(kind) -> None:
+    # the CLI builds these from the Config keys of the same names
+    config_fields = {f.name: f for f in fields(Config)}
+    for f in fields(kind):
+        assert f.name in config_fields
+        assert f.default == config_fields[f.name].default
+
+
 @dataclass(frozen=True)
 class _Unlisted:
     n: int = 1

@@ -484,6 +484,20 @@ def test_refine_normalizes_pixel_boxes_and_decimals():
     assert refined[0].answer_class == "long"
 
 
+def test_refine_drops_a_record_whose_decimal_leaves_int64():
+    records = [
+        _record("r0", "how far?", "about 99999999999999999999.5 m, then 2.5 m"),
+        _record("r1", "how far?", "about " + "9" * 400 + ".5 m"),
+        _record("r2", "how far?", "about 2.5 m"),
+    ]
+    refined, report = refine_records(records, quantize_decimals=True)
+    assert [r.id for r in refined] == ["r2"]
+    assert report.record_drops == {"decimal_out_of_range": 2}
+    assert (report.kept, report.dropped) == (1, 2)
+    # r0's text holding the literal stays unrounded; r2's is counted
+    assert report.decimals_converted == 1
+
+
 def test_refine_assigns_answer_class():
     records = [_record("r0", "how many?", "three")]
     refined, _ = refine_records(records)

@@ -529,6 +529,25 @@ def test_pipeline_failure_is_contained(tmp_path):
     assert all(p.scene_id == "scene-0001" for p in pairs)
 
 
+class _AlwaysMalformed:
+    def __init__(self) -> None:
+        self.requests: list[ChatRequest] = []
+
+    def complete(self, request: ChatRequest) -> str:
+        self.requests.append(request)
+        return "not json"
+
+
+def test_failed_scene_counts_its_repairs_and_names_the_path_once():
+    client = _AlwaysMalformed()
+    report = run_pipeline([seven_car_scene()], client, PipelineConfig(retries=2))[2]
+    assert len(client.requests) == 3
+    assert report.retries == 2
+    assert report.failures == {"scene-0001": (
+        "still malformed after 2 repair attempts: "
+        "no JSON '{' found in response (at $)")}
+
+
 def test_pipeline_reports_failure_reasons(tmp_path):
     cfg = PipelineConfig()
     missing = Scene("missing", (SceneObject("car", "ahead", 10),))
