@@ -3,8 +3,9 @@
 Requests hash over their canonical JSON form, which makes the replay
 client a pure function from request to canned response: a directory
 maps ``{sha256(request)}.txt`` to the reply text. Tests and offline
-runs use replay; live runs go through the HTTP client, whose endpoint
-and key come from ``FK_API_ENDPOINT`` / ``FK_API_KEY``.
+runs use replay; live runs go through the HTTP client. The CLI takes its
+endpoint from --endpoint or the config, else from ``FK_API_ENDPOINT``,
+and its key from ``FK_API_KEY``.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Protocol
 
 from .jsontypes import field_dict
 
@@ -157,21 +157,6 @@ class HttpChatClient:
         self.endpoint = endpoint
         self.api_key = api_key
         self.timeout = timeout
-
-    @classmethod
-    def from_env(
-        cls, environ: Mapping[str, str] | None = None, timeout: float = 60.0
-    ) -> "HttpChatClient":
-        env = os.environ if environ is None else environ
-        endpoint = env.get(ENDPOINT_ENV, "")
-        if not endpoint:
-            raise ChatError(
-                f"no chat endpoint configured: set {ENDPOINT_ENV} "
-                f"(and optionally {API_KEY_ENV})"
-            )
-        return cls(
-            endpoint=endpoint, api_key=env.get(API_KEY_ENV, ""), timeout=timeout
-        )
 
     def complete(self, request: ChatRequest) -> str:
         # urllib sends "Connection: close", so every call opens and closes

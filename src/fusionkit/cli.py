@@ -8,8 +8,9 @@ interactor-demo (token selection + fusion on FKMX inputs), mask-exp
 Exit codes: 0 success, 2 input/config error, 3 semantic/validation
 failure, 64 usage error; ``main`` alone maps an error to its code. A flag
 sets the config key named by its argparse ``dest`` and overrides the
-value from a --config JSON file; argparse ``type=`` converters turn flag
-strings into values, so a bad value exits 64 before any input is read.
+value from a --config JSON file. A flag string that does not parse exits
+64; a value that breaks its config key's rule, or ``config.check_flags``
+for a flag with no key, exits 2. Both happen before any input is read.
 Every report embeds the tool version, the effective config and its
 hash, and sha256s of the input files. With fixed inputs and seeds,
 reruns write byte-identical outputs (single exception: the demo
@@ -36,6 +37,7 @@ import numpy as np
 from . import __version__
 from .chat import (
     API_KEY_ENV,
+    ENDPOINT_ENV,
     ChatClient,
     ChatError,
     HttpChatClient,
@@ -165,15 +167,22 @@ def _read_lines(path: str) -> list[str]:
         return handle.readlines()
 
 
+# The invalid records one message names; it counts the rest
+_NAMED_INVALID = 21
+
+
 def _read_jsonl(path: str, decode: Callable[[dict], T],
                 lines: Sequence[str] | None = None,
                 first_line: int = 1) -> list[T]:
     """``decode`` applied to each JSON object line of ``path`` as it is read.
 
-    A line that is not UTF-8 or not a JSON object exits 2 as
-    ``<path>:<line>``; a ValueError from ``decode`` exits 3 as
-    ``<path> record <i>: <reason>``, counting records from 0. Only the
-    decoded values are kept, never a whole file of parsed rows.
+    A line that is not UTF-8 or not a JSON object exits 2 at once as
+    ``<path>:<line>``. A ValueError from ``decode`` marks its record
+    invalid and reading goes on; at the end one ValueError (exit 3) names
+    the first ``_NAMED_INVALID`` invalid records, a line each, as
+    ``<path> record <i>: <reason>``, counting every record from 0, and
+    then how many more there are. Only the decoded values are kept, never
+    a whole file of parsed rows.
 
     ``lines``, from ``_read_lines(path)``, replaces reading the file:
     ``lines[0]`` is line ``first_line`` of ``path``, so messages name the
@@ -181,6 +190,8 @@ def _read_jsonl(path: str, decode: Callable[[dict], T],
     ``lines``).
     """
     out: list[T] = []
+    named: list[str] = []
+    invalid = 0
     with _open_jsonl(path) if lines is None else nullcontext(lines) as source:
         for lineno, line in enumerate(source, start=first_line):
             if not line.strip():
@@ -199,7 +210,13 @@ def _read_jsonl(path: str, decode: Callable[[dict], T],
             try:
                 out.append(decode(row))
             except ValueError as err:
-                raise ValueError(f"{path} record {len(out)}: {err}") from err
+                if invalid < _NAMED_INVALID:
+                    named.append(f"{path} record {len(out) + invalid}: {err}")
+                invalid += 1
+    if invalid:
+        if invalid > len(named):
+            named.append(f"… and {invalid - len(named)} more invalid records")
+        raise ValueError("\n".join(named))
     return out
 
 
@@ -252,22 +269,24 @@ def _list_of(kind: Callable[[str], T], noun: str) -> Callable[[str], tuple[T, ..
 
 
 def _size(text: str) -> tuple[int, int]:
-    """An argparse ``type=``: WIDTHxHEIGHT, both sides at least 2."""
+    """An argparse ``type=``: WIDTHxHEIGHT."""
     try:
         w, h = text.lower().split("x")
-        size = (int(w), int(h))
+        return int(w), int(h)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"wants WIDTHxHEIGHT, got {text!r}") from None
-    if min(size) < 2:
-        raise argparse.ArgumentTypeError("sides must be at least 2")
-    return size
+
+
+def _metavar(choices: Sequence[str]) -> str:
+    """A flag's choices for ``--help``; its config rule judges the value."""
+    return "{" + ",".join(choices) + "}"
 
 
 def _config_from_args(args: argparse.Namespace) -> Config:
     """The --config file's values, each overridden by the flag whose
     ``dest`` names that key; a flag left at None keeps the file's value.
-    Flags that set no key are range-checked first (``check_flags``)."""
+    Flags that set no key are checked first (``check_flags``)."""
     flags = vars(args)
     check_flags(flags)
     return load_config(args.config, **{
@@ -379,13 +398,16 @@ def cmd_refine(args: argparse.Namespace) -> int:
 
 
 def _make_client(args: argparse.Namespace, cfg: Config) -> ChatClient:
+    """--mock's replay client, else an HTTP client at the endpoint from
+    --endpoint or the config, else ``FK_API_ENDPOINT``, keyed by ``FK_API_KEY``."""
     if args.mock:
         return ReplayChatClient(args.mock)
-    if cfg.endpoint:
-        return HttpChatClient(
-            cfg.endpoint, api_key=os.environ.get(API_KEY_ENV, ""), timeout=cfg.timeout
-        )
-    return HttpChatClient.from_env(timeout=cfg.timeout)
+    endpoint = cfg.endpoint or os.environ.get(ENDPOINT_ENV, "")
+    if not endpoint:
+        raise ChatError(f"no chat endpoint configured: set --endpoint, the "
+                        f"endpoint config key or {ENDPOINT_ENV}")
+    return HttpChatClient(endpoint, api_key=os.environ.get(API_KEY_ENV, ""),
+                          timeout=cfg.timeout)
 
 
 def cmd_gen_risk_qa(args: argparse.Namespace) -> int:
@@ -530,8 +552,6 @@ def demo_params(
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    if args.bev_grid and len(args.bev_grid) != 2:
-        raise UsageError("--bev-grid wants H,W")
     cfg = _config_from_args(args)
     view_mats = [_load_matrix(p) for p in args.views]
     bev_mat = _load_matrix(args.bev)
@@ -539,8 +559,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
     started = time.perf_counter()
     views = ViewFeatureSet(views=tuple(view_mats))
-    bev = BevFeatureMap(tokens=bev_mat,
-                        grid_shape=args.bev_grid or (bev_mat.rows, 1))
+    grid = (bev_mat.rows, 1) if args.bev_grid is None else args.bev_grid
+    bev = BevFeatureMap(tokens=bev_mat, grid_shape=grid)
     inst = InstructionEmbedding(tokens=inst_mat)
     sel_cfg = _library_config(SelectionConfig, cfg)
     attn_mv, attn_bev = demo_params(
@@ -592,7 +612,7 @@ def cmd_mask_exp(args: argparse.Namespace) -> int:
     # instead of failing every row downstream
     apply_token_mask(features, MaskSpec(candidate_indices=candidates, rate=0))
     exp_cfg = MaskExperimentConfig(
-        rates=args.rates or MaskExperimentConfig().rates,
+        rates=args.rates,
         blind=not args.no_blind,
         seed=cfg.seed,
         candidate_indices=candidates,
@@ -618,13 +638,8 @@ def cmd_mask_exp(args: argparse.Namespace) -> int:
 
 def cmd_budget(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    if not args.view_tokens:
-        raise InputError("budget needs at least one view token count")
-    sel_cfg = _library_config(SelectionConfig, cfg)
-    try:
-        report = token_budget(sel_cfg, args.view_tokens, args.bev_tokens)
-    except ValueError as err:
-        raise InputError(str(err)) from err
+    report = token_budget(_library_config(SelectionConfig, cfg),
+                          args.view_tokens, args.bev_tokens)
     if args.json:
         _write_text(args.json, _json_doc(report.to_dict()))
     print(
@@ -651,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--report", help="write the refine report JSON here")
-    p.add_argument("--source", choices=DATASET_SOURCES,
+    p.add_argument("--source", metavar=_metavar(DATASET_SOURCES),
                    help="source tag for records that lack one")
     p.add_argument("--short-threshold", dest="short_answer_threshold",
                    type=int, default=None, metavar="SHORT_THRESHOLD",
@@ -691,12 +706,13 @@ def build_parser() -> argparse.ArgumentParser:
             k.add_argument("--iou-thresholds", type=_list_of(float, "numbers"),
                            default=None, help="comma-separated IoU thresholds")
             k.add_argument("--interpolation", dest="ap_interpolation",
-                           choices=AP_INTERPOLATIONS, default=None)
+                           metavar=_metavar(AP_INTERPOLATIONS), default=None)
         if kind == "planning":
-            k.add_argument("--l2-mode", choices=L2_MODES, default=None)
+            k.add_argument("--l2-mode", metavar=_metavar(L2_MODES),
+                           default=None)
         if kind == "ora":
             k.add_argument("--gating", dest="ora_gating",
-                           choices=ORA_GATING_MODES, default=None)
+                           metavar=_metavar(ORA_GATING_MODES), default=None)
         _add_common(k)
         k.set_defaults(func=cmd_eval, kind=kind)
 
@@ -713,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="H,W of the BEV grid (default Nx1)")
     p.add_argument("--k-img", type=int, default=None)
     p.add_argument("--k-bev", type=int, default=None)
-    p.add_argument("--reduction", choices=REDUCTIONS, default=None)
+    p.add_argument("--reduction", metavar=_metavar(REDUCTIONS), default=None)
     p.add_argument("--num-layers", type=int, default=2)
     p.add_argument("--num-heads", type=int, default=1)
     _add_common(p)
@@ -725,6 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", required=True,
                    help="JSON file {view: [token indices]}")
     p.add_argument("--rates", type=_list_of(int, "integers"),
+                   default=MaskExperimentConfig.rates,
                    help="comma-separated mask percentages")
     p.add_argument("--no-blind", action="store_true",
                    help="skip the blind-input control row")

@@ -20,6 +20,7 @@ from . import __version__
 from .driving_eval import AP_INTERPOLATIONS, L2_MODES, ORA_GATING_MODES
 from .interactor import REDUCTIONS
 from .jsontypes import check_fields, field_dict
+from .refinery import DATASET_SOURCES
 
 __all__ = [
     "AP_INTERPOLATIONS",
@@ -66,13 +67,18 @@ _RULES = {
 # The same for the flags with no config key: argparse dest -> (predicate,
 # the rule it checks); the message names the flag
 _FLAG_RULES = {
-    "view_tokens": (lambda v: all(n >= 0 for n in v), "must be nonnegative"),
+    "source": _one_of(DATASET_SOURCES),
+    "image_size": (lambda v: min(v) >= 2, "must be at least 2 on each side"),
+    "view_tokens": (lambda v: v and all(n >= 0 for n in v),
+                    "must be one or more nonnegative counts"),
     "bev_tokens": (lambda v: v >= 1, "must be at least 1"),
-    "bev_grid": (lambda v: all(n >= 1 for n in v), "must be at least 1"),
+    "bev_grid": (lambda v: len(v) == 2 and all(n >= 1 for n in v),
+                 "must be H,W with both at least 1"),
     "num_layers": (lambda v: v >= 1, "must be at least 1"),
     "num_heads": (lambda v: v >= 1, "must be at least 1"),
-    "rates": (lambda v: all(0 <= r <= 100 for r in v),
-              "must be percentages in [0, 100]"),
+    "rates": (lambda v: v and all(0 <= r <= 100 for r in v)
+              and len(set(v)) == len(v),
+              "must be one or more distinct percentages in [0, 100]"),
 }
 
 
@@ -84,8 +90,8 @@ def _check(rules: Mapping, values: Mapping, label) -> None:
 
 
 def check_flags(values: Mapping) -> None:
-    """Range-check the parsed flags that set no config key, by argparse
-    dest; a flag left at None is not checked."""
+    """Check the parsed flags that set no config key, by argparse dest; a
+    flag left at None is not checked."""
     _check(_FLAG_RULES, values, lambda dest: "--" + dest.replace("_", "-"))
 
 

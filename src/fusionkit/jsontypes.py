@@ -80,6 +80,8 @@ def _list_of(item):
 
 
 def _candidates(value, what: str, error: type[Exception]) -> dict:
+    if not isinstance(value, Mapping):
+        raise error(f"{what} must map view names to index lists, got {value!r}")
     for view, idx in value.items():
         if not isinstance(idx, (list, tuple)):
             raise error(f"view {view!r}: candidate indices {idx!r} are not a "

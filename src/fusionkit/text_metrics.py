@@ -9,10 +9,10 @@ results are reproducible:
   ``exp(1 - r/c)`` when the candidate corpus is not longer than the
   reference corpus. The effective reference length picks, per pair, the
   reference length closest to the candidate's (ties toward the shorter).
-  A zero n-gram precision is floored at a small epsilon so BLEU-4 stays
-  defined on short answers; the epsilon is echoed in report metadata.
+  A zero n-gram precision is floored at ``BLEU_SMOOTHING_EPS`` so BLEU-4
+  stays defined on short answers; report metadata echoes it.
 - ROUGE-L computes an LCS F-measure per reference with recall weighted
-  by beta^2 (beta = 1.2), keeps the best reference, and averages pairs.
+  by ``ROUGE_BETA`` squared, keeps the best reference, and averages pairs.
 - CIDEr is the plain TF-IDF-cosine variant: counts times
   ``log(N_docs / df)`` per n-gram order 1..4, cosine against each
   reference averaged, then averaged over orders and pairs. The reported
@@ -109,7 +109,7 @@ class MetricReport:
         return field_dict(self)
 
 
-def _bleu_from_stats(stats, max_n: int, eps: float) -> float:
+def _bleu_from_stats(stats, max_n: int) -> float:
     cand_len, ref_len = stats[0], stats[1]
     if cand_len == 0:
         return 0.0
@@ -118,7 +118,7 @@ def _bleu_from_stats(stats, max_n: int, eps: float) -> float:
         matches, totals = stats[2 * n], stats[2 * n + 1]
         p = matches / totals if totals > 0 else 0.0
         if p == 0.0:
-            p = eps
+            p = BLEU_SMOOTHING_EPS
         product *= p
     geo = product ** (1.0 / max_n)
     bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
@@ -374,10 +374,9 @@ class _Totals:
     hits: int
     cider: float | None
 
-    def scores(self, smoothing_eps: float) -> dict[str, float | None]:
+    def scores(self) -> dict[str, float | None]:
         out: dict[str, float | None] = {
-            f"BLEU{n}": _bleu_from_stats(self.bleu, n, smoothing_eps)
-            for n in range(1, 5)
+            f"BLEU{n}": _bleu_from_stats(self.bleu, n) for n in range(1, 5)
         }
         out["CIDEr"] = None if self.cider is None else 100.0 * self.cider / self.size
         out["ROUGE_L"] = 100.0 * self.rouge / self.size
@@ -386,10 +385,7 @@ class _Totals:
 
 
 def _score(
-    pairs: Sequence[EvalPair],
-    max_n: int = 4,
-    beta: float = ROUGE_BETA,
-    with_cider: bool = True,
+    pairs: Sequence[EvalPair], max_n: int = 4, with_cider: bool = True
 ) -> _Totals:
     """Every metric from one pass over the pairs and one columnar pass per
     n-gram order.
@@ -399,7 +395,7 @@ def _score(
     order's n-grams are then counted once per text, and the same counts
     feed BLEU clipping and CIDEr.
     """
-    b2 = beta * beta
+    b2 = ROUGE_BETA * ROUGE_BETA
     vocab = _TokenIds()
     token_ids, lengths = array("i"), array("i")
     n_refs = np.empty(len(pairs), np.int64)
@@ -442,35 +438,30 @@ def _score(
     return _Totals(size, bleu, rouge, hits, cider)
 
 
-def bleu(
-    pairs: Sequence[EvalPair], max_n: int = 4, smoothing_eps: float = BLEU_SMOOTHING_EPS
-) -> float:
+def bleu(pairs: Sequence[EvalPair], max_n: int = 4) -> float:
     """Corpus BLEU-``max_n``."""
     if not pairs:
         raise ValueError("BLEU needs at least one pair")
     if not 1 <= max_n <= 4:
         raise ValueError("max_n must be in 1..4")
     stats = _score(pairs, max_n, with_cider=False).bleu
-    return _bleu_from_stats(stats, max_n, smoothing_eps)
+    return _bleu_from_stats(stats, max_n)
 
 
-def bleu_all(
-    pairs: Sequence[EvalPair], smoothing_eps: float = BLEU_SMOOTHING_EPS
-) -> dict[str, float]:
+def bleu_all(pairs: Sequence[EvalPair]) -> dict[str, float]:
     """BLEU-1 through BLEU-4 from one pass over the corpus."""
     if not pairs:
         raise ValueError("BLEU needs at least one pair")
     stats = _score(pairs, with_cider=False).bleu
-    return {
-        f"BLEU{n}": _bleu_from_stats(stats, n, smoothing_eps) for n in range(1, 5)
-    }
+    return {f"BLEU{n}": _bleu_from_stats(stats, n) for n in range(1, 5)}
 
 
-def rouge_l(pairs: Sequence[EvalPair], beta: float = ROUGE_BETA) -> float:
-    """Mean best-reference LCS F-measure, recall-weighted by beta^2."""
+def rouge_l(pairs: Sequence[EvalPair]) -> float:
+    """Mean best-reference LCS F-measure, recall-weighted by
+    ``ROUGE_BETA``^2."""
     if not pairs:
         raise ValueError("ROUGE-L needs at least one pair")
-    return 100.0 * _score(pairs, beta=beta, with_cider=False).rouge / len(pairs)
+    return 100.0 * _score(pairs, with_cider=False).rouge / len(pairs)
 
 
 _CIDER_TOO_SMALL = (
@@ -497,9 +488,7 @@ def _match_any_reference(pair: EvalPair) -> bool:
     return any(cand == _default_normalizer(r) for r in pair.references)
 
 
-def compute_caption_report(
-    pairs: Sequence[EvalPair], smoothing_eps: float = BLEU_SMOOTHING_EPS
-) -> MetricReport:
+def compute_caption_report(pairs: Sequence[EvalPair]) -> MetricReport:
     """Full caption-style report: BLEU1-4, CIDEr, ROUGE_L, exact-match ACC.
 
     CIDEr is reported as None when the corpus is too small for IDF.
@@ -508,12 +497,12 @@ def compute_caption_report(
         raise ValueError("cannot evaluate an empty corpus")
     corpus = _score(pairs)
     metadata: dict[str, object] = {
-        "bleu_smoothing_eps": smoothing_eps,
+        "bleu_smoothing_eps": BLEU_SMOOTHING_EPS,
         "rouge_beta": ROUGE_BETA,
         "cider_scale": "100x raw mean TF-IDF cosine",
     }
     if corpus.cider is None:
         metadata["cider_note"] = _CIDER_TOO_SMALL
     return MetricReport(
-        scores=corpus.scores(smoothing_eps), pair_count=len(pairs), metadata=metadata
+        scores=corpus.scores(), pair_count=len(pairs), metadata=metadata
     )

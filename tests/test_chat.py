@@ -189,16 +189,6 @@ def test_http_client_connection_error():
         client.complete(_request())
 
 
-def test_from_env():
-    client = HttpChatClient.from_env(
-        {"FK_API_ENDPOINT": "http://x/v1", "FK_API_KEY": "k"}
-    )
-    assert client.endpoint == "http://x/v1"
-    assert client.api_key == "k"
-    with pytest.raises(ChatError, match="FK_API_ENDPOINT"):
-        HttpChatClient.from_env({})
-
-
 # ------------------------------------------------------------ transport
 
 

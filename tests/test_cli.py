@@ -61,6 +61,9 @@ def test_usage_errors_exit_64(capsys) -> None:
     assert main(["budget"]) == 64  # missing required flags
     assert main(["eval", "caption", "--pred", "x"]) == 64  # missing --gt
     assert main(["budget", "--view-tokens", "abc", "--bev-tokens", "5"]) == 64
+    for size in ("16", ""):  # not WIDTHxHEIGHT
+        assert main(["refine", "--input", "x", "--output", "y",
+                     "--image-size", size]) == 64
     capsys.readouterr()
 
 
@@ -311,7 +314,16 @@ def test_gen_risk_qa_missing_endpoint_exit_2(tmp_path, monkeypatch, capsys) -> N
                "--out-qa", str(tmp_path / "q.jsonl"),
                "--out-grounding", str(tmp_path / "g.jsonl")])
     assert rc == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert "--endpoint" in err and "endpoint config key" in err
+    assert "FK_API_ENDPOINT" in err
+
+
+def test_make_client_config_endpoint_before_env(monkeypatch) -> None:
+    monkeypatch.setenv("FK_API_ENDPOINT", "http://env.example/v1")
+    client = _make_client(argparse.Namespace(mock=None),
+                          Config(endpoint="http://config.example/v1"))
+    assert client.endpoint == "http://config.example/v1"
 
 
 def test_make_client_keeps_api_key_with_endpoint(monkeypatch) -> None:
@@ -377,6 +389,33 @@ def test_read_jsonl_splits_on_newlines_only(tmp_path) -> None:
         _read_jsonl(str(path), dict)
     with pytest.raises(InputError, match="cannot read"):
         _read_jsonl(str(tmp_path / "absent.jsonl"), dict)
+
+
+def test_every_invalid_record_named_in_one_run(tmp_path, capsys) -> None:
+    pred = tmp_path / "pred.jsonl"
+    gt = tmp_path / "gt.jsonl"
+    write_jsonl(pred, [{"id": "a", "caption": "x"}, {"id": None, "caption": "x"},
+                       {"id": "c", "caption": 5}, {"id": "d", "caption": "x"},
+                       {"caption": "x"}])
+    write_jsonl(gt, [{"id": "a", "references": ["x"]}])
+    rc = main(["eval", "caption", "--pred", str(pred), "--gt", str(gt)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"validation error: {pred} record 1: id must be a string or an "
+        "integer, got None\n"
+        f"{pred} record 2: caption must be a string, got 5\n"
+        f"{pred} record 4: record missing required key 'id'\n")
+
+
+def test_invalid_records_past_21_are_counted(tmp_path, capsys) -> None:
+    pred = tmp_path / "pred.jsonl"
+    write_jsonl(pred, [{"id": str(i), "caption": i} for i in range(30)])
+    rc = main(["eval", "caption", "--pred", str(pred), "--gt", str(pred)])
+    assert rc == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 22
+    assert lines[20] == f"{pred} record 20: caption must be a string, got 20"
+    assert lines[21] == "… and 9 more invalid records"
 
 
 @pytest.mark.parametrize("command", ["refine", "caption"])
@@ -877,12 +916,19 @@ def test_negative_comma_list_is_a_value(tmp_path, capsys, command, flag,
 
 @pytest.mark.parametrize("command, flag, value", [
     ("budget", "--view-tokens", "-5,3"),
+    ("budget", "--view-tokens", ""),
     ("budget", "--bev-tokens", "0"),
     ("interactor-demo", "--bev-grid", "-4,-4"),
+    ("interactor-demo", "--bev-grid", ""),
+    ("interactor-demo", "--bev-grid", "4"),
     ("interactor-demo", "--num-layers", "0"),
     ("interactor-demo", "--num-heads", "0"),
     ("mask-exp", "--rates", "-5,10"),
     ("mask-exp", "--rates", "10,101"),
+    ("mask-exp", "--rates", ""),
+    ("mask-exp", "--rates", "10,10"),
+    ("refine", "--image-size", "1x5"),
+    ("refine", "--source", "nope"),
 ])
 def test_out_of_range_flag_exits_2_before_reading_input(tmp_path, capsys,
                                                         command, flag,
@@ -896,6 +942,8 @@ def test_out_of_range_flag_exits_2_before_reading_input(tmp_path, capsys,
                             missing, "--instruction", missing,
                             "--out", str(tmp_path / "f.fkmx")],
         "mask-exp": ["mask-exp", "--views", missing, "--candidates", missing],
+        "refine": ["refine", "--input", missing,
+                   "--output", str(tmp_path / "out.jsonl")],
     }[command]
     rc = main([*argv, f"{flag}={value}"])
     err = capsys.readouterr().err
@@ -1104,12 +1152,22 @@ def _command_with_report(tmp_path, command: str):
                 "--out-qa", str(tmp_path / "q.jsonl"),
                 "--out-grounding", str(tmp_path / "g.jsonl"),
                 "--report", str(report)], report
+    if command == "interactor-demo":
+        views, bev, inst = _demo_inputs(tmp_path)
+        return ["interactor-demo", "--views", *views, "--bev", bev,
+                "--instruction", inst, "--out", str(tmp_path / "f.fkmx"),
+                "--sidecar", str(report)], report
     pred = tmp_path / "pred.jsonl"
     gt = tmp_path / "gt.jsonl"
     if command == "grounding":
         box = {"image_id": "i1", "box": [0, 0, 99, 99], "label": "car"}
         write_jsonl(pred, [{**box, "score": 0.9}])
         write_jsonl(gt, [box])
+    elif command == "planning":
+        plan = {"sample_id": "s1",
+                "trajectory": [[0.5 * i, 0.0] for i in range(1, 7)]}
+        write_jsonl(pred, [plan])
+        write_jsonl(gt, [plan])
     else:
         preds, gts = _ora_fixture()
         write_jsonl(pred, [ora_sample_to_dict(s) for s in preds])
@@ -1129,8 +1187,19 @@ def _command_with_report(tmp_path, command: str):
     ("grounding", ["--iou-thresholds", ""], "iou_thresholds", [0.5], None),
     ("ora", ["--gating", "correct_exist"], "ora_gating", "all_gt_true",
      "correct_exist"),
+    ("planning", ["--l2-mode", "at_horizon"], "l2_mode", "up_to_horizon",
+     "at_horizon"),
+    ("interactor-demo", ["--reduction", "max"], "reduction", "mean", "max"),
+    # a value that parses but breaks the key's rule exits 2, as in the file
+    ("grounding", ["--interpolation", "nope"], "ap_interpolation",
+     "eleven_point", None),
+    ("ora", ["--gating", "nope"], "ora_gating", "all_gt_true", None),
+    ("planning", ["--l2-mode", "nope"], "l2_mode", "up_to_horizon", None),
+    ("interactor-demo", ["--reduction", "nope"], "reduction", "mean", None),
 ], ids=["short-threshold", "jobs", "interpolation", "iou-thresholds",
-        "iou-thresholds-empty", "gating"])
+        "iou-thresholds-empty", "gating", "l2-mode", "reduction",
+        "interpolation-unknown", "gating-unknown", "l2-mode-unknown",
+        "reduction-unknown"])
 def test_flag_overrides_its_config_key(tmp_path, capsys, command, flags, key,
                                        file_value, effective) -> None:
     cfg = tmp_path / "cfg.json"

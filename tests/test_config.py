@@ -343,10 +343,6 @@ class _RecordingClient:
         self.threads: set[int] = set()
         type(self).made.append(self)
 
-    @classmethod
-    def from_env(cls, timeout: float = 60.0):
-        return cls("from the environment", timeout=timeout)
-
     def complete(self, request) -> str:
         time.sleep(0.01)  # the second scene starts before the first ends
         self.requests.append(request.canonical_json())
@@ -363,6 +359,7 @@ def _gen_risk_qa(tmp_path, cfg, capsys, monkeypatch):
         made: list = []
 
     monkeypatch.setattr(cli, "HttpChatClient", Client)
+    monkeypatch.setenv("FK_API_ENDPOINT", "from the environment")
     scene = scene_to_dict(seven_car_scene())
     scenes = tmp_path / "scenes.jsonl"
     write_jsonl(scenes, [{**scene, "scene_id": "a"}, {**scene, "scene_id": "b"}])

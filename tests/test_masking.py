@@ -59,6 +59,14 @@ def test_candidate_indices_must_be_integer_lists(indices) -> None:
         MaskExperimentConfig(candidate_indices={"front": indices})
 
 
+@pytest.mark.parametrize("candidates", [[1, 2], None, "front"])
+def test_candidates_must_be_a_mapping(candidates) -> None:
+    with pytest.raises(ValueError, match="candidate_indices must map"):
+        MaskSpec(candidate_indices=candidates, rate=0)
+    with pytest.raises(ValueError, match="candidate_indices must map"):
+        MaskExperimentConfig(candidate_indices=candidates)
+
+
 def test_unknown_view_and_out_of_range_index_rejected() -> None:
     feats = small_features()
     with pytest.raises(ValueError):
