@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Protocol
 
-from .jsontypes import field_dict
+from .jsontypes import canonical_json, field_dict, require_str
 
 __all__ = [
     "ChatRequest",
@@ -60,12 +60,12 @@ class ChatRequest:
                 )
             if msg["role"] not in _ROLES:
                 raise ValueError(f"message {i} role must be one of {_ROLES}")
-            frozen.append({"role": msg["role"], "content": str(msg["content"])})
+            frozen.append({"role": msg["role"], "content": require_str(
+                msg["content"], f"message {i} content")})
         object.__setattr__(self, "messages", tuple(frozen))
 
     def canonical_json(self) -> str:
-        return json.dumps(field_dict(self), sort_keys=True,
-                          separators=(",", ":"))
+        return canonical_json(field_dict(self))
 
     def request_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
@@ -169,13 +169,10 @@ class HttpChatClient:
         import urllib.error
         import urllib.request
 
-        body: dict = {
-            "model": request.model,
-            "messages": [dict(m) for m in request.messages],
-            "temperature": request.temperature,
-        }
-        if request.seed is not None:
-            body["seed"] = request.seed
+        # the fields the request hash reads, in their order; no unset seed
+        body = field_dict(request)
+        if body["seed"] is None:
+            del body["seed"]
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"

@@ -75,7 +75,7 @@ from .interactor import (
     fuse,
     token_budget,
 )
-from .jsontypes import field_dict, require_id
+from .jsontypes import canonical_json, field_dict, require_id
 from .masking import (
     MaskExperimentConfig,
     MaskSpec,
@@ -84,7 +84,7 @@ from .masking import (
     run_mask_experiment,
     token_stats_downstream,
 )
-from .matrix import FkmxFormatError, Matrix, load_fkmx, save_fkmx
+from .matrix import Matrix, load_fkmx, save_fkmx
 from .numerics import CrossAttnParams
 from .refinery import (
     DATASET_SOURCES,
@@ -225,14 +225,25 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _jsonl(rows: Sequence[Mapping]) -> str:
-    return "".join(
-        json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
-        for row in rows
-    )
+    return "".join(canonical_json(row) + "\n" for row in rows)
 
 
 def _json_doc(doc: Mapping) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _write_report(path: str | None, doc: dict, cfg: Config,
+                  inputs: Mapping[str, str]) -> None:
+    """When ``path`` is set, write ``doc`` there as JSON with its
+    ``provenance`` block: ``cfg`` and the sha256 of each input path."""
+    if path:
+        doc["provenance"] = provenance_block(cfg, inputs)
+        _write_text(path, _json_doc(doc))
+
+
+def _view_inputs(paths: Sequence[str]) -> dict[str, str]:
+    """The provenance labels of the --views files: view0, view1, …"""
+    return {f"view{i}": p for i, p in enumerate(paths)}
 
 
 def _load_matrix(path: str) -> Matrix:
@@ -240,7 +251,7 @@ def _load_matrix(path: str) -> Matrix:
         return load_fkmx(path)
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from err
-    except FkmxFormatError as err:
+    except ValueError as err:  # malformed bytes or a non-finite payload
         raise InputError(f"{path}: {err}") from err
 
 
@@ -257,11 +268,11 @@ def _csv(header: Sequence[str], values: Iterable[float | None]) -> str:
 
 
 def _list_of(kind: Callable[[str], T], noun: str) -> Callable[[str], tuple[T, ...]]:
-    """An argparse ``type=``: comma-separated ``kind`` values, blanks
-    skipped, so ``""`` is the empty tuple."""
+    """An argparse ``type=``: comma-separated ``kind`` values. ``""`` is
+    the empty tuple; any other blank item does not parse."""
     def parse(text: str) -> tuple[T, ...]:
         try:
-            return tuple(kind(v) for v in text.split(",") if v.strip() != "")
+            return tuple(map(kind, text.split(","))) if text else ()
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"wants comma-separated {noun}, got {text!r}") from None
@@ -379,14 +390,9 @@ def cmd_refine(args: argparse.Namespace) -> int:
         validation_errors += [{"record_index": count + j, **r} for j, r in errors]
         count += run_count
     _write_text(args.output, "".join(texts))
-
-    doc = {
-        "refine": report.to_dict(),
-        "validation_errors": validation_errors,
-        "provenance": provenance_block(cfg, {"input": args.input}),
-    }
-    if args.report:
-        _write_text(args.report, _json_doc(doc))
+    _write_report(args.report, {"refine": report.to_dict(),
+                                "validation_errors": validation_errors},
+                  cfg, {"input": args.input})
     print(
         f"refine: {report.kept} kept, {report.dropped} dropped, "
         f"{len(validation_errors)} invalid of {count} records"
@@ -419,12 +425,8 @@ def cmd_gen_risk_qa(args: argparse.Namespace) -> int:
         scenes, client, _library_config(PipelineConfig, cfg))
     _write_text(args.out_qa, _jsonl([p.to_dict() for p in pairs]))
     _write_text(args.out_grounding, _jsonl([t.to_dict() for t in targets]))
-    if args.report:
-        doc = {
-            "run": report.to_dict(),
-            "provenance": provenance_block(cfg, {"scenes": args.scenes}),
-        }
-        _write_text(args.report, _json_doc(doc))
+    _write_report(args.report, {"run": report.to_dict()}, cfg,
+                  {"scenes": args.scenes})
     print(
         f"gen-risk-qa: {len(pairs)} pairs, {len(targets)} grounding targets, "
         f"{len(report.scenes_failed)} of {report.scenes_processed} scenes failed"
@@ -530,10 +532,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     csv_text, doc = _EVAL_KINDS[args.kind](args, cfg)
     _emit(csv_text, args)
-    if args.json:
-        doc["provenance"] = provenance_block(
-            cfg, {"pred": args.pred, "gt": args.gt})
-        _write_text(args.json, _json_doc(doc))
+    _write_report(args.json, doc, cfg, {"pred": args.pred, "gt": args.gt})
     return EXIT_OK
 
 
@@ -570,23 +569,20 @@ def cmd_demo(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - started
 
     save_fkmx(fused.tokens, args.out)
-    if args.sidecar:
-        inputs = {f"view{i}": p for i, p in enumerate(args.views)}
-        inputs["bev"] = args.bev
-        inputs["instruction"] = args.instruction
-        doc = {
-            "budget": budget.to_dict(),
-            "params": {
-                "num_layers": args.num_layers,
-                "num_heads": args.num_heads,
-                "seed": cfg.seed,
-            },
-            "provenance": provenance_block(cfg, inputs),
-            # wall-clock measurement: the one field exempt from
-            # byte-identical reruns
-            "timing_seconds": elapsed,
-        }
-        _write_text(args.sidecar, _json_doc(doc))
+    doc = {
+        "budget": budget.to_dict(),
+        "params": {
+            "num_layers": args.num_layers,
+            "num_heads": args.num_heads,
+            "seed": cfg.seed,
+        },
+        # wall-clock measurement: the one field exempt from
+        # byte-identical reruns
+        "timing_seconds": elapsed,
+    }
+    _write_report(args.sidecar, doc, cfg, {
+        **_view_inputs(args.views), "bev": args.bev,
+        "instruction": args.instruction})
     print(
         f"interactor-demo: fused {budget.fused_length} of "
         f"{budget.raw_length} tokens (ratio {budget.ratio:.4f})"
@@ -620,16 +616,8 @@ def cmd_mask_exp(args: argparse.Namespace) -> int:
     rows = run_mask_experiment(exp_cfg, features, token_stats_downstream)
 
     _emit(rows_to_csv(rows), args)
-    if args.json:
-        doc = {
-            "rows": [field_dict(r) for r in rows],
-            "provenance": provenance_block(
-                cfg,
-                {f"view{i}": p for i, p in enumerate(args.views)}
-                | {"candidates": args.candidates},
-            ),
-        }
-        _write_text(args.json, _json_doc(doc))
+    _write_report(args.json, {"rows": [field_dict(r) for r in rows]}, cfg,
+                  {**_view_inputs(args.views), "candidates": args.candidates})
     return EXIT_OK
 
 

@@ -1,25 +1,24 @@
 """Toolchain configuration: defaults, file loading, hashing, provenance.
 
 One frozen Config carries every knob the command-line tools accept.
-Values load from a JSON file (unknown keys rejected so typos fail
-loudly), then individual flags override single fields. Reports embed a
-sha256 over the effective config's canonical JSON plus sha256s of the
-input files, which makes any result traceable to exactly what produced
-it.
+Values load from a JSON file, each overridden by the flag that sets it
+(unknown keys rejected so typos fail loudly). Reports embed a sha256
+over the effective config's canonical JSON plus sha256s of the input
+files, which makes any result traceable to exactly what produced it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
 from . import __version__
 from .driving_eval import AP_INTERPOLATIONS, L2_MODES, ORA_GATING_MODES
 from .interactor import REDUCTIONS
-from .jsontypes import check_fields, field_dict
+from .jsontypes import canonical_json, check_fields, field_dict
 from .refinery import DATASET_SOURCES
 
 __all__ = [
@@ -129,22 +128,15 @@ class Config:
         _check(_RULES, field_dict(self), str)
 
     def to_dict(self) -> dict:
-        return asdict(self)
-
-    def override(self, **updates) -> "Config":
-        """Replace the given fields; None values mean 'keep the default'."""
-        live = {k: v for k, v in updates.items() if v is not None}
-        unknown = sorted(set(live) - {f.name for f in fields(self)})
-        if unknown:
-            raise ConfigError(f"unknown config fields: {unknown}")
-        return replace(self, **live)
+        return field_dict(self)
 
 
-def load_config(path: str | Path | None, **overrides) -> Config:
-    """Config from an optional JSON file plus flag overrides.
+def load_config(path: str | Path | None, **flags) -> Config:
+    """Config from an optional JSON file and the flags that are set.
 
-    File values apply first, flags second. Unknown keys in either place
-    raise ConfigError rather than being silently dropped.
+    A flag overrides the file's value of its key; a flag left at None
+    keeps it. Unknown keys in either place raise ConfigError rather than
+    being silently dropped, and only the merged values are checked.
     """
     data: dict = {}
     if path is not None:
@@ -160,20 +152,16 @@ def load_config(path: str | Path | None, **overrides) -> Config:
             raise ConfigError(f"config file is not valid JSON: {err}") from err
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-    known = {f.name for f in fields(Config)}
-    unknown = sorted(set(data) - known)
+    data = {**data, **{k: v for k, v in flags.items() if v is not None}}
+    unknown = sorted(set(data) - {f.name for f in fields(Config)})
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
-    return Config(**data).override(**overrides)
-
-
-def _canonical_json(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return Config(**data)
 
 
 def config_hash(cfg: Config) -> str:
     """sha256 over the canonical JSON of the effective config."""
-    return hashlib.sha256(_canonical_json(cfg.to_dict()).encode()).hexdigest()
+    return hashlib.sha256(canonical_json(cfg.to_dict()).encode()).hexdigest()
 
 
 def sha256_file(path: str | Path) -> str:

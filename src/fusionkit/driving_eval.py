@@ -593,7 +593,6 @@ def ora_score(
 
     exist_hits = 0
     level_hits = cate_hits = object_hits = 0
-    gated = 0
     denom = 0
     for gt in gts:
         pred = by_id[gt.sample_id]
@@ -608,7 +607,6 @@ def ora_score(
         denom += 1
         if not (pred.exist and gt.exist):
             continue  # all_gt_true mode: existence miss scores zero
-        gated += 1
         level_hits += 1 if pred.level == gt.level else 0
         cate_hits += 1 if pred.category == gt.category else 0
         object_hits += 1 if _norm_object(pred.object) == _norm_object(gt.object) else 0

@@ -1,17 +1,19 @@
 """Which JSON type each input value may hold, decided in one place: record
 decoders take their keys through the ``require*`` helpers, and frozen
 configs check every field by its annotation with ``check_fields``. Rows
-and reports go out as ``field_dict``: their dataclass fields by name."""
+and reports go out as ``field_dict``: their dataclass fields by name; rows
+and hashes are spelled in ``canonical_json``."""
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import fields
 from typing import Callable, Mapping, Sequence
 
-__all__ = ["check_fields", "field_dict", "is_integral", "require",
-           "require_bool", "require_float", "require_id", "require_numbers",
-           "require_str"]
+__all__ = ["canonical_json", "check_fields", "field_dict", "is_integral",
+           "require", "require_bool", "require_float", "require_id",
+           "require_numbers", "require_str"]
 
 
 def require(d: Mapping, key: str):
@@ -130,3 +132,9 @@ def field_dict(obj) -> dict:
         body = ", ".join(f"{f.name!r}: o.{f.name}" for f in fields(obj))
         build = _FIELD_DICTS[type(obj)] = eval(f"lambda o: {{{body}}}")
     return build(obj)
+
+
+def canonical_json(value) -> str:
+    """The one spelling of a JSONL row or a hashed value: sorted keys, no
+    spaces."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))

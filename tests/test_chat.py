@@ -48,6 +48,22 @@ def test_request_validation():
         ChatRequest(model="m", messages=({"role": "robot", "content": "x"},))
     with pytest.raises(ValueError):
         ChatRequest(model="m", messages=({"role": "user"},))
+    for content in (None, 5, ["x"]):  # never spelled as "None" or "5"
+        with pytest.raises(ValueError, match="message 0 content must be a string"):
+            ChatRequest(model="m", messages=({"role": "user", "content": content},))
+
+
+def test_step1_request_hash_is_frozen(tmp_path):
+    # the hash names every replay file; it must not move with the code
+    # that spells the request
+    cfg = PipelineConfig()
+    step1 = _seed_replay(tmp_path, cfg, seven_car_scene(),
+                         RISK_RESPONSE_FIXTURE, QA_RESPONSE_FIXTURE)
+    assert step1.request_hash() == (
+        "9fdcdfe5659b12694a7bda944f8c8bee836046374bb6fdae97d06578b153cfe8")
+    pairs, _, report = run_pipeline([seven_car_scene()],
+                                    ReplayChatClient(tmp_path), cfg)
+    assert pairs and report.scenes_failed == []
 
 
 def test_canonical_json_is_stable_and_sorted():
@@ -110,10 +126,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
-        body = json.loads(self.rfile.read(length))
-        _Handler.seen.append(
-            {"body": body, "auth": self.headers.get("Authorization")}
-        )
+        raw = self.rfile.read(length)
+        _Handler.seen.append({"body": json.loads(raw), "raw": raw,
+                              "auth": self.headers.get("Authorization")})
         if self.path == "/boom":
             self.send_response(500)
             self.end_headers()
@@ -162,6 +177,8 @@ def test_http_client_round_trip(http_server):
     assert sent["body"]["temperature"] == 0.0
     assert sent["body"]["seed"] == 0
     assert sent["body"]["messages"] == [{"role": "user", "content": "ping"}]
+    assert sent["raw"] == (b'{"model": "gpt-4o", "messages": [{"role": "user", '
+                           b'"content": "ping"}], "temperature": 0.0, "seed": 0}')
 
 
 def test_http_client_omits_unset_seed(http_server):

@@ -64,6 +64,15 @@ def test_usage_errors_exit_64(capsys) -> None:
     for size in ("16", ""):  # not WIDTHxHEIGHT
         assert main(["refine", "--input", "x", "--output", "y",
                      "--image-size", size]) == 64
+    # only "" is the empty list; a blank item among commas does not parse
+    for argv in (["budget", "--bev-tokens", "5", "--view-tokens"],
+                 ["mask-exp", "--views", "v", "--candidates", "c", "--rates"],
+                 ["interactor-demo", "--views", "v", "--bev", "b",
+                  "--instruction", "i", "--out", "o", "--bev-grid"],
+                 ["eval", "grounding", "--pred", "p", "--gt", "g",
+                  "--iou-thresholds"]):
+        for value in ("5,,5", "5,", ","):
+            assert main([*argv, value]) == 64, (argv[-1], value)
     capsys.readouterr()
 
 
@@ -1010,6 +1019,23 @@ def test_demo_bad_magic_exit_2(tmp_path, capsys) -> None:
                "--instruction", inst, "--out", str(tmp_path / "f.fkmx")])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_demo_non_finite_view_names_its_file(tmp_path, capsys) -> None:
+    views, bev, inst = _demo_inputs(tmp_path)
+    bad = tmp_path / "nan.fkmx"
+    data = np.ones((12, 8))
+    data[3, 5] = np.nan
+    # FKMX bytes written by hand: Matrix rejects the NaN before save_fkmx
+    bad.write_bytes(b"FKMX" + np.array([12, 8], "<u4").tobytes()
+                    + data.astype("<f8").tobytes())
+    rc = main(["interactor-demo", "--views", views[0], str(bad), views[1],
+               "--bev", bev, "--instruction", inst,
+               "--out", str(tmp_path / "f.fkmx")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: matrix entries must be finite\n")
+    assert not (tmp_path / "f.fkmx").exists()
 
 
 def test_demo_shape_mismatch_exit_3(tmp_path, capsys) -> None:

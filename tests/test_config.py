@@ -89,7 +89,7 @@ def test_unknown_keys_rejected(tmp_path) -> None:
     with pytest.raises(ConfigError, match="kimg"):
         load_config(p)
     with pytest.raises(ConfigError, match="k_image"):
-        Config().override(k_image=3)
+        load_config(None, k_image=3)
 
 
 def test_bad_file_contents(tmp_path) -> None:
@@ -106,10 +106,19 @@ def test_bad_file_contents(tmp_path) -> None:
         load_config(arr)
 
 
-def test_override_none_means_keep() -> None:
-    cfg = Config(seed=5)
-    assert cfg.override(seed=None).seed == 5
-    assert cfg.override(seed=9).seed == 9
+def test_override_none_means_keep(tmp_path) -> None:
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"seed": 5}))
+    assert load_config(p, seed=None).seed == 5
+    assert load_config(p, seed=9).seed == 9
+
+
+def test_only_the_effective_value_is_judged(tmp_path) -> None:
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"k_img": 0}))
+    assert load_config(p, k_img=3).k_img == 3
+    with pytest.raises(ConfigError, match="k_img must be at least 1"):
+        load_config(p)
 
 
 def test_iou_thresholds_from_json_list(tmp_path) -> None:
@@ -122,6 +131,12 @@ def test_config_hash_tracks_content() -> None:
     assert config_hash(Config()) == config_hash(Config())
     assert config_hash(Config()) != config_hash(Config(seed=1))
     assert len(config_hash(Config())) == 64
+
+
+def test_default_config_hash_is_frozen() -> None:
+    # every report made with the defaults holds this hash
+    assert config_hash(Config()) == (
+        "c023483c8369a8d878db058bfd371385e940ed545c1315d9545c253ac07ed583")
 
 
 def test_sha256_file_and_provenance(tmp_path) -> None:
