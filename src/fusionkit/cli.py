@@ -20,8 +20,6 @@ sidecar's wall-clock timing field).
 from __future__ import annotations
 
 import argparse
-import bisect
-import itertools
 import json
 import os
 import re
@@ -327,13 +325,11 @@ def _emit(csv_text: str, args: argparse.Namespace) -> None:
 _MIN_LINES_PER_WORKER = 256
 
 
-def _line_runs(lines: Sequence[str], runs: int) -> list[tuple[int, int]]:
-    """``runs`` contiguous ``(start, stop)`` runs of whole lines holding
-    about equal characters; one run when ``runs`` is below 2."""
-    ends = list(itertools.accumulate(map(len, lines)))
-    total = ends[-1] if ends else 0
-    cuts = [0, *(bisect.bisect_left(ends, total * j // runs) + 1
-                 for j in range(1, runs)), len(lines)]
+def _line_runs(count: int) -> list[tuple[int, int]]:
+    """``count // _MIN_LINES_PER_WORKER`` contiguous ``(start, stop)`` runs
+    of about equal line counts, and at least one."""
+    runs = max(1, count // _MIN_LINES_PER_WORKER)
+    cuts = [count * i // runs for i in range(runs + 1)]
     return list(zip(cuts, cuts[1:]))
 
 
@@ -376,7 +372,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
                 len(decoded))
 
     lines = _read_lines(args.input)
-    runs = _line_runs(lines, max(1, len(lines) // _MIN_LINES_PER_WORKER))
+    runs = _line_runs(len(lines))
     parts = run_pieces(refine_run, [sum(map(len, lines[start:stop]))
                                     for start, stop in runs])
 

@@ -78,10 +78,6 @@ class ViewFeatureSet:
         return self.views[0].cols
 
     @property
-    def n_views(self) -> int:
-        return len(self.views)
-
-    @property
     def token_counts(self) -> tuple[int, ...]:
         return tuple(v.rows for v in self.views)
 

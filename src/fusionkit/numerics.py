@@ -167,12 +167,17 @@ class MlpParams:
         )
 
 
+def _mlp(x: Matrix, p: MlpParams, who: str) -> tuple[np.ndarray, np.ndarray]:
+    # the checked forward: ``x W1 + b1`` and the output
+    if x.cols != p.d_in:
+        raise ShapeError(f"{who}: input width {x.cols} != d_in {p.d_in}")
+    pre = _mm(x.data, p.w1.data) + p.b1
+    return pre, _mm(np.maximum(pre, 0.0), p.w2.data) + p.b2
+
+
 def mlp_forward(x: Matrix, p: MlpParams) -> Matrix:
     """Row-wise two-layer MLP with ReLU: ``relu(x W1 + b1) W2 + b2``."""
-    if x.cols != p.d_in:
-        raise ShapeError(f"mlp_forward: input width {x.cols} != d_in {p.d_in}")
-    hidden = np.maximum(_mm(x.data, p.w1.data) + p.b1, 0.0)
-    return Matrix(_mm(hidden, p.w2.data) + p.b2)
+    return Matrix(_mlp(x, p, "mlp_forward")[1])
 
 
 def mlp_input_grad(x: Matrix, p: MlpParams, upstream: Matrix) -> Matrix:
@@ -182,7 +187,7 @@ def mlp_input_grad(x: Matrix, p: MlpParams, upstream: Matrix) -> Matrix:
     """
     if upstream.shape != (x.rows, p.d_out):
         raise ShapeError("mlp_input_grad: upstream shape mismatch")
-    pre = _mm(x.data, p.w1.data) + p.b1
+    pre, _ = _mlp(x, p, "mlp_input_grad")
     d_hidden = _mm(upstream.data, p.w2.data.T) * (pre > 0.0)
     return Matrix(_mm(d_hidden, p.w1.data.T))
 
@@ -292,6 +297,22 @@ def _attn_layer_forward(q: np.ndarray, kp: np.ndarray, vp: np.ndarray,
     return _mm(mixed, layer.wo.data), (q, kp, vp, probs)
 
 
+def _cross_attention(q: Matrix, k: Matrix, v: Matrix, p: CrossAttnParams,
+                     who: str):
+    # the checked forward: the output and each layer's cache
+    if not (q.cols == k.cols == v.cols == p.d):
+        raise ShapeError(
+            f"{who}: widths q={q.cols} k={k.cols} v={v.cols} params={p.d}"
+        )
+    if k.rows != v.rows:
+        raise ShapeError(f"{who}: k and v must agree on row count")
+    out, caches = q.data, []
+    for layer, (kp, vp) in zip(p.layers, _project_kv(k.data, v.data, p)):
+        out, cache = _attn_layer_forward(out, kp, vp, layer, p)
+        caches.append(cache)
+    return out, caches
+
+
 def cross_attention(q: Matrix, k: Matrix, v: Matrix, p: CrossAttnParams) -> Matrix:
     """Stacked scaled-dot-product cross-attention.
 
@@ -300,16 +321,7 @@ def cross_attention(q: Matrix, k: Matrix, v: Matrix, p: CrossAttnParams) -> Matr
     multiple layers the previous output becomes the next query while keys
     and values remain the original ``k``/``v``.
     """
-    if not (q.cols == k.cols == v.cols == p.d):
-        raise ShapeError(
-            f"cross_attention: widths q={q.cols} k={k.cols} v={v.cols} params={p.d}"
-        )
-    if k.rows != v.rows:
-        raise ShapeError("cross_attention: k and v must agree on row count")
-    out = q.data
-    for layer, (kp, vp) in zip(p.layers, _project_kv(k.data, v.data, p)):
-        out, _ = _attn_layer_forward(out, kp, vp, layer, p)
-    return Matrix(out)
+    return Matrix(_cross_attention(q, k, v, p, "cross_attention")[0])
 
 
 def cross_attention_input_grad(
@@ -322,15 +334,9 @@ def cross_attention_input_grad(
     """
     if upstream.shape != (q.rows, p.d):
         raise ShapeError("cross_attention_input_grad: upstream shape mismatch")
-    d = p.d
-    hd = d // p.num_heads
+    hd = p.d // p.num_heads
     scale = math.sqrt(hd)
-
-    caches = []
-    out = q.data
-    for layer, (kp, vp) in zip(p.layers, _project_kv(k.data, v.data, p)):
-        out, cache = _attn_layer_forward(out, kp, vp, layer, p)
-        caches.append(cache)
+    _, caches = _cross_attention(q, k, v, p, "cross_attention_input_grad")
 
     g = upstream.data
     for layer, cache in zip(reversed(p.layers), reversed(caches)):

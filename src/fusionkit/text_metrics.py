@@ -23,7 +23,10 @@ The scorer is columnar: each order's n-grams are counted for all texts at
 once with numpy. Its floats still match a plain per-pair loop bit for bit,
 because every sum keeps that loop's order: a text's n-grams in order of
 first occurrence, then references in order, then orders 1..max_n, then
-pairs in order. Expressions keep the loop's shape too:
+pairs in order. ``_ordered_sums`` takes each such sum in one step loop:
+with the sums sorted longest first, step r adds term r of every sum that
+has one, and the few longest sums finish alone by ``np.add.accumulate``.
+Expressions keep the loop's shape too:
 ``w_u * (c_v * idf)``, ``sqrt(ns_u * ns_v)``, ``per_n += acc / len(refs)``,
 then ``/ max_n``; the IDF table comes from ``math.log``.
 """
@@ -102,7 +105,6 @@ class MetricReport:
 
     scores: Mapping[str, float | None]
     pair_count: int
-    scale_0_100: bool = True
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -181,42 +183,34 @@ class _TokenIds(dict):
 def _ordered_sums(seg: np.ndarray, val: np.ndarray, size: int) -> np.ndarray:
     """Per-segment sums of ``val`` with the bits of ``acc = 0.0`` followed
     by ``acc += v`` over each segment's terms; ``seg`` lists each segment's
-    terms together, in the order they add.
+    terms together, in the order they add, and each segment once.
 
-    Each segment's terms fill one column of a zero-padded matrix, and
-    ``np.add.accumulate`` down the columns adds its rows one after the
-    other, as the loop would; ``np.sum`` adds pairwise and gives other
-    bits. The padding adds exact zeros since every term is >= +0. Segments
-    are padded by length class (powers of two), so a long text costs about
-    its own terms.
+    The segments are sorted longest first, and step r adds term r of every
+    segment longer than r in one slice, so each sum still adds its terms
+    one after the other; ``np.sum`` and ``np.add.reduceat`` add pairwise
+    and give other bits. After ``steps`` steps each of the ``few`` longest
+    segments finishes alone, by one ``np.add.accumulate``; ``few`` is the
+    count that makes ``steps + few``, the loop passes, least.
     """
     new = np.ones(len(seg), bool)
     new[1:] = seg[1:] != seg[:-1]
     starts = np.flatnonzero(new)
     lengths = np.diff(starts, append=len(seg))
-    length_class = np.frexp(lengths - 1)[1]  # ceil(log2(length))
-    # one matrix per class, 2**class rows and a column per segment, all in
-    # one buffer
-    by_class = np.argsort(length_class.astype(np.uint8), kind="stable")
-    cols = np.bincount(length_class)
-    cells = cols << np.arange(len(cols))
-    offset = np.cumsum(cells) - cells
-    column = np.empty(len(starts), np.int64)
-    class_start = np.cumsum(cols) - cols
-    column[by_class] = np.arange(len(starts)) - np.repeat(class_start, cols)
-    stride = cols[length_class]
-    # term i of a segment goes to row (i - start), its segment's column
-    base = offset[length_class] + column - starts * stride
-    padded = np.zeros(int(cells.sum()))
-    cell = np.repeat(base, lengths) + np.arange(len(seg)) * np.repeat(stride, lengths)
-    padded[cell] = val
+    order = np.argsort(-lengths)
+    starts, lengths = starts[order], lengths[order]
+    # the steps taken when the first k segments finish alone, k = 0..n
+    steps_at = np.append(lengths, 0)
+    few = int(np.argmin(steps_at + np.arange(len(steps_at))))
+    steps = int(steps_at[few])
+    part = np.zeros(len(starts))
+    # step r adds term r of the n segments longer than r
+    for r, n in enumerate(np.searchsorted(-lengths, -np.arange(steps)).tolist()):
+        part[:n] += val[starts[:n] + r]
+    for i in range(few):
+        rest = val[starts[i] + steps:starts[i] + lengths[i]]
+        part[i] = np.add.accumulate(np.concatenate((part[i:i + 1], rest)))[-1]
     acc = np.zeros(size)
-    first = 0
-    for c in np.flatnonzero(cols).tolist():
-        rows, n = 1 << c, int(cols[c])
-        m = padded[offset[c]:offset[c] + rows * n].reshape(rows, n)
-        acc[seg[starts[by_class[first:first + n]]]] = np.add.accumulate(m)[-1]
-        first += n
+    acc[seg[starts]] = part
     return acc
 
 
@@ -432,9 +426,7 @@ def _score(
 
     cider = None
     if idf is not None:
-        cider = 0.0
-        for v in (per_n / max_n).tolist():
-            cider += v
+        cider = float(_ordered_sums(np.zeros(size, int), per_n / max_n, 1)[0])
     return _Totals(size, bleu, rouge, hits, cider)
 
 

@@ -273,8 +273,11 @@ def test_mlp_identity_params_act_as_relu():
 
 def test_mlp_shape_validation():
     p = MlpParams.identity(3)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="^mlp_forward: input width 4 != d_in 3$"):
         mlp_forward(Matrix.zeros(2, 4), p)
+    with pytest.raises(ShapeError,
+                       match="^mlp_input_grad: input width 4 != d_in 3$"):
+        mlp_input_grad(Matrix.zeros(2, 4), p, Matrix.zeros(2, 3))
     with pytest.raises(ShapeError):
         MlpParams(Matrix.zeros(3, 4), np.zeros(5), Matrix.zeros(4, 2), np.zeros(2))
     with pytest.raises(ShapeError):
@@ -378,10 +381,22 @@ def test_kv_permutation_invariance():
 
 def test_cross_attention_shape_checks():
     p = CrossAttnParams.identity(4)
-    with pytest.raises(ShapeError):
-        cross_attention(Matrix.zeros(2, 3), Matrix.zeros(5, 4), Matrix.zeros(5, 4), p)
-    with pytest.raises(ShapeError):
-        cross_attention(Matrix.zeros(2, 4), Matrix.zeros(5, 4), Matrix.zeros(6, 4), p)
+    for q, k, v, message in [
+        (Matrix.zeros(2, 3), Matrix.zeros(5, 4), Matrix.zeros(5, 4),
+         "widths q=3 k=4 v=4 params=4"),
+        (Matrix.zeros(2, 4), Matrix.zeros(5, 6), Matrix.zeros(5, 4),
+         "widths q=4 k=6 v=4 params=4"),
+        (Matrix.zeros(2, 4), Matrix.zeros(5, 4), Matrix.zeros(5, 6),
+         "widths q=4 k=4 v=6 params=4"),
+        (Matrix.zeros(2, 4), Matrix.zeros(5, 4), Matrix.zeros(6, 4),
+         "k and v must agree on row count"),
+    ]:
+        # the gradient checks its operands as the forward does
+        with pytest.raises(ShapeError, match=f"^cross_attention: {message}$"):
+            cross_attention(q, k, v, p)
+        with pytest.raises(ShapeError,
+                           match=f"^cross_attention_input_grad: {message}$"):
+            cross_attention_input_grad(q, k, v, p, Matrix.zeros(2, 4))
     with pytest.raises(ShapeError):
         CrossAttnParams.identity(6, num_heads=4)
     with pytest.raises(ShapeError):

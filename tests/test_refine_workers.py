@@ -114,7 +114,7 @@ def test_forked_refine_matches_serial(monkeypatch, forks, tmp_path, corpus,
                                       n_cpus):
     path, invalid, serial = corpus
     lines = cli._read_lines(str(path))
-    runs = cli._line_runs(lines, len(lines) // cli._MIN_LINES_PER_WORKER)
+    runs = cli._line_runs(len(lines))
     assert len(runs) == 9
     for start, stop in runs:  # each run holds invalid records
         assert any(start < line <= stop for line in invalid)
@@ -226,22 +226,6 @@ def test_forked_refine_raises_no_warning(monkeypatch, forks, tmp_path, small):
 
 
 # ------------------------------------------------------------- the pieces
-
-
-def test_line_runs_cut_whole_lines_of_about_equal_size():
-    lines = [f"{'x' * (i % 7)}\n" for i in range(1000)]
-    total = sum(map(len, lines))
-    for runs in (2, 3, 8):
-        got = cli._line_runs(lines, runs)
-        assert len(got) == runs
-        assert got[0][0] == 0 and got[-1][1] == len(lines)
-        assert all(a[1] == b[0] for a, b in zip(got, got[1:]))
-        for start, stop in got:
-            size = sum(map(len, lines[start:stop]))
-            assert abs(size - total / runs) <= 8
-    assert cli._line_runs(lines, 1) == [(0, 1000)]
-    assert cli._line_runs(lines, 0) == [(0, 1000)]
-    assert cli._line_runs([], 0) == [(0, 0)]
 
 
 def test_refine_report_merge_adds_every_count():

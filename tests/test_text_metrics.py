@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fusionkit import text_metrics
 from fusionkit.text_metrics import (
     EvalPair,
     bleu,
@@ -184,7 +187,7 @@ def test_caption_report_shape_and_per_task():
         "ACC",
     }
     assert report.pair_count == 3
-    assert report.scale_0_100
+    assert set(report.to_dict()) == {"scores", "pair_count", "metadata"}
     assert report.metadata["bleu_smoothing_eps"] == 1e-9
     # one corpus, no per-task sub-reports
     assert "per_task" not in report.metadata
@@ -195,3 +198,49 @@ def test_caption_report_single_pair_has_no_cider():
     report = compute_caption_report([pair(0, "a", ["a"])])
     assert report.scores["CIDEr"] is None
     assert "cider_note" in report.metadata
+
+
+# ---------------------------------------------------------- ordered sums
+
+# terms of far apart sizes, so that a sum taken in another order rounds
+# differently
+_TERMS = st.floats(-1e12, 1e12) | st.sampled_from([0.0, -0.0, 0.1, -1.0, 1e16])
+
+
+@st.composite
+def _layouts(draw):
+    """(owners, each owner's terms, size): segments of any lengths, one long
+    segment, or many of one length; owners are drawn from 0..size-1."""
+    kind = draw(st.sampled_from(["any", "one long", "equal"]))
+    if kind == "one long":
+        lengths = [draw(st.integers(40, 200))]
+    elif kind == "equal":
+        lengths = [draw(st.integers(1, 6))] * draw(st.integers(2, 30))
+    else:
+        lengths = draw(st.lists(st.integers(1, 40), max_size=12))
+    size = len(lengths) + draw(st.integers(0, 5))
+    owners = draw(st.permutations(range(size)))[:len(lengths)]
+    terms = [draw(st.lists(_TERMS, min_size=n, max_size=n)) for n in lengths]
+    return owners, terms, size
+
+
+@settings(max_examples=100, deadline=None)
+@example(layout=([], [], 0))
+@example(layout=([], [], 3))
+@example(layout=([4], [[-0.0, -0.0]], 6))
+@example(layout=([1, 0], [[1e16, 1.0, -1e16], [-0.0]], 2))
+@example(layout=([0, 1, 2, 3], [[1e16] + [1.0] * 39] + [[1.0, 1.0]] * 3, 4))
+@given(layout=_layouts())
+def test_ordered_sums_match_a_plain_loop_bit_for_bit(layout):
+    owners, terms, size = layout
+    want = np.zeros(size)
+    for owner, values in zip(owners, terms):
+        acc = 0.0
+        for v in values:
+            acc += v
+        want[owner] = acc
+    seg = np.repeat(np.array(owners, np.int64),
+                    np.array([len(t) for t in terms], np.int64))
+    val = np.array([v for values in terms for v in values], np.float64)
+    got = text_metrics._ordered_sums(seg, val, size)
+    assert got.tobytes() == want.tobytes()
