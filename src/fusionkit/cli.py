@@ -54,7 +54,8 @@ from .driving_eval import (
     L2_MODES,
     ORA_GATING_MODES,
     align_ids,
-    collision_rate,
+    collision_counts,
+    collision_rate,  # noqa: F401 - not called here; perfbench's tracer wraps it
     detection_from_dict,
     grounding_map_report,
     gt_box_from_dict,
@@ -62,6 +63,7 @@ from .driving_eval import (
     ora_sample_from_dict,
     ora_score,
     planning_record_from_dict,
+    rates_from_counts,
 )
 from .forking import run_pieces
 from .interactor import (
@@ -73,7 +75,7 @@ from .interactor import (
     fuse,
     token_budget,
 )
-from .jsontypes import canonical_json, field_dict, require_id
+from .jsontypes import NAMED_OFFENDERS, canonical_json, field_dict, require_id
 from .masking import (
     MaskExperimentConfig,
     MaskSpec,
@@ -115,6 +117,7 @@ ORA_CSV_HEADER = ("exist", "level", "cate", "object")
 _CONFIG_KEYS = frozenset(f.name for f in fields(Config))
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 
 class UsageError(Exception):
@@ -165,8 +168,17 @@ def _read_lines(path: str) -> list[str]:
         return handle.readlines()
 
 
-# The invalid records one message names; it counts the rest
-_NAMED_INVALID = 21
+def _invalid_records(path: str, named: Sequence[tuple[int, str]],
+                     count: int) -> ValueError:
+    """The error (exit 3) for ``count`` invalid records of ``path``: the
+    first ``NAMED_OFFENDERS`` of ``named``, (record index, reason) pairs
+    in record order, a line each as ``<path> record <i>: <reason>``, then
+    how many more there are."""
+    lines = [f"{path} record {i}: {reason}"
+             for i, reason in named[:NAMED_OFFENDERS]]
+    if count > len(lines):
+        lines.append(f"… and {count - len(lines)} more invalid records")
+    return ValueError("\n".join(lines))
 
 
 def _read_jsonl(path: str, decode: Callable[[dict], T],
@@ -177,10 +189,8 @@ def _read_jsonl(path: str, decode: Callable[[dict], T],
     A line that is not UTF-8 or not a JSON object exits 2 at once as
     ``<path>:<line>``. A ValueError from ``decode`` marks its record
     invalid and reading goes on; at the end one ValueError (exit 3) names
-    the first ``_NAMED_INVALID`` invalid records, a line each, as
-    ``<path> record <i>: <reason>``, counting every record from 0, and
-    then how many more there are. Only the decoded values are kept, never
-    a whole file of parsed rows.
+    the invalid records (``_invalid_records``), counting every record from
+    0. Only the decoded values are kept, never a whole file of parsed rows.
 
     ``lines``, from ``_read_lines(path)``, replaces reading the file:
     ``lines[0]`` is line ``first_line`` of ``path``, so messages name the
@@ -188,7 +198,7 @@ def _read_jsonl(path: str, decode: Callable[[dict], T],
     ``lines``).
     """
     out: list[T] = []
-    named: list[str] = []
+    named: list[tuple[int, str]] = []
     invalid = 0
     with _open_jsonl(path) if lines is None else nullcontext(lines) as source:
         for lineno, line in enumerate(source, start=first_line):
@@ -208,13 +218,11 @@ def _read_jsonl(path: str, decode: Callable[[dict], T],
             try:
                 out.append(decode(row))
             except ValueError as err:
-                if invalid < _NAMED_INVALID:
-                    named.append(f"{path} record {len(out) + invalid}: {err}")
+                if invalid < NAMED_OFFENDERS:
+                    named.append((len(out) + invalid, str(err)))
                 invalid += 1
     if invalid:
-        if invalid > len(named):
-            named.append(f"… and {invalid - len(named)} more invalid records")
-        raise ValueError("\n".join(named))
+        raise _invalid_records(path, named, invalid)
     return out
 
 
@@ -315,13 +323,16 @@ def _emit(csv_text: str, args: argparse.Namespace) -> None:
         sys.stdout.write(csv_text)
 
 
-# ---------------------------------------------------------------- cmd_refine
+# ------------------------------------------------------------ runs of lines
 
-# Input lines per run of refine, and so the fewest a worker gets. Measured
-# on a 2-CPU x86-64 VM: a record takes about 0.4 ms to refine; forking a
-# 100 MB process takes about 10 ms, and piping a worker's output back about
-# 9 us per record. A worker with this many lines spends about a tenth of
-# its time on that overhead.
+# Input lines per run, and so the fewest a worker gets. Measured on a 2-CPU
+# x86-64 VM: a record takes about 0.4 ms to refine, and a GT sample about
+# 0.2 ms to decode and score in eval planning; forking a 100 MB process
+# takes about 10 ms, and piping a worker's output back about 9 us per
+# refined record and under 1 us per planning sample. A refine worker with
+# this many lines spends about a tenth of its time on that overhead. Planning
+# still gains at this size: 512 GT lines took 64-69 ms in two workers,
+# against 98-108 ms in one.
 _MIN_LINES_PER_WORKER = 256
 
 
@@ -333,12 +344,35 @@ def _line_runs(count: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
+def _in_runs(path: str, decode: Callable[[dict], T],
+             score: Callable[[list[T]], R]) -> list[R]:
+    """``score`` of the ``decode``d records of each run of ``path``'s
+    lines (``_line_runs``), in file order.
+
+    ``path`` is read once; ``forking.run_pieces`` shares the runs between
+    forked workers by their character counts. Each run reads its lines
+    through ``_read_jsonl``, so a bad line exits 2 naming its line of
+    ``path``. Record indices restart at 0 in each run, so ``decode`` must
+    not raise ValueError: it returns an invalid record's error instead.
+    """
+    lines = _read_lines(path)
+    runs = _line_runs(len(lines))
+
+    def run(i: int) -> R:
+        start, stop = runs[i]
+        return score(_read_jsonl(path, decode, lines[start:stop], start + 1))
+
+    return run_pieces(run, [sum(map(len, lines[start:stop]))
+                            for start, stop in runs])
+
+
+# ---------------------------------------------------------------- cmd_refine
+
+
 def cmd_refine(args: argparse.Namespace) -> int:
-    """Refine the input's records in runs of about
-    ``_MIN_LINES_PER_WORKER`` lines (see ``_line_runs``), which
-    ``forking.run_pieces`` may share between forked workers. The runs'
-    texts are joined in input order and their reports summed, so every
-    output byte equals a one-run refine's.
+    """Refine the input's records in runs of lines (``_in_runs``). The
+    runs' texts are joined in input order and their reports summed, so
+    every output byte equals a one-run refine's.
     """
     cfg = _config_from_args(args)
 
@@ -355,11 +389,9 @@ def cmd_refine(args: argparse.Namespace) -> int:
                 record_id = None  # listed as null
             return {"id": record_id, "error": str(err)}
 
-    def refine_run(i: int) -> tuple[str, RefineReport, list, int]:
+    def refine_run(decoded: list) -> tuple[str, RefineReport, list, int]:
         # the serial path on one run: the refined JSONL text, the report,
         # (record index within the run, error entry) pairs, the record count
-        start, stop = runs[i]
-        decoded = _read_jsonl(args.input, decode, lines[start:stop], start + 1)
         records = [r for r in decoded if not isinstance(r, dict)]
         refined, report = refine_records(
             records,
@@ -371,16 +403,12 @@ def cmd_refine(args: argparse.Namespace) -> int:
         return (_jsonl([record_to_dict(r) for r in refined]), report, errors,
                 len(decoded))
 
-    lines = _read_lines(args.input)
-    runs = _line_runs(len(lines))
-    parts = run_pieces(refine_run, [sum(map(len, lines[start:stop]))
-                                    for start, stop in runs])
-
     texts: list[str] = []
     report = RefineReport()
     validation_errors: list[dict] = []
     count = 0
-    for text, run_report, errors, run_count in parts:
+    for text, run_report, errors, run_count in _in_runs(args.input, decode,
+                                                        refine_run):
         texts.append(text)
         report.merge(run_report)
         validation_errors += [{"record_index": count + j, **r} for j, r in errors]
@@ -475,27 +503,65 @@ def _eval_grounding(args: argparse.Namespace, cfg: Config) -> tuple[str, dict]:
 
 
 def _eval_planning(args: argparse.Namespace, cfg: Config) -> tuple[str, dict]:
+    """L2 and collision rates over the GT samples, scored in runs of GT
+    lines (``_in_runs``) against the predictions, which are read first.
+    The runs' L2 values are added in GT order and their collision counts
+    summed, so every byte equals a one-run score's."""
     preds = _read_jsonl(args.pred, planning_record_from_dict)
-    gts = _read_jsonl(args.gt, planning_record_from_dict)
-    align_ids([p[0] for p in preds], [g[0] for g in gts])
     pred_plans = {sample_id: plan for sample_id, plan, _ in preds}
+    keys = (*HORIZONS, "avg")
 
-    l2_sums = {h: 0.0 for h in (*HORIZONS, "avg")}
-    samples = []
-    for sample_id, gt_plan, agents in gts:
-        pred_plan = pred_plans[sample_id]
-        for h, v in l2_error(pred_plan, gt_plan, cfg.l2_mode).items():
-            l2_sums[h] += v
-        samples.append((pred_plan, agents))
+    def decode(row: dict):
+        # an invalid record stays its error until every run is in
+        try:
+            return planning_record_from_dict(row)
+        except ValueError as err:
+            return err
 
-    n = len(samples)
+    def score_run(decoded: list) -> tuple[list, dict, list, list, int]:
+        # in GT order: the sample ids, each key's L2 values, the colliding
+        # samples per horizon, (record index within the run, reason) of
+        # each invalid record, the record count
+        ids, samples, invalid = [], [], []
+        l2: dict[str, list[float]] = {k: [] for k in keys}
+        for j, record in enumerate(decoded):
+            if isinstance(record, ValueError):
+                invalid.append((j, str(record)))
+                continue
+            sample_id, gt_plan, agents = record
+            ids.append(sample_id)
+            pred_plan = pred_plans.get(sample_id)
+            if pred_plan is None:
+                continue  # align_ids names it
+            for k, v in l2_error(pred_plan, gt_plan, cfg.l2_mode).items():
+                l2[k].append(v)
+            samples.append((pred_plan, agents))
+        counts = collision_counts(samples, cfg.ego_length, cfg.ego_width)
+        return ids, l2, counts, invalid, len(decoded)
+
+    parts = _in_runs(args.gt, decode, score_run)
+    invalid: list[tuple[int, str]] = []
+    n = 0
+    for _, _, _, run_invalid, run_count in parts:
+        invalid += [(n + j, reason) for j, reason in run_invalid]
+        n += run_count
+    if invalid:
+        raise _invalid_records(args.gt, invalid, len(invalid))
+    align_ids([p[0] for p in preds], [i for ids, *_ in parts for i in ids])
+
+    l2_sums = dict.fromkeys(keys, 0.0)
+    coll_counts = [0] * len(HORIZONS)
+    for _, l2_values, counts, _, _ in parts:
+        for k, values in l2_values.items():
+            for v in values:
+                l2_sums[k] += v
+        coll_counts = [a + b for a, b in zip(coll_counts, counts)]
     if n == 0:
         raise ValueError("planning eval needs at least one sample")
-    l2 = {h: l2_sums[h] / n for h in l2_sums}
-    coll = collision_rate(samples, cfg.ego_length, cfg.ego_width)
-    keys = (*HORIZONS, "avg")
+    l2 = {k: l2_sums[k] / n for k in keys}
+    coll = rates_from_counts(coll_counts, n)
     csv_text = _csv(PLANNING_CSV_HEADER,
-                    [*(l2[h] for h in keys), *(coll[h] for h in keys)])
+                    [*(l2[k] for k in keys), *(coll[k] for k in keys)])
     doc = {
         "l2": l2,
         "l2_mode": cfg.l2_mode,

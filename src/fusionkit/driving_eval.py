@@ -24,6 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .jsontypes import (
+    NAMED_OFFENDERS,
     field_dict,
     is_integral,
     require,
@@ -47,7 +48,9 @@ __all__ = [
     "align_ids",
     "grounding_map_report",
     "l2_error",
+    "collision_counts",
     "collision_rate",
+    "rates_from_counts",
     "ora_score",
     "HORIZONS",
     "ORA_LEVELS",
@@ -474,6 +477,35 @@ def _waypoint_hits(
     return hits.reshape(len(samples), WAYPOINT_COUNT)
 
 
+def collision_counts(
+    samples: Sequence[tuple[TrajectoryPlan, AgentSnapshots]],
+    ego_length: float,
+    ego_width: float,
+) -> list[int]:
+    """How many of ``samples`` collide at each horizon of ``HORIZONS``, as
+    ``collision_rate`` judges them. Counts add up over any split of the
+    samples; no samples count 0."""
+    if ego_length <= 0.0 or ego_width <= 0.0:
+        raise ValueError("ego extents must be positive")
+    last = [_HORIZON_LAST_INDEX[h] for h in HORIZONS]
+    counts = np.zeros(len(HORIZONS), dtype=np.int64)
+    for start in range(0, len(samples), _COLLISION_BLOCK):
+        hits = _waypoint_hits(samples[start : start + _COLLISION_BLOCK],
+                              ego_length, ego_width)
+        counts += np.logical_or.accumulate(hits, axis=1)[:, last].sum(axis=0)
+    return counts.tolist()
+
+
+def rates_from_counts(counts: Sequence[int], sample_count: int) -> dict[str, float]:
+    """Per-horizon ``collision_counts`` as percentages of ``sample_count``
+    samples, plus their mean."""
+    if sample_count == 0:
+        raise ValueError("collision rate needs at least one sample")
+    rates = {h: 100.0 * c / sample_count for h, c in zip(HORIZONS, counts)}
+    rates["avg"] = sum(rates[h] for h in HORIZONS) / len(HORIZONS)
+    return rates
+
+
 def collision_rate(
     samples: Sequence[tuple[TrajectoryPlan, AgentSnapshots]],
     ego_length: float,
@@ -485,19 +517,8 @@ def collision_rate(
     plan collides at a horizon when the ego rectangle at any waypoint up
     to that horizon overlaps an agent of that waypoint's snapshot.
     """
-    if not samples:
-        raise ValueError("collision rate needs at least one sample")
-    if ego_length <= 0.0 or ego_width <= 0.0:
-        raise ValueError("ego extents must be positive")
-    last = [_HORIZON_LAST_INDEX[h] for h in HORIZONS]
-    counts = np.zeros(len(HORIZONS), dtype=np.int64)
-    for start in range(0, len(samples), _COLLISION_BLOCK):
-        hits = _waypoint_hits(samples[start : start + _COLLISION_BLOCK],
-                              ego_length, ego_width)
-        counts += np.logical_or.accumulate(hits, axis=1)[:, last].sum(axis=0)
-    rates = {h: 100.0 * c / len(samples) for h, c in zip(HORIZONS, counts.tolist())}
-    rates["avg"] = sum(rates[h] for h in HORIZONS) / len(HORIZONS)
-    return rates
+    return rates_from_counts(collision_counts(samples, ego_length, ego_width),
+                             len(samples))
 
 
 # -------------------------------------------------------------------- ORA
@@ -551,21 +572,31 @@ class OraReport:
                 for k, v in field_dict(self).items()}
 
 
+def _listed(ids: list[str]) -> str:
+    """``ids`` as a list display that names at most ``NAMED_OFFENDERS``
+    ids and counts the rest."""
+    shown = ", ".join(map(repr, ids[:NAMED_OFFENDERS]))
+    more = len(ids) - NAMED_OFFENDERS
+    return f"[{shown}, … and {more} more]" if more > 0 else f"[{shown}]"
+
+
 def align_ids(pred_ids: Sequence[str], gt_ids: Sequence[str]) -> None:
-    """Require the prediction ids to name each GT id exactly once."""
+    """Require the prediction ids to name each GT id exactly once. The
+    error names at most ``NAMED_OFFENDERS`` missing, extra or duplicate
+    ids each, in sorted order, and counts the rest."""
     preds, gts = set(pred_ids), set(gt_ids)
     missing = sorted(gts - preds)
     extra = sorted(preds - gts)
     if missing or extra:
         raise ValueError(
             f"prediction ids do not match GT ids "
-            f"(missing={missing}, extra={extra})"
+            f"(missing={_listed(missing)}, extra={_listed(extra)})"
         )
     for what, ids, distinct in (("prediction", pred_ids, preds),
                                 ("GT", gt_ids, gts)):
         if len(distinct) != len(ids):
             dupes = sorted(i for i, c in Counter(ids).items() if c > 1)
-            raise ValueError(f"duplicate {what} ids: {dupes}")
+            raise ValueError(f"duplicate {what} ids: {_listed(dupes)}")
 
 
 def _norm_object(text: str) -> str:

@@ -2,7 +2,9 @@
 decoders take their keys through the ``require*`` helpers, and frozen
 configs check every field by its annotation with ``check_fields``. Rows
 and reports go out as ``field_dict``: their dataclass fields by name; rows
-and hashes are spelled in ``canonical_json``."""
+and hashes are spelled in ``canonical_json``. An error message about
+many offending records or ids names the first ``NAMED_OFFENDERS`` and
+counts the rest."""
 
 from __future__ import annotations
 
@@ -11,9 +13,12 @@ import math
 from dataclasses import fields
 from typing import Callable, Mapping, Sequence
 
-__all__ = ["canonical_json", "check_fields", "field_dict", "is_integral",
-           "require", "require_bool", "require_float", "require_id",
-           "require_numbers", "require_str"]
+__all__ = ["NAMED_OFFENDERS", "canonical_json", "check_fields", "field_dict",
+           "is_integral", "require", "require_bool", "require_float",
+           "require_id", "require_numbers", "require_str"]
+
+# the offending records or ids one error message names; it counts the rest
+NAMED_OFFENDERS = 21
 
 
 def require(d: Mapping, key: str):

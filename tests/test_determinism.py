@@ -3,17 +3,19 @@
 Every variant below starts one fresh process that runs every command
 through ``fusionkit.cli.main`` on the same small seeded inputs and prints
 each artifact's sha256. Every artifact must have one digest across all
-variants: the default, two hash seeds, one CPU (so ``refine`` and
-``interactor-demo`` do not fork), one OpenBLAS thread, a few forced
-OpenBLAS core types, and each SIMD level this numpy dispatches to and
-this CPU has, turned off through ``NPY_DISABLE_CPU_FEATURES``.
+variants: the default, two hash seeds, one CPU (so ``refine``,
+``eval planning`` and ``interactor-demo`` do not fork), one OpenBLAS
+thread, a few forced OpenBLAS core types, and each SIMD level this numpy
+dispatches to and this CPU has, turned off through
+``NPY_DISABLE_CPU_FEATURES``.
 
 The one known exception: ``fused.fkmx`` moves when a level that carries
 numpy's float64 loops goes off (ROADMAP item 2). Its cell is a strict
 xfail only for a variant where the child confirms in ``__cpu_features__``
 that such a level did go off. On a one-CPU machine the one-CPU variant
 equals the default, and the forked paths are then covered only by the
-in-process tests (``test_refine_workers.py``, ``test_interactor.py``).
+in-process tests (``test_refine_workers.py``,
+``test_planning_workers.py``, ``test_interactor.py``).
 
 ``test_golden_digests.py`` pins the values; this gate checks agreement.
 """
@@ -180,8 +182,9 @@ def _commands(d: Path) -> list[list[str]]:
         {**b, "box": [v + int(rng.integers(0, 40)) for v in b["box"]],
          "score": float(rng.random())} for b in boxes])
 
+    # planning: enough GT lines that planning splits them between workers
     plan_pred, plan_gt = [], []
-    for i in range(5):
+    for i in range(600):
         gt = np.cumsum(rng.normal(1.0, 0.3, (6, 2)), axis=0)
         agents = [[{"cx": float(p[0] + 1.0), "cy": float(p[1]), "length": 4.0,
                     "width": 2.0, "heading": float(rng.random())}]

@@ -264,6 +264,26 @@ def test_align_ids_messages():
     assert alignment_error(["a"], ["a", "a"]) == "duplicate GT ids: ['a']"
 
 
+def test_align_ids_names_21_ids_per_list_and_counts_the_rest():
+    # 100 predictions against 8000 GT ids once gave a 110 KB message
+    gt = [f"g{i:04d}" for i in range(8000)]
+    extra = [f"e{i:02d}" for i in range(22)]
+
+    def shown(ids):
+        return ", ".join(map(repr, ids))
+
+    assert alignment_error(gt[:100], gt) == (
+        f"prediction ids do not match GT ids "
+        f"(missing=[{shown(gt[100:121])}, … and 7879 more], extra=[])")
+    assert alignment_error(["x", *extra], ["x"]) == (
+        f"prediction ids do not match GT ids "
+        f"(missing=[], extra=[{shown(extra[:21])}, … and 1 more])")
+    assert alignment_error(gt[:30] * 2, gt[:30]) == (
+        f"duplicate prediction ids: [{shown(gt[:21])}, … and 9 more]")
+    assert alignment_error(gt[:21], gt[:21] * 2) == (
+        f"duplicate GT ids: [{shown(gt[:21])}]")
+
+
 ids = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=12)
 
 
