@@ -11,7 +11,8 @@ sets the config key named by its argparse ``dest`` and overrides the
 value from a --config JSON file. A flag string that does not parse exits
 64; a value that breaks its config key's rule, or ``config.check_flags``
 for a flag with no key, exits 2. Both happen before any input is read.
-Every report embeds the tool version, the effective config and its
+Every report but ``budget --json`` (refine, gen-risk-qa, eval, the demo
+sidecar, mask-exp) embeds the tool version, the effective config and its
 hash, and sha256s of the input files. With fixed inputs and seeds,
 reruns write byte-identical outputs (single exception: the demo
 sidecar's wall-clock timing field).
@@ -25,7 +26,6 @@ import os
 import re
 import sys
 import time
-from contextlib import nullcontext
 from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TextIO, TypeVar
@@ -155,7 +155,7 @@ def _read_text(path: str) -> str:
 
 def _open_jsonl(path: str) -> TextIO:
     # bytes that are not UTF-8 are kept as lone surrogates, so that
-    # _read_jsonl can name the line that holds them
+    # _decode can name the line that holds them
     try:
         return open(path, encoding="utf-8", errors="surrogateescape")
     except OSError as err:
@@ -163,67 +163,67 @@ def _open_jsonl(path: str) -> TextIO:
 
 
 def _read_lines(path: str) -> list[str]:
-    """Every line of ``path``, read at once, for ``_read_jsonl``."""
+    """Every line of ``path``, read at once, for ``_in_runs``."""
     with _open_jsonl(path) as handle:
         return handle.readlines()
 
 
-def _invalid_records(path: str, named: Sequence[tuple[int, str]],
-                     count: int) -> ValueError:
-    """The error (exit 3) for ``count`` invalid records of ``path``: the
-    first ``NAMED_OFFENDERS`` of ``named``, (record index, reason) pairs
-    in record order, a line each as ``<path> record <i>: <reason>``, then
-    how many more there are."""
+def _invalid_records(path: str,
+                     invalid: Sequence[tuple[int, dict, str]]) -> ValueError:
+    """The error (exit 3) for the ``invalid`` records of ``path``, (record
+    index, row, reason) in record order: the first ``NAMED_OFFENDERS``, a
+    line each as ``<path> record <i>: <reason>``, then how many more there
+    are."""
     lines = [f"{path} record {i}: {reason}"
-             for i, reason in named[:NAMED_OFFENDERS]]
-    if count > len(lines):
-        lines.append(f"… and {count - len(lines)} more invalid records")
+             for i, _, reason in invalid[:NAMED_OFFENDERS]]
+    if len(invalid) > len(lines):
+        lines.append(f"… and {len(invalid) - len(lines)} more invalid records")
     return ValueError("\n".join(lines))
 
 
-def _read_jsonl(path: str, decode: Callable[[dict], T],
-                lines: Sequence[str] | None = None,
-                first_line: int = 1) -> list[T]:
-    """``decode`` applied to each JSON object line of ``path`` as it is read.
+def _decode(path: str, decode: Callable[[dict], T], lines: Iterable[str],
+            first_line: int) -> tuple[list[T], list[tuple[int, dict, str]]]:
+    """``decode`` applied to each JSON object line of ``lines``, whose
+    first is line ``first_line`` of ``path``, and the records it rejected.
 
     A line that is not UTF-8 or not a JSON object exits 2 at once as
     ``<path>:<line>``. A ValueError from ``decode`` marks its record
-    invalid and reading goes on; at the end one ValueError (exit 3) names
-    the invalid records (``_invalid_records``), counting every record from
-    0. Only the decoded values are kept, never a whole file of parsed rows.
-
-    ``lines``, from ``_read_lines(path)``, replaces reading the file:
-    ``lines[0]`` is line ``first_line`` of ``path``, so messages name the
-    same line as a read of the whole file (records count from 0 within
-    ``lines``).
+    invalid and decoding goes on: it is listed as (record index, row,
+    reason), counting the records of ``lines`` from 0. Only an invalid
+    record keeps its parsed row.
     """
-    out: list[T] = []
-    named: list[tuple[int, str]] = []
-    invalid = 0
-    with _open_jsonl(path) if lines is None else nullcontext(lines) as source:
-        for lineno, line in enumerate(source, start=first_line):
-            if not line.strip():
-                continue
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise InputError(f"{path}:{lineno}: not valid UTF-8") from None
+    values: list[T] = []
+    invalid: list[tuple[int, dict, str]] = []
+    for lineno, line in enumerate(lines, start=first_line):
+        if not line.strip():
+            continue
+        if not line.isascii():
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise InputError(f"{path}:{lineno}: not valid JSON: {err}") from err
-            if not isinstance(row, dict):
-                raise InputError(f"{path}:{lineno}: each line must hold an object")
-            try:
-                out.append(decode(row))
-            except ValueError as err:
-                if invalid < NAMED_OFFENDERS:
-                    named.append((len(out) + invalid, str(err)))
-                invalid += 1
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise InputError(f"{path}:{lineno}: not valid UTF-8") from None
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise InputError(f"{path}:{lineno}: not valid JSON: {err}") from err
+        if not isinstance(row, dict):
+            raise InputError(f"{path}:{lineno}: each line must hold an object")
+        try:
+            values.append(decode(row))
+        except ValueError as err:
+            invalid.append((len(values) + len(invalid), row, str(err)))
+    return values, invalid
+
+
+def _read_jsonl(path: str, decode: Callable[[dict], T]) -> list[T]:
+    """``decode`` applied to each record of ``path`` as it is read
+    (``_decode``); once the file is read, any invalid records exit 3
+    (``_invalid_records``)."""
+    with _open_jsonl(path) as handle:
+        values, invalid = _decode(path, decode, handle, 1)
     if invalid:
-        raise _invalid_records(path, named, invalid)
-    return out
+        raise _invalid_records(path, invalid)
+    return values
 
 
 def _write_text(path: str, text: str) -> None:
@@ -345,25 +345,33 @@ def _line_runs(count: int) -> list[tuple[int, int]]:
 
 
 def _in_runs(path: str, decode: Callable[[dict], T],
-             score: Callable[[list[T]], R]) -> list[R]:
+             score: Callable[[list[T]], R]
+             ) -> tuple[list[R], list[tuple[int, dict, str]]]:
     """``score`` of the ``decode``d records of each run of ``path``'s
-    lines (``_line_runs``), in file order.
+    lines (``_line_runs``), in file order, and the records ``decode``
+    rejected (``_decode``), indexed over the whole file.
 
     ``path`` is read once; ``forking.run_pieces`` shares the runs between
-    forked workers by their character counts. Each run reads its lines
-    through ``_read_jsonl``, so a bad line exits 2 naming its line of
-    ``path``. Record indices restart at 0 in each run, so ``decode`` must
-    not raise ValueError: it returns an invalid record's error instead.
+    forked workers by their character counts. A bad line exits 2 naming
+    its line of ``path``.
     """
     lines = _read_lines(path)
     runs = _line_runs(len(lines))
 
-    def run(i: int) -> R:
+    def run(i: int) -> tuple[R, list[tuple[int, dict, str]], int]:
         start, stop = runs[i]
-        return score(_read_jsonl(path, decode, lines[start:stop], start + 1))
+        values, invalid = _decode(path, decode, lines[start:stop], start + 1)
+        return score(values), invalid, len(values) + len(invalid)
 
-    return run_pieces(run, [sum(map(len, lines[start:stop]))
-                            for start, stop in runs])
+    scores: list[R] = []
+    invalid: list[tuple[int, dict, str]] = []
+    count = 0
+    for run_score, run_invalid, run_count in run_pieces(
+            run, [sum(map(len, lines[start:stop])) for start, stop in runs]):
+        scores.append(run_score)
+        invalid += [(count + j, row, reason) for j, row, reason in run_invalid]
+        count += run_count
+    return scores, invalid
 
 
 # ---------------------------------------------------------------- cmd_refine
@@ -377,51 +385,41 @@ def cmd_refine(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
 
     def decode(row: dict):
-        # an invalid record becomes an error entry, listed in the report
         if args.source and "source_dataset" not in row:
             row = {**row, "source_dataset": args.source}
-        try:
-            return record_from_dict(row)
-        except ValueError as err:
-            try:
-                record_id = require_id(row, "id")
-            except ValueError:
-                record_id = None  # listed as null
-            return {"id": record_id, "error": str(err)}
+        return record_from_dict(row)
 
-    def refine_run(decoded: list) -> tuple[str, RefineReport, list, int]:
-        # the serial path on one run: the refined JSONL text, the report,
-        # (record index within the run, error entry) pairs, the record count
-        records = [r for r in decoded if not isinstance(r, dict)]
+    def refine_run(records: list) -> tuple[str, RefineReport]:
+        # the serial path on one run: the refined JSONL text and the report
         refined, report = refine_records(
             records,
             short_threshold=cfg.short_answer_threshold,
             image_size=args.image_size,
             quantize_decimals=args.quantize_decimals,
         )
-        errors = [(j, r) for j, r in enumerate(decoded) if isinstance(r, dict)]
-        return (_jsonl([record_to_dict(r) for r in refined]), report, errors,
-                len(decoded))
+        return _jsonl([record_to_dict(r) for r in refined]), report
 
-    texts: list[str] = []
+    def record_id(row: dict) -> str | None:
+        try:
+            return require_id(row, "id")
+        except ValueError:
+            return None  # listed as null
+
+    parts, invalid = _in_runs(args.input, decode, refine_run)
     report = RefineReport()
-    validation_errors: list[dict] = []
-    count = 0
-    for text, run_report, errors, run_count in _in_runs(args.input, decode,
-                                                        refine_run):
-        texts.append(text)
+    for _, run_report in parts:
         report.merge(run_report)
-        validation_errors += [{"record_index": count + j, **r} for j, r in errors]
-        count += run_count
-    _write_text(args.output, "".join(texts))
+    validation_errors = [{"record_index": i, "id": record_id(row),
+                          "error": reason} for i, row, reason in invalid]
+    _write_text(args.output, "".join(text for text, _ in parts))
     _write_report(args.report, {"refine": report.to_dict(),
                                 "validation_errors": validation_errors},
                   cfg, {"input": args.input})
     print(
         f"refine: {report.kept} kept, {report.dropped} dropped, "
-        f"{len(validation_errors)} invalid of {count} records"
+        f"{len(invalid)} invalid of {report.input_count + len(invalid)} records"
     )
-    return EXIT_VALIDATION if validation_errors else EXIT_OK
+    return EXIT_VALIDATION if invalid else EXIT_OK
 
 
 # ----------------------------------------------------------- cmd_gen_risk_qa
@@ -511,24 +509,12 @@ def _eval_planning(args: argparse.Namespace, cfg: Config) -> tuple[str, dict]:
     pred_plans = {sample_id: plan for sample_id, plan, _ in preds}
     keys = (*HORIZONS, "avg")
 
-    def decode(row: dict):
-        # an invalid record stays its error until every run is in
-        try:
-            return planning_record_from_dict(row)
-        except ValueError as err:
-            return err
-
-    def score_run(decoded: list) -> tuple[list, dict, list, list, int]:
+    def score_run(records: list) -> tuple[list, dict, list]:
         # in GT order: the sample ids, each key's L2 values, the colliding
-        # samples per horizon, (record index within the run, reason) of
-        # each invalid record, the record count
-        ids, samples, invalid = [], [], []
+        # samples per horizon
+        ids, samples = [], []
         l2: dict[str, list[float]] = {k: [] for k in keys}
-        for j, record in enumerate(decoded):
-            if isinstance(record, ValueError):
-                invalid.append((j, str(record)))
-                continue
-            sample_id, gt_plan, agents = record
+        for sample_id, gt_plan, agents in records:
             ids.append(sample_id)
             pred_plan = pred_plans.get(sample_id)
             if pred_plan is None:
@@ -537,25 +523,21 @@ def _eval_planning(args: argparse.Namespace, cfg: Config) -> tuple[str, dict]:
                 l2[k].append(v)
             samples.append((pred_plan, agents))
         counts = collision_counts(samples, cfg.ego_length, cfg.ego_width)
-        return ids, l2, counts, invalid, len(decoded)
+        return ids, l2, counts
 
-    parts = _in_runs(args.gt, decode, score_run)
-    invalid: list[tuple[int, str]] = []
-    n = 0
-    for _, _, _, run_invalid, run_count in parts:
-        invalid += [(n + j, reason) for j, reason in run_invalid]
-        n += run_count
+    parts, invalid = _in_runs(args.gt, planning_record_from_dict, score_run)
     if invalid:
-        raise _invalid_records(args.gt, invalid, len(invalid))
-    align_ids([p[0] for p in preds], [i for ids, *_ in parts for i in ids])
+        raise _invalid_records(args.gt, invalid)
+    align_ids([p[0] for p in preds], [i for ids, _, _ in parts for i in ids])
 
     l2_sums = dict.fromkeys(keys, 0.0)
     coll_counts = [0] * len(HORIZONS)
-    for _, l2_values, counts, _, _ in parts:
+    for _, l2_values, counts in parts:
         for k, values in l2_values.items():
             for v in values:
                 l2_sums[k] += v
         coll_counts = [a + b for a, b in zip(coll_counts, counts)]
+    n = sum(len(ids) for ids, _, _ in parts)
     if n == 0:
         raise ValueError("planning eval needs at least one sample")
     l2 = {k: l2_sums[k] / n for k in keys}

@@ -148,10 +148,6 @@ def _lcs_scan(masks: dict[str, int], n: int, b: Sequence[str]) -> int:
     return n - (v & full).bit_count()
 
 
-def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    return _lcs_scan(_lcs_masks(a), len(a), b)
-
-
 def _rouge_pair(cand: list[str], refs: list[list[str]], b2: float) -> float:
     """Best-reference LCS F-measure of one pair."""
     best = 0.0

@@ -8,11 +8,11 @@ import json
 import numpy as np
 import pytest
 
+from fusionkit import cli
 from fusionkit.cli import (
     InputError,
     _make_client,
     _read_jsonl,
-    _read_lines,
     build_parser,
     demo_params,
     main,
@@ -456,14 +456,29 @@ def test_read_jsonl_accepts_utf8_beyond_ascii(tmp_path) -> None:
         _read_jsonl(str(path), dict)
 
 
-def test_read_jsonl_on_read_lines_keeps_absolute_line_numbers(tmp_path) -> None:
+def test_in_runs_counts_lines_and_records_over_the_whole_file(
+        monkeypatch, tmp_path) -> None:
+    def decode(row):
+        if row["a"] < 0:
+            raise ValueError(f"a is {row['a']}")
+        return row["a"]
+
+    monkeypatch.setattr(cli, "_MIN_LINES_PER_WORKER", 3)
+    assert cli._line_runs(7) == [(0, 3), (3, 7)]
     path = tmp_path / "in.jsonl"
-    path.write_text('{"a": 1}\r\n\r\n{"a": 2}\n{"a": 3}\n[4]\n', encoding="utf-8")
-    lines = _read_lines(str(path))
-    assert len(lines) == 5
-    assert _read_jsonl(str(path), dict, lines[1:4], 2) == [{"a": 2}, {"a": 3}]
-    with pytest.raises(InputError, match=r"in\.jsonl:5: each line must hold"):
-        _read_jsonl(str(path), dict, lines[3:], 4)
+    # line 2 is blank, so records 0-1 are in the first run and 2-5 in the
+    # second
+    rows = ['{"a": 1}', "", '{"a": -2}', '{"a": 3}', '{"a": -4}', '{"a": 5}',
+            '{"a": -6}']
+    path.write_text("\r\n".join(rows) + "\r\n", encoding="utf-8")
+    scores, invalid = cli._in_runs(str(path), decode, list)
+    assert scores == [[1], [3, 5]]
+    assert invalid == [(1, {"a": -2}, "a is -2"), (3, {"a": -4}, "a is -4"),
+                       (5, {"a": -6}, "a is -6")]
+    rows[5] = "[5]"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(InputError, match=r"in\.jsonl:6: each line must hold"):
+        cli._in_runs(str(path), decode, list)
 
 
 def test_read_jsonl_names_the_record_a_decoder_rejects(tmp_path) -> None:

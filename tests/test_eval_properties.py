@@ -28,7 +28,8 @@ from fusionkit.driving_eval import (
 )
 from fusionkit.text_metrics import (
     EvalPair,
-    _lcs_length,
+    _lcs_masks,
+    _lcs_scan,
     compute_caption_report,
     rouge_l,
 )
@@ -57,8 +58,8 @@ tokens = st.lists(st.sampled_from(["a", "b", "c", "d", "."]), max_size=90)
 @settings(max_examples=300, deadline=None)
 @given(tokens, tokens)
 def test_bit_parallel_lcs_matches_dp(a, b):
-    assert _lcs_length(a, b) == dp_lcs(a, b)
-    assert _lcs_length(b, a) == dp_lcs(a, b)
+    assert _lcs_scan(_lcs_masks(a), len(a), b) == dp_lcs(a, b)
+    assert _lcs_scan(_lcs_masks(b), len(b), a) == dp_lcs(a, b)
 
 
 texts = st.lists(

@@ -107,6 +107,12 @@ def test_corpus_is_what_the_tests_need(corpus):
     assert stdout.endswith(f" {len(invalid)} invalid of {RECORDS} records\n")
     assert b'"out_of_range"' in report and b'"inverted"' in report
     assert b"grounding_lost_all_boxes" in report
+    # the generator's invalid records: an int id every 120th, a list id
+    # (listed as null) in between
+    assert [(e["record_index"], e["id"])
+            for e in json.loads(report)["validation_errors"]] == [
+        (i, str(i) if i % 120 == 7 else None)
+        for i in range(RECORDS) if i % 60 == 7]
 
 
 @pytest.mark.parametrize("n_cpus", [2, 4])
