@@ -12,7 +12,7 @@ Subpackages are deliberately flat:
 - ``chat``          minimal chat-completion client (HTTP + deterministic replay)
 - ``risk_qa``       two-step risk extraction / QA generation pipeline
 - ``masking``       seeded token-masking experiment harness
-- ``forking``       the one fork policy shared by ``fuse`` and ``refine``
+- ``forking``       the one fork policy of ``fuse``, ``refine`` and ``eval planning``
 - ``config``        frozen tool config, JSON file + flag layering, provenance
 - ``jsontypes``     JSON type checks for record decoders and config fields
 - ``cli``           the ``fusionkit`` command line tool

@@ -443,19 +443,22 @@ def _rectangles_collide_rows(
     return hit
 
 
-# samples per numpy block in collision checks; bounds the temporaries
-_COLLISION_BLOCK = 1024
-
-
-def _waypoint_hits(
+def collision_counts(
     samples: Sequence[tuple[TrajectoryPlan, AgentSnapshots]],
     ego_length: float,
     ego_width: float,
-) -> np.ndarray:
-    """(len(samples), 6) bool: waypoint t of sample i overlaps an agent of
-    snapshot t."""
+) -> list[int]:
+    """How many of ``samples`` collide at each horizon of ``HORIZONS``, as
+    ``collision_rate`` judges them. Counts add up over any split of the
+    samples; no samples count 0.
+
+    One separating-axis pass covers every sample, so the temporaries grow
+    with the number of agent rows in the call.
+    """
+    if ego_length <= 0.0 or ego_width <= 0.0:
+        raise ValueError("ego extents must be positive")
     ego_rows = []
-    agent_rows = []
+    agent_rows = [np.empty((0, 5))]
     sizes: list[int] = []
     for plan, agents in samples:
         headings = _ego_headings(plan.waypoints)
@@ -465,6 +468,7 @@ def _waypoint_hits(
         ]
         agent_rows.append(agents.rows)
         sizes += agents.sizes
+    # per (sample, waypoint t) slot: the ego overlaps an agent of snapshot t
     hits = np.zeros(len(sizes), dtype=bool)
     rows = np.concatenate(agent_rows)
     if len(rows):
@@ -474,26 +478,9 @@ def _waypoint_hits(
         ax, ay = _corner_arrays(rows)
         hit = _rectangles_collide_rows(ex[:, owner], ey[:, owner], ax, ay)
         hits[owner[hit]] = True
-    return hits.reshape(len(samples), WAYPOINT_COUNT)
-
-
-def collision_counts(
-    samples: Sequence[tuple[TrajectoryPlan, AgentSnapshots]],
-    ego_length: float,
-    ego_width: float,
-) -> list[int]:
-    """How many of ``samples`` collide at each horizon of ``HORIZONS``, as
-    ``collision_rate`` judges them. Counts add up over any split of the
-    samples; no samples count 0."""
-    if ego_length <= 0.0 or ego_width <= 0.0:
-        raise ValueError("ego extents must be positive")
+    hits = hits.reshape(len(samples), WAYPOINT_COUNT)
     last = [_HORIZON_LAST_INDEX[h] for h in HORIZONS]
-    counts = np.zeros(len(HORIZONS), dtype=np.int64)
-    for start in range(0, len(samples), _COLLISION_BLOCK):
-        hits = _waypoint_hits(samples[start : start + _COLLISION_BLOCK],
-                              ego_length, ego_width)
-        counts += np.logical_or.accumulate(hits, axis=1)[:, last].sum(axis=0)
-    return counts.tolist()
+    return np.logical_or.accumulate(hits, axis=1)[:, last].sum(axis=0).tolist()
 
 
 def rates_from_counts(counts: Sequence[int], sample_count: int) -> dict[str, float]:

@@ -127,12 +127,6 @@ class SelectionResult:
     features: Matrix
     scores: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if len(set(self.indices)) != len(self.indices):
-            raise ValueError("selected indices must be unique")
-        if not (len(self.indices) == self.features.rows == len(self.scores)):
-            raise ShapeError("indices, features and scores must align")
-
 
 @dataclass(frozen=True)
 class TokenProvenance:
@@ -144,10 +138,6 @@ class TokenProvenance:
 class FusedTokenSequence:
     tokens: Matrix
     provenance: tuple[TokenProvenance, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.provenance) != self.tokens.rows:
-            raise ShapeError("provenance must tag every fused token")
 
 
 @dataclass(frozen=True)
@@ -196,7 +186,7 @@ def select_topk(features: Matrix, scores: Sequence[float], k: int) -> SelectionR
         raise ShapeError("scores must be one value per feature row")
     if not np.isfinite(vec).all():
         raise ValueError("scores must be finite")
-    order = np.lexsort((np.arange(vec.shape[0]), -vec))
+    order = np.argsort(-vec, kind="stable")
     keep = order[: min(k, features.rows)]
     return SelectionResult(
         indices=tuple(keep.tolist()),

@@ -374,9 +374,7 @@ class _Totals:
         return out
 
 
-def _score(
-    pairs: Sequence[EvalPair], max_n: int = 4, with_cider: bool = True
-) -> _Totals:
+def _score(pairs: Sequence[EvalPair], max_n: int = 4) -> _Totals:
     """Every metric from one pass over the pairs and one columnar pass per
     n-gram order.
 
@@ -408,7 +406,7 @@ def _score(
     # IDF by document frequency, log(N / d) for d in 0..N; CIDEr's IDF
     # degenerates below two documents
     idf = (np.array([0.0] + [math.log(size / d) for d in range(1, size + 1)])
-           if with_cider and size >= 2 else None)
+           if size >= 2 else None)
     bleu = [cand_len, ref_len]  # then matches and totals per order
     per_n = np.zeros(size)  # per pair: CIDEr summed over orders
     grams = None
@@ -432,7 +430,7 @@ def bleu(pairs: Sequence[EvalPair], max_n: int = 4) -> float:
         raise ValueError("BLEU needs at least one pair")
     if not 1 <= max_n <= 4:
         raise ValueError("max_n must be in 1..4")
-    stats = _score(pairs, max_n, with_cider=False).bleu
+    stats = _score(pairs, max_n).bleu
     return _bleu_from_stats(stats, max_n)
 
 
@@ -440,7 +438,7 @@ def bleu_all(pairs: Sequence[EvalPair]) -> dict[str, float]:
     """BLEU-1 through BLEU-4 from one pass over the corpus."""
     if not pairs:
         raise ValueError("BLEU needs at least one pair")
-    stats = _score(pairs, with_cider=False).bleu
+    stats = _score(pairs).bleu
     return {f"BLEU{n}": _bleu_from_stats(stats, n) for n in range(1, 5)}
 
 
@@ -449,7 +447,7 @@ def rouge_l(pairs: Sequence[EvalPair]) -> float:
     ``ROUGE_BETA``^2."""
     if not pairs:
         raise ValueError("ROUGE-L needs at least one pair")
-    return 100.0 * _score(pairs, with_cider=False).rouge / len(pairs)
+    return 100.0 * _score(pairs).rouge / len(pairs)
 
 
 _CIDER_TOO_SMALL = (

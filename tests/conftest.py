@@ -1,5 +1,6 @@
 import os
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,19 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from fusionkit import forking  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_alive():
+    """Fail a test that leaves a thread it started alive: while a second
+    Python thread runs, ``forking.run_pieces`` forks nothing, so later
+    fork tests would silently run serial."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"test left threads alive: {', '.join(left)}")
+
 
 # ------------------------------------------- pieces split over processes
 # forking.run_pieces runs its first group of pieces here and each other

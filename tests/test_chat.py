@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
@@ -216,15 +215,19 @@ def no_backoff(monkeypatch):
 
 class _Backend(ThreadingHTTPServer):
     """Loopback chat backend that answers from a replay store, after
-    first answering one scripted (status, headers) per POST."""
+    first answering one scripted (status, headers) per POST.
 
-    daemon_threads = True
+    ``server_close`` joins the handler threads; setting ``closing`` first
+    cuts a reply delay short."""
+
+    daemon_threads = False
 
     def __init__(self, replay: ReplayChatClient | None = None):
         super().__init__(("127.0.0.1", 0), _BackendHandler)
         self.replay = replay
         self.script: list[tuple[int, dict]] = []
         self.delay_s = 0.0
+        self.closing = threading.Event()
         self.connections = 0
         self.posts = 0
         self.lock = threading.Lock()
@@ -253,7 +256,7 @@ class _BackendHandler(BaseHTTPRequestHandler):
         with server.lock:
             server.posts += 1
             status, headers = server.script.pop(0) if server.script else (200, {})
-        time.sleep(server.delay_s)
+        server.closing.wait(server.delay_s)
         if status == 200:
             text = "pong"
             if server.replay is not None:
@@ -287,6 +290,7 @@ def backend(tmp_path):
                               daemon=True)
     thread.start()
     yield server
+    server.closing.set()
     server.shutdown()
     server.server_close()
     thread.join(timeout=10)

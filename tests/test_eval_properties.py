@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusionkit.cli import _line_runs
 from fusionkit.driving_eval import (
     TrajectoryPlan,
     _corner_arrays,
@@ -23,6 +24,7 @@ from fusionkit.driving_eval import (
     _rect_corners,
     _rectangles_collide_rows,
     align_ids,
+    collision_counts,
     collision_rate,
     rectangles_collide,
 )
@@ -169,10 +171,10 @@ def scalar_trajectory_flags(plan, ego_length, ego_width, agents):
 Agent = namedtuple("Agent", "cx cy length width heading")
 
 
-def test_collision_paths_match_scalar_loop_across_blocks():
+def test_collision_paths_match_scalar_loop_on_one_large_call():
     rnd = random.Random(21)
     samples = []
-    for _ in range(2500):  # more than two numpy blocks
+    for _ in range(2500):  # more GT lines than one planning run holds
         plan = TrajectoryPlan(tuple(
             (rnd.choice([0.0, 1.5 * (i + 1)]) + rnd.uniform(-1, 1),
              rnd.uniform(-1.5, 1.5)) for i in range(6)))
@@ -193,6 +195,12 @@ def test_collision_paths_match_scalar_loop_across_blocks():
         count = sum(1 for f in want if f[h])
         assert rates[h] == 100.0 * count / len(samples)
     assert 0.0 < rates["1s"] < rates["3s"] < 100.0
+    # counts add up over the runs planning splits its GT lines into
+    counts = collision_counts(samples, 4.084, 1.85)
+    runs = _line_runs(len(samples))
+    assert len(runs) > 1
+    assert counts == np.sum([collision_counts(samples[a:b], 4.084, 1.85)
+                             for a, b in runs], axis=0).tolist()
 
 
 # --------------------------------------------------------- caption report
