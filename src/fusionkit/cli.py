@@ -197,11 +197,10 @@ def _decode(path: str, decode: Callable[[dict], T], lines: Iterable[str],
     for lineno, line in enumerate(lines, start=first_line):
         if not line.strip():
             continue
-        if not line.isascii():
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise InputError(f"{path}:{lineno}: not valid UTF-8") from None
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InputError(f"{path}:{lineno}: not valid UTF-8") from None
         try:
             row = json.loads(line)
         except json.JSONDecodeError as err:

@@ -1,6 +1,6 @@
-"""Matrix kernels: matmul, a two-layer MLP, a stacked cross-attention
-block (row softmax inside), cosine similarity, and a central-difference
-gradient oracle.
+"""Matrix kernels: one product kernel, a two-layer MLP, a stacked
+cross-attention block (row softmax inside), cosine similarity, and a
+central-difference gradient oracle.
 
 Everything is computed in float64. Reductions accumulate in ascending
 index order, so any result is bit-for-bit identical to a naive loop
@@ -38,7 +38,6 @@ __all__ = [
     "MlpParams",
     "CrossAttnLayer",
     "CrossAttnParams",
-    "matmul",
     "mlp_forward",
     "mlp_input_grad",
     "cross_attention",
@@ -75,11 +74,7 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # `acc = 0.0; acc += a[i][k] * b[k][j]` for k ascending, so results
     # match such an oracle bitwise; panels only split the independent
     # output elements between numpy calls.
-    m, k = a.shape
-    n = b.shape[1]
-    if m > n:
-        # run numpy's inner loop along the longer side: x*y == y*x bitwise
-        return np.ascontiguousarray(_mm(b.T, a.T).T)
+    m, n = a.shape[0], b.shape[1]
     at = np.ascontiguousarray(a.T)
     b = np.ascontiguousarray(b)
     out = np.zeros((m, n))
@@ -97,13 +92,6 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
     return e
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product a @ b with a fixed (ascending-k) summation order."""
-    if a.cols != b.rows:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    return Matrix(_mm(a.data, b.data))
 
 
 def _frozen_vector(values, what: str) -> np.ndarray:
@@ -138,10 +126,6 @@ class MlpParams:
     @property
     def d_in(self) -> int:
         return self.w1.rows
-
-    @property
-    def d_hidden(self) -> int:
-        return self.w1.cols
 
     @property
     def d_out(self) -> int:

@@ -545,7 +545,7 @@ def refine_records(
         question_grounded = False
         for turn in record.conversation:
             segments: list[Segment] = []
-            had_boxes = kept_boxes = changed = False
+            had_boxes = kept_boxes = False
             for seg in turn.value.segments:
                 if isinstance(seg, BoxSpan):
                     had_boxes = True
@@ -554,13 +554,11 @@ def refine_records(
                         nb = normalize_box(seg.as_tuple(), *image_size)
                         seg = BoxSpan(nb.x1, nb.y1, nb.x2, nb.y2)
                         report.boxes_normalized += 1
-                        changed = True
                     reason = _box_drop_reason(seg)
                     if reason is not None:
                         report.box_drops[reason] = (
                             report.box_drops.get(reason, 0) + 1
                         )
-                        changed = True
                         continue
                     kept_boxes = True
                 elif quantize_decimals and isinstance(seg, PlainText):
@@ -572,9 +570,8 @@ def refine_records(
                     if hits:
                         report.decimals_converted += hits
                         seg = PlainText(text)
-                        changed = True
                 segments.append(seg)
-            value = TaggedText(tuple(segments)) if changed else turn.value
+            value = TaggedText(tuple(segments))
             if turn.role == "assistant":
                 answer = value
                 if had_boxes and not kept_boxes and question_grounded:
@@ -582,7 +579,7 @@ def refine_records(
             # the input turn: a question whose own boxes were all dropped
             # still asks for boxes
             question_grounded = turn.value.has_grounding_tags()
-            turns.append(ConversationTurn(turn.role, value) if changed else turn)
+            turns.append(ConversationTurn(turn.role, value))
         drop = ("decimal_out_of_range" if decimal_out_of_range
                 else "grounding_lost_all_boxes" if lost_grounding else None)
         if drop is not None:

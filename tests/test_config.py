@@ -6,7 +6,8 @@ import json
 import math
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import pytest
 from hypothesis import HealthCheck, assume, given, seed, settings
@@ -24,7 +25,7 @@ from fusionkit.config import (
     sha256_file,
 )
 from fusionkit.interactor import SelectionConfig
-from fusionkit.jsontypes import check_fields
+from fusionkit.jsontypes import check_fields, field_dict
 from fusionkit.masking import MaskExperimentConfig, MaskSpec
 from fusionkit.risk_qa import PipelineConfig, build_risk_prompt
 
@@ -207,6 +208,23 @@ class _Unlisted:
 def test_check_fields_rejects_an_unlisted_annotation() -> None:
     with pytest.raises(TypeError, match=r"_Unlisted\.names"):
         check_fields(_Unlisted())
+
+
+@dataclass(frozen=True)
+class _Row:
+    kind: ClassVar[str] = "row"
+    zeta: list = field(default_factory=list)
+    alpha: dict = field(default_factory=dict)
+    mid: int = 3
+
+
+def test_field_dict_is_the_fields_in_declaration_order() -> None:
+    row = _Row()
+    out = field_dict(row)
+    assert list(out) == ["zeta", "alpha", "mid"]  # no ClassVar
+    assert out["zeta"] is row.zeta and out["alpha"] is row.alpha
+    assert out == {"zeta": [], "alpha": {}, "mid": 3}
+    assert field_dict(row) is not out  # a new dict each call
 
 
 CONFIG_TYPES = {f.name: f.type for f in fields(Config)}
