@@ -70,7 +70,6 @@ from .interactor import (
     REDUCTIONS,
     BevFeatureMap,
     InstructionEmbedding,
-    SelectionConfig,
     ViewFeatureSet,
     fuse,
     token_budget,
@@ -93,7 +92,7 @@ from .refinery import (
     record_to_dict,
     refine_records,
 )
-from .risk_qa import PipelineConfig, run_pipeline, scene_from_dict
+from .risk_qa import run_pipeline, scene_from_dict
 from .text_metrics import (
     EvalPair,
     caption_gt_from_dict,
@@ -309,12 +308,6 @@ def _config_from_args(args: argparse.Namespace) -> Config:
         key: value for key, value in flags.items() if key in _CONFIG_KEYS})
 
 
-def _library_config(kind: type[T], cfg: Config) -> T:
-    """A library config dataclass from the ``Config`` keys of the same
-    names."""
-    return kind(**{f.name: getattr(cfg, f.name) for f in fields(kind)})
-
-
 def _emit(csv_text: str, args: argparse.Namespace) -> None:
     if getattr(args, "csv", None):
         _write_text(args.csv, csv_text)
@@ -442,8 +435,7 @@ def cmd_gen_risk_qa(args: argparse.Namespace) -> int:
     client = _make_client(args, cfg)
     scenes = _read_jsonl(args.scenes, scene_from_dict)
 
-    pairs, targets, report = run_pipeline(
-        scenes, client, _library_config(PipelineConfig, cfg))
+    pairs, targets, report = run_pipeline(scenes, client, cfg)
     _write_text(args.out_qa, _jsonl([p.to_dict() for p in pairs]))
     _write_text(args.out_grounding, _jsonl([t.to_dict() for t in targets]))
     _write_report(args.report, {"run": report.to_dict()}, cfg,
@@ -604,11 +596,10 @@ def cmd_demo(args: argparse.Namespace) -> int:
     grid = (bev_mat.rows, 1) if args.bev_grid is None else args.bev_grid
     bev = BevFeatureMap(tokens=bev_mat, grid_shape=grid)
     inst = InstructionEmbedding(tokens=inst_mat)
-    sel_cfg = _library_config(SelectionConfig, cfg)
     attn_mv, attn_bev = demo_params(
         inst.d, args.num_layers, args.num_heads, cfg.seed)
-    fused = fuse(views, bev, inst, sel_cfg, attn_mv, attn_bev)
-    budget = token_budget(sel_cfg, views.token_counts, bev_mat.rows)
+    fused = fuse(views, bev, inst, cfg, attn_mv, attn_bev)
+    budget = token_budget(cfg, views.token_counts, bev_mat.rows)
     elapsed = time.perf_counter() - started
 
     save_fkmx(fused.tokens, args.out)
@@ -669,8 +660,7 @@ def cmd_mask_exp(args: argparse.Namespace) -> int:
 
 def cmd_budget(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    report = token_budget(_library_config(SelectionConfig, cfg),
-                          args.view_tokens, args.bev_tokens)
+    report = token_budget(cfg, args.view_tokens, args.bev_tokens)
     if args.json:
         _write_text(args.json, _json_doc(report.to_dict()))
     print(

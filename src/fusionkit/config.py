@@ -1,10 +1,14 @@
 """Toolchain configuration: defaults, file loading, hashing, provenance.
 
-One frozen Config carries every knob the command-line tools accept.
-Values load from a JSON file, each overridden by the flag that sets it
-(unknown keys rejected so typos fail loudly). Reports embed a sha256
-over the effective config's canonical JSON plus sha256s of the input
-files, which makes any result traceable to exactly what produced it.
+One frozen Config carries every knob the command-line tools accept. It
+extends the library configs whose knobs it carries, ``SelectionConfig``
+(token selection) and ``PipelineConfig`` (risk QA generation), so each of
+their defaults is stated once, there, and a Config is passed to ``fuse``,
+``token_budget`` and ``run_pipeline`` as it is. Values load from a JSON
+file, each overridden by the flag that sets it (unknown keys rejected so
+typos fail loudly). Reports embed a sha256 over the effective config's
+canonical JSON plus sha256s of the input files, which makes any result
+traceable to exactly what produced it.
 """
 
 from __future__ import annotations
@@ -17,9 +21,10 @@ from typing import Mapping
 
 from . import __version__
 from .driving_eval import AP_INTERPOLATIONS, L2_MODES, ORA_GATING_MODES
-from .interactor import REDUCTIONS
+from .interactor import REDUCTIONS, SelectionConfig
 from .jsontypes import canonical_json, check_fields, field_dict
 from .refinery import DATASET_SOURCES
+from .risk_qa import PipelineConfig
 
 __all__ = [
     "AP_INTERPOLATIONS",
@@ -56,6 +61,8 @@ _RULES = {
     "ora_gating": _one_of(ORA_GATING_MODES),
     "ego_length": (lambda v: v > 0, "must be positive"),
     "ego_width": (lambda v: v > 0, "must be positive"),
+    "step1_model": (bool, "must be non-empty"),
+    "step2_model": (bool, "must be non-empty"),
     "temperature": (lambda v: v >= 0, "must be nonnegative"),
     "timeout": (lambda v: v > 0, "must be positive"),
     "retries": (lambda v: v >= 0, "must be nonnegative"),
@@ -95,13 +102,17 @@ def check_flags(values: Mapping) -> None:
 
 
 @dataclass(frozen=True)
-class Config:
-    """Every tool knob with its documented default."""
+class Config(SelectionConfig, PipelineConfig):
+    """Every tool knob with its documented default.
 
-    # token selection
-    k_img: int = 90
-    k_bev: int = 300
-    reduction: str = "max"
+    The token-selection knobs (``k_img``, ``k_bev``, ``reduction``) and
+    the risk-QA knobs (``step1_model``, ``step2_model``, ``temperature``,
+    ``seed``, ``retries``, ``max_in_flight``) are inherited with their
+    defaults; ``seed`` also seeds the demo parameters and mask draws. The
+    fields below are the rest. Every value is judged here, by ``_RULES``,
+    which names the key, so the bases' own checks are not run.
+    """
+
     # refinement
     short_answer_threshold: int = 5
     # evaluation
@@ -114,14 +125,7 @@ class Config:
     ego_width: float = 1.85
     # chat client
     endpoint: str = ""
-    step1_model: str = "gpt-4o"
-    step2_model: str = "gpt-4o-mini"
-    temperature: float = 0.0
     timeout: float = 60.0
-    retries: int = 2
-    max_in_flight: int = 2
-    # randomness
-    seed: int = 0
 
     def __post_init__(self) -> None:
         check_fields(self, ConfigError)

@@ -262,24 +262,24 @@ def normalize_box(
 ) -> NormalizedBox:
     """Map a pixel-space box onto the inclusive 0..999 grid.
 
-    Per axis: clamp(round(coord / (size - 1) * 999), 0, 999), so pixel 0
-    lands on 0 and the last pixel index lands on 999. Monotone per axis,
-    which preserves corner ordering.
+    Per axis: round(clamp(coord, 0, size - 1) / (size - 1) * 999), so
+    pixel 0 lands on 0 and the last pixel index lands on 999. Monotone per
+    axis, which preserves corner ordering. The clamp comes first, so an
+    integer corner or side too large for a float is never made one.
     """
     if img_w < 2 or img_h < 2:
         raise ValueError("image sides must be at least 2 pixels")
-    coords = [float(c) for c in px_box]
+    coords = tuple(px_box)
     if len(coords) != 4:
         raise ValueError("px_box must hold four coordinates")
-    if any(not math.isfinite(c) for c in coords):
+    if any(not isinstance(c, int) and not math.isfinite(c) for c in coords):
         raise ValueError("pixel coordinates must be finite")
     x1, y1, x2, y2 = coords
     if x2 < x1 or y2 < y1:
         raise ValueError("inverted pixel box; filter it instead of normalizing")
 
     def norm(c: float, size: int) -> int:
-        scaled = round_half_away(c / (size - 1) * GRID_MAX)
-        return min(max(scaled, 0), GRID_MAX)
+        return round_half_away(min(max(c, 0), size - 1) / (size - 1) * GRID_MAX)
 
     return NormalizedBox(norm(x1, img_w), norm(y1, img_h),
                          norm(x2, img_w), norm(y2, img_h))
@@ -495,7 +495,9 @@ def classify_answer_length(answer: TaggedText, threshold: int = 5) -> str:
     return "short" if count <= threshold else "long"
 
 
-_DECIMAL_RE = re.compile(r"-?\d+\.\d+")
+# A whole decimal literal: not part of a longer number, version string or
+# address (``192.168.0.1``), and not the mantissa of an exponent (``1.5e3``)
+_DECIMAL_RE = re.compile(r"(?<![\d.])-?\d+\.\d+(?!\d|\.\d|[eE][+-]?\d)")
 
 
 def _quantize_plain_decimals(text: str) -> tuple[str, int]:
@@ -523,7 +525,7 @@ def refine_records(
       coordinates and mapped onto the 0..999 grid (``normalize_box``);
     - a box that is out of [0, 999], inverted, or zero-area is dropped
       and counted by reason;
-    - with quantize_decimals, decimal literals in plain text are rounded
+    - with quantize_decimals, whole decimal literals in plain text are rounded
       to integers.
 
     A whole record is dropped when some assistant turn had boxes, keeps

@@ -161,33 +161,17 @@ class RiskEntry:
     status: str
     reason: str
 
-    def __post_init__(self) -> None:
-        if self.status not in RISK_STATUSES:
-            raise ValueError(f"status must be one of {RISK_STATUSES}")
-        if not self.reason.strip():
-            raise ValueError("reason must be non-empty")
-
 
 @dataclass(frozen=True)
 class RiskAssessmentDoc:
     """Validated step-1 output: object phrase → risk type → entry.
 
-    Never holds a None-status entry or an object with no risks; both
-    are dropped during parsing per the prompt's own rules.
+    ``parse_risk_response`` builds it and checks every rule: known risk
+    types and statuses, non-empty reasons, no None-status entry and no
+    object with no risks (both dropped per the prompt's own rules).
     """
 
     objects: Mapping[str, Mapping[str, RiskEntry]]
-
-    def __post_init__(self) -> None:
-        frozen: dict[str, dict[str, RiskEntry]] = {}
-        for phrase, risks in self.objects.items():
-            if not risks:
-                raise ValueError(f"object {phrase!r} has no risks; drop it instead")
-            for risk_type in risks:
-                if risk_type not in RISK_TYPES:
-                    raise ValueError(f"unknown risk type {risk_type!r}")
-            frozen[str(phrase)] = dict(risks)
-        object.__setattr__(self, "objects", frozen)
 
     @property
     def is_empty(self) -> bool:
@@ -203,17 +187,15 @@ class RiskAssessmentDoc:
 
 @dataclass(frozen=True)
 class QaPair:
+    """One QA pair: ``parse_qa_response`` checks that the question and
+    answer are non-empty, and ``categorize_qa`` sets a QA_CATEGORIES
+    category."""
+
     question: str
     answer: str
     qa_category: str | None = None
     scene_id: str = ""
     step: str = "step2"
-
-    def __post_init__(self) -> None:
-        if not self.question.strip() or not self.answer.strip():
-            raise ValueError("question and answer must be non-empty")
-        if self.qa_category is not None and self.qa_category not in QA_CATEGORIES:
-            raise ValueError(f"qa_category must be one of {QA_CATEGORIES}")
 
     def to_dict(self) -> dict:
         return field_dict(self)

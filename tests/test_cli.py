@@ -254,6 +254,34 @@ def test_refine_options_flow_through(tmp_path) -> None:
     assert " 4 m" in row["conversation"][1]["value"]
 
 
+@pytest.mark.parametrize("box, size, want", [
+    # a corner too large for a float lands on the grid's edge
+    ("(0,0),(" + "9" * 400 + ",5)", "1600x900", "<box>(0,0),(999,6)</box>"),
+    # a side too large for a float maps the box to (0,0),(0,0): zero area
+    ("(0,0),(10,5)", "9" * 400 + "x900", None),
+], ids=["huge-corner", "huge-side"])
+def test_refine_image_size_past_float_range(tmp_path, capsys, box, size,
+                                            want) -> None:
+    src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    write_jsonl(src, [{"id": "p", "conversation": [
+        {"role": "human", "value": "Where?"},
+        {"role": "assistant", "value": f"At <box>{box}</box>."}]}])
+    report = tmp_path / "report.json"
+    rc = main(["refine", "--input", str(src), "--output", str(out),
+               "--report", str(report), "--image-size", size])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "Traceback" not in captured.err
+    value = json.loads(out.read_text())["conversation"][1]["value"]
+    doc = json.loads(report.read_text())["refine"]
+    if want is None:
+        assert "<box>" not in value
+        assert doc["box_drops"] == {"zero_area": 1}
+    else:
+        assert want in value
+        assert doc["box_drops"] == {}
+
+
 def test_refine_decimal_out_of_range_is_a_drop(tmp_path, capsys) -> None:
     src = tmp_path / "in.jsonl"
     write_jsonl(src, [

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 from fusionkit import cli
 from fusionkit.chat import ChatRequest
-from fusionkit.cli import main
+from fusionkit.cli import build_parser, main
 from fusionkit.config import (
+    _FLAG_RULES,
+    _RULES,
     Config,
     ConfigError,
     config_hash,
@@ -29,7 +31,13 @@ from fusionkit.jsontypes import check_fields, field_dict
 from fusionkit.masking import MaskExperimentConfig, MaskSpec
 from fusionkit.risk_qa import PipelineConfig, build_risk_prompt
 
-from test_cli import REFINE_RECORDS, _demo_inputs, scene_to_dict, write_jsonl
+from test_cli import (
+    REFINE_RECORDS,
+    _demo_inputs,
+    _option_dests,
+    scene_to_dict,
+    write_jsonl,
+)
 from test_decoder_properties import SPECIAL
 from test_risk_qa import QA_RESPONSE_FIXTURE, RISK_RESPONSE_FIXTURE, seven_car_scene
 
@@ -68,6 +76,10 @@ def test_validation() -> None:
         Config(ego_length=0.0)
     with pytest.raises(ConfigError):
         Config(max_in_flight=0)
+    with pytest.raises(ConfigError, match="step1_model must be non-empty"):
+        Config(step1_model="")
+    with pytest.raises(ConfigError, match="step2_model must be non-empty"):
+        Config(step2_model="")
 
 
 def test_load_file_then_flag_overrides(tmp_path) -> None:
@@ -192,11 +204,17 @@ def test_every_config_field_has_a_json_type(make) -> None:
 
 @pytest.mark.parametrize("kind", [SelectionConfig, PipelineConfig])
 def test_library_config_fields_are_config_keys(kind) -> None:
-    # the CLI builds these from the Config keys of the same names
-    config_fields = {f.name: f for f in fields(Config)}
-    for f in fields(kind):
-        assert f.name in config_fields
-        assert f.default == config_fields[f.name].default
+    # the CLI passes its Config to fuse, token_budget and run_pipeline, and
+    # Config inherits these fields with their defaults
+    assert issubclass(Config, kind)
+
+
+def test_rule_tables_name_real_inputs() -> None:
+    # a rule under a name no input carries is never checked
+    keys = {f.name for f in fields(Config)}
+    assert set(_RULES) <= keys
+    flag_dests = {dest for _, _, dest in _option_dests(build_parser())}
+    assert set(_FLAG_RULES) <= flag_dests - keys
 
 
 @dataclass(frozen=True)
@@ -265,6 +283,23 @@ def test_wrong_typed_config_value_exit_2(tmp_path, capsys, name, value) -> None:
     assert captured.err.startswith(f"error: {name} ") or (
         captured.err.startswith(f"error: each of {name} "))
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("key", ["step1_model", "step2_model"])
+def test_empty_model_name_exit_2(tmp_path, capsys, key) -> None:
+    # judged with the config, before any scene is sent and fails on it
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: ""}))
+    scenes = tmp_path / "scenes.jsonl"
+    write_jsonl(scenes, [scene_to_dict(seven_car_scene())])
+    rc = main(["gen-risk-qa", "--config", str(path), "--scenes", str(scenes),
+               "--mock", str(tmp_path), "--out-qa", str(tmp_path / "q.jsonl"),
+               "--out-grounding", str(tmp_path / "g.jsonl")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith(f"error: {key} must be non-empty, got ''")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "q.jsonl").exists()
 
 
 def test_negative_temperature_exit_2(tmp_path, capsys) -> None:

@@ -252,6 +252,23 @@ def test_normalize_box_errors():
         normalize_box((0, 0, 10, 10), 1, 480)
     with pytest.raises(ValueError):
         normalize_box((0, 0, float("nan"), 10), 640, 480)
+    with pytest.raises(ValueError, match="finite"):
+        normalize_box((0, 0, float("inf"), 10), 640, 480)
+    with pytest.raises(ValueError, match="finite"):
+        normalize_box((float("-inf"), 0, 10, 10), 640, 480)
+
+
+def test_normalize_box_clamps_before_scaling():
+    huge = int("9" * 400)  # too large for a float
+    assert normalize_box((0, 0, huge, 5), 1600, 900) == normalize_box(
+        (0, 0, 1599, 5), 1600, 900)
+    assert normalize_box((-huge, 0, 10, 5), 1600, 900).x1 == 0
+    assert normalize_box((0, 0, 10, 5), huge, 900) == NormalizedBox(0, 0, 0, 6)
+    assert normalize_box((0, 0, 10, 5), 900, huge) == NormalizedBox(0, 0, 11, 0)
+    # clamping first changes no result of the old scale-then-clamp order
+    for c in (-7, -0.4, 0, 0.5, 1, 319.5, 639, 639.4, 640, 10**6, 2.5e9):
+        want = min(max(round_half_away(float(c) / 639 * 999), 0), 999)
+        assert normalize_box((c, 0, c, 0), 640, 480).x1 == want
 
 
 # --------------------------------------------------------------- ego status
@@ -496,6 +513,28 @@ def test_refine_drops_a_record_whose_decimal_leaves_int64():
     assert (report.kept, report.dropped) == (1, 2)
     # r0's text holding the literal stays unrounded; r2's is counted
     assert report.decimals_converted == 1
+
+
+@pytest.mark.parametrize("text", [
+    "1.5e3 m", "2.5E-3 s", "release v3.14.15", "host 192.168.0.1",
+])
+def test_quantize_decimals_leaves_parts_of_longer_numbers(text):
+    refined, report = refine_records([_record("r0", "q?", text)],
+                                     quantize_decimals=True)
+    assert refined[0].conversation[1].value.segments == (PlainText(text),)
+    assert report.decimals_converted == 0
+
+
+@pytest.mark.parametrize("text, want, hits", [
+    ("12.34 m", "12 m", 1), ("5.67 m/s.", "6 m/s.", 1), ("2.5m", "3m", 1),
+    ("5-3.5", "5-4", 1), ("-0.5", "-1", 1),
+    ("at 1.5, then 2.5", "at 2, then 3", 2),
+])
+def test_quantize_decimals_rounds_whole_literals(text, want, hits):
+    refined, report = refine_records([_record("r0", "q?", text)],
+                                     quantize_decimals=True)
+    assert refined[0].conversation[1].value.segments == (PlainText(want),)
+    assert report.decimals_converted == hits
 
 
 def test_refine_assigns_answer_class():

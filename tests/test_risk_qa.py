@@ -11,6 +11,7 @@ from fusionkit.chat import (
 )
 from fusionkit.driving_eval import NormalizedBox
 from fusionkit.risk_qa import (
+    QA_CATEGORIES,
     REPAIR_INSTRUCTION,
     PipelineConfig,
     QaPair,
@@ -391,6 +392,29 @@ def test_categorize_cascade_order():
     # nothing matches: reason
     q = QaPair(question="Why is that so?", answer="x")
     assert categorize_qa(q).qa_category == "reason"
+
+
+def test_categorize_assigns_only_known_categories():
+    # one question per branch of the cascade, plus one whose object noun
+    # only the doc supplies, each with and without a doc
+    doc = RiskAssessmentDoc(objects={"the excavator located 12 meters ahead": {
+        "Potential risk": RiskEntry("High", "digging near the lane")}})
+    questions = (
+        "Where is the car?",
+        "Is there any risk ahead?",
+        "How high is the danger?",
+        "What type of risk does it pose?",
+        "What is the truck doing?",
+        "What is the excavator doing?",
+        "Why slow down?",
+    )
+    seen = set()
+    for q in questions:
+        for d in (None, doc):
+            category = categorize_qa(QaPair(question=q, answer="a"), d).qa_category
+            assert category in QA_CATEGORIES
+            seen.add(category)
+    assert seen == set(QA_CATEGORIES)
 
 
 def test_categorize_is_total():
