@@ -21,10 +21,11 @@ from typing import Mapping
 
 from . import __version__
 from .driving_eval import AP_INTERPOLATIONS, L2_MODES, ORA_GATING_MODES
-from .interactor import REDUCTIONS, SelectionConfig
-from .jsontypes import canonical_json, check_fields, field_dict
+from .interactor import SELECTION_RULES, SelectionConfig
+from .jsontypes import (canonical_json, check_fields, check_rules, field_dict,
+                        one_of)
 from .refinery import DATASET_SOURCES
-from .risk_qa import PipelineConfig
+from .risk_qa import PIPELINE_RULES, PipelineConfig
 
 __all__ = [
     "AP_INTERPOLATIONS",
@@ -43,37 +44,27 @@ class ConfigError(ValueError):
     """A config file or override is malformed or out of range."""
 
 
-def _one_of(choices: tuple[str, ...]):
-    return choices.__contains__, f"must be one of {choices}"
-
-
-# Config's range rules: field -> (predicate, the rule it checks)
+# Config's range rules: field -> (predicate, the rule it checks); the
+# inherited fields' rules are their bases'
 _RULES = {
-    "k_img": (lambda v: v >= 1, "must be at least 1"),
-    "k_bev": (lambda v: v >= 1, "must be at least 1"),
-    "reduction": _one_of(REDUCTIONS),
+    **SELECTION_RULES,
+    **PIPELINE_RULES,
     "short_answer_threshold": (lambda v: v >= 0, "must be nonnegative"),
     "iou_thresholds": (lambda v: v and all(0.0 < t <= 1.0 for t in v)
                        and len(set(v)) == len(v),
                        "must be a non-empty list of distinct values in (0, 1]"),
-    "ap_interpolation": _one_of(AP_INTERPOLATIONS),
-    "l2_mode": _one_of(L2_MODES),
-    "ora_gating": _one_of(ORA_GATING_MODES),
+    "ap_interpolation": one_of(AP_INTERPOLATIONS),
+    "l2_mode": one_of(L2_MODES),
+    "ora_gating": one_of(ORA_GATING_MODES),
     "ego_length": (lambda v: v > 0, "must be positive"),
     "ego_width": (lambda v: v > 0, "must be positive"),
-    "step1_model": (bool, "must be non-empty"),
-    "step2_model": (bool, "must be non-empty"),
-    "temperature": (lambda v: v >= 0, "must be nonnegative"),
     "timeout": (lambda v: v > 0, "must be positive"),
-    "retries": (lambda v: v >= 0, "must be nonnegative"),
-    "max_in_flight": (lambda v: v >= 1, "must be at least 1"),
-    "seed": (lambda v: v >= 0, "must be nonnegative"),
 }
 
 # The same for the flags with no config key: argparse dest -> (predicate,
 # the rule it checks); the message names the flag
 _FLAG_RULES = {
-    "source": _one_of(DATASET_SOURCES),
+    "source": one_of(DATASET_SOURCES),
     "image_size": (lambda v: min(v) >= 2, "must be at least 2 on each side"),
     "view_tokens": (lambda v: v and all(n >= 0 for n in v),
                     "must be one or more nonnegative counts"),
@@ -88,17 +79,11 @@ _FLAG_RULES = {
 }
 
 
-def _check(rules: Mapping, values: Mapping, label) -> None:
-    for name, (ok, rule) in rules.items():
-        value = values.get(name)
-        if value is not None and not ok(value):
-            raise ConfigError(f"{label(name)} {rule}, got {value!r}")
-
-
 def check_flags(values: Mapping) -> None:
     """Check the parsed flags that set no config key, by argparse dest; a
     flag left at None is not checked."""
-    _check(_FLAG_RULES, values, lambda dest: "--" + dest.replace("_", "-"))
+    check_rules(_FLAG_RULES, values, ConfigError,
+                lambda dest: "--" + dest.replace("_", "-"))
 
 
 @dataclass(frozen=True)
@@ -110,7 +95,8 @@ class Config(SelectionConfig, PipelineConfig):
     ``seed``, ``retries``, ``max_in_flight``) are inherited with their
     defaults; ``seed`` also seeds the demo parameters and mask draws. The
     fields below are the rest. Every value is judged here, by ``_RULES``,
-    which names the key, so the bases' own checks are not run.
+    which holds the bases' rule tables too, so the bases' own checks are
+    not run; each message names the key.
     """
 
     # refinement
@@ -129,7 +115,7 @@ class Config(SelectionConfig, PipelineConfig):
 
     def __post_init__(self) -> None:
         check_fields(self, ConfigError)
-        _check(_RULES, field_dict(self), str)
+        check_rules(_RULES, field_dict(self), ConfigError)
 
     def to_dict(self) -> dict:
         return field_dict(self)

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .forking import run_pieces
-from .jsontypes import check_fields, field_dict
+from .jsontypes import check_fields, check_rules, field_dict, one_of
 from .matrix import Matrix, ShapeError
 from .numerics import CrossAttnParams, cosine_similarity_matrix, cross_attention
 from .refinery import CAMERA_VIEWS as DEFAULT_VIEW_NAMES
@@ -103,6 +103,14 @@ class BevFeatureMap:
         return self.tokens.cols
 
 
+# SelectionConfig's range rules: field -> (predicate, the rule it checks)
+SELECTION_RULES = {
+    "k_img": (lambda v: v >= 1, "must be at least 1"),
+    "k_bev": (lambda v: v >= 1, "must be at least 1"),
+    "reduction": one_of(REDUCTIONS),
+}
+
+
 @dataclass(frozen=True)
 class SelectionConfig:
     """Selection knobs: per-image and BEV keep counts, score reduction."""
@@ -113,10 +121,7 @@ class SelectionConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.k_img < 1 or self.k_bev < 1:
-            raise ValueError("keep counts must be at least 1")
-        if self.reduction not in REDUCTIONS:
-            raise ValueError(f"reduction must be one of {REDUCTIONS}")
+        check_rules(SELECTION_RULES, field_dict(self))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,7 @@
 """Which JSON type each input value may hold, decided in one place: record
 decoders take their keys through the ``require*`` helpers, and frozen
-configs check every field by its annotation with ``check_fields``. Rows
+configs check every field by its annotation with ``check_fields`` and its
+range by a table of rules with ``check_rules``. Rows
 and reports go out as ``field_dict``: their dataclass fields by name; rows
 and hashes are spelled in ``canonical_json``. An error message about
 many offending records or ids names the first ``NAMED_OFFENDERS`` and
@@ -13,9 +14,9 @@ import math
 from dataclasses import fields
 from typing import Mapping, Sequence
 
-__all__ = ["NAMED_OFFENDERS", "canonical_json", "check_fields", "field_dict",
-           "is_integral", "require", "require_bool", "require_float",
-           "require_id", "require_numbers", "require_str"]
+__all__ = ["NAMED_OFFENDERS", "canonical_json", "check_fields", "check_rules",
+           "field_dict", "is_integral", "one_of", "require", "require_bool",
+           "require_float", "require_id", "require_numbers", "require_str"]
 
 # the offending records or ids one error message names; it counts the rest
 NAMED_OFFENDERS = 21
@@ -120,6 +121,22 @@ def check_fields(obj, error: type[Exception] = ValueError) -> None:
             raise TypeError(f"{type(obj).__name__}.{f.name}: no check for {f.type!r}")
         value = _CHECKERS[f.type](getattr(obj, f.name), f.name, error)
         object.__setattr__(obj, f.name, value)
+
+
+def one_of(choices: tuple[str, ...]):
+    """The rule that a value is one of ``choices``, for ``check_rules``."""
+    return choices.__contains__, f"must be one of {choices}"
+
+
+def check_rules(rules: Mapping, values: Mapping,
+                error: type[Exception] = ValueError, label=str) -> None:
+    """Judge each value by its rule in ``rules``, name -> (predicate, the
+    rule it checks); a value that is None or absent is not judged. The
+    message names the value as ``label(name)``."""
+    for name, (ok, rule) in rules.items():
+        value = values.get(name)
+        if value is not None and not ok(value):
+            raise error(f"{label(name)} {rule}, got {value!r}")
 
 
 def field_dict(obj) -> dict:

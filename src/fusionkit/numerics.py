@@ -14,7 +14,9 @@ that, the kernel is cache-blocked in the manner of Goto & van de Geijn
 each chunk of k is multiplied into a panel-sized scratch buffer by one
 ``np.einsum("ki,kj->kij")``. That einsum sums over no index, so each of
 its elements is one rounded product; the sums stay separate ``np.add``
-calls into the panel, one k at a time in ascending order. The kernel runs
+calls into the panel, one k at a time in ascending order. The left
+operand is read one k-chunk of a panel's rows at a time, copied into a
+small transposed scratch, so no whole copy of it is made. The kernel runs
 on the calling thread and starts none; parallel work is split above it,
 between the independent sources of ``interactor.fuse``.
 
@@ -22,6 +24,11 @@ Cross-attention projects each source's keys and values once for all
 layers: one product against every layer's key weights side by side, one
 against every value weight. Each layer reads its own columns, which are
 the bits of a per-layer product.
+
+Memory: the forward holds one queries-by-keys matrix at a time. It keeps
+no per-layer cache (only the gradient collects the probabilities it
+backpropagates through), the row softmax overwrites the logits it is
+given, and ``_mm`` copies at most one k-chunk of its left operand.
 """
 
 from __future__ import annotations
@@ -53,18 +60,22 @@ _PANEL = 32768
 _KC = 4
 
 
-def _mm_panel(at: np.ndarray, b: np.ndarray, out: np.ndarray,
+def _mm_panel(a: np.ndarray, b: np.ndarray, out: np.ndarray,
               r0: int, r1: int) -> None:
-    # Accumulates rows r0:r1 of at.T @ b into out; at is (k, m) and b is
-    # (k, n), both C-contiguous.
+    # Accumulates rows r0:r1 of a @ b into out; a is (m, k) in any layout
+    # and b is (k, n), C-contiguous.
     panel = out[r0:r1]
+    at = np.empty((_KC, r1 - r0))
     prods = np.empty((_KC,) + panel.shape)
-    for k0 in range(0, at.shape[0], _KC):
-        chunk = prods[: min(_KC, at.shape[0] - k0)]
+    for k0 in range(0, a.shape[1], _KC):
+        kc = min(_KC, a.shape[1] - k0)
+        # the chunk's columns of a, one row per k: a strided read copied
+        # once keeps the einsum on contiguous rows
+        np.copyto(at[:kc], a[r0:r1, k0:k0 + kc].T)
+        chunk = prods[:kc]
         # no index is summed, so each element is one rounded product (a
         # -0.0 may come back as +0.0, which no sum seeded with +0.0 sees)
-        np.einsum("ki,kj->kij", at[k0:k0 + _KC, r0:r1], b[k0:k0 + _KC],
-                  out=chunk)
+        np.einsum("ki,kj->kij", at[:kc], b[k0:k0 + kc], out=chunk)
         for prod in chunk:
             np.add(panel, prod, out=panel)
 
@@ -75,23 +86,23 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # match such an oracle bitwise; panels only split the independent
     # output elements between numpy calls.
     m, n = a.shape[0], b.shape[1]
-    at = np.ascontiguousarray(a.T)
     b = np.ascontiguousarray(b)
     out = np.zeros((m, n))
     panels = max(1, min(m, -(-m * n // _PANEL)))
     cuts = [m * i // panels for i in range(panels + 1)]
     for r0, r1 in zip(cuts, cuts[1:]):
-        _mm_panel(at, b, out, r0, r1)
+        _mm_panel(a, b, out, r0, r1)
     return out
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    # per-row max subtraction keeps exp finite for entries up to about 700;
-    # one buffer, and x itself is left as it was
-    e = x - x.max(axis=1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
-    return e
+    # Normalises each row of x in place and returns x: the caller hands
+    # over a fresh logits buffer, which becomes the probabilities. The
+    # per-row max subtraction keeps exp finite for entries up to about 700.
+    x -= x.max(axis=1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=1, keepdims=True)
+    return x
 
 
 def _frozen_vector(values, what: str) -> np.ndarray:
@@ -264,37 +275,45 @@ def _project_kv(k: np.ndarray, v: np.ndarray, p: CrossAttnParams):
 
 
 def _attn_layer_forward(q: np.ndarray, kp: np.ndarray, vp: np.ndarray,
-                        layer: CrossAttnLayer, p: CrossAttnParams):
+                        layer: CrossAttnLayer, p: CrossAttnParams,
+                        probs: list | None) -> np.ndarray:
+    # one layer's output; each head's probabilities go to probs when given
     d = layer.d
     hd = d // p.num_heads
     scale = math.sqrt(hd)
     qp = _mm(q, layer.wq.data)
     mixed = np.zeros((q.shape[0], d))
-    probs = []
     for h in range(p.num_heads):
         sl = slice(h * hd, (h + 1) * hd)
-        logits = _mm(qp[:, sl], kp[:, sl].T)
-        logits /= scale
-        attn = _softmax_rows(logits)
+        attn = _mm(qp[:, sl], kp[:, sl].T)
+        attn /= scale
+        _softmax_rows(attn)
         mixed[:, sl] = _mm(attn, vp[:, sl])
-        probs.append(attn)
-    return _mm(mixed, layer.wo.data), (q, kp, vp, probs)
+        if probs is not None:
+            probs.append(attn)
+        # let this head's matrix go before the next head's is made
+        del attn
+    return _mm(mixed, layer.wo.data)
 
 
 def _cross_attention(q: Matrix, k: Matrix, v: Matrix, p: CrossAttnParams,
-                     who: str):
-    # the checked forward: the output and each layer's cache
+                     who: str, caches: list | None = None) -> np.ndarray:
+    # the checked forward; given a list, caches collects each layer's
+    # (query, kp, vp, per-head probabilities) for the backward pass
     if not (q.cols == k.cols == v.cols == p.d):
         raise ShapeError(
             f"{who}: widths q={q.cols} k={k.cols} v={v.cols} params={p.d}"
         )
     if k.rows != v.rows:
         raise ShapeError(f"{who}: k and v must agree on row count")
-    out, caches = q.data, []
+    out = q.data
     for layer, (kp, vp) in zip(p.layers, _project_kv(k.data, v.data, p)):
-        out, cache = _attn_layer_forward(out, kp, vp, layer, p)
-        caches.append(cache)
-    return out, caches
+        probs = None
+        if caches is not None:
+            probs = []
+            caches.append((out, kp, vp, probs))
+        out = _attn_layer_forward(out, kp, vp, layer, p, probs)
+    return out
 
 
 def cross_attention(q: Matrix, k: Matrix, v: Matrix, p: CrossAttnParams) -> Matrix:
@@ -305,7 +324,7 @@ def cross_attention(q: Matrix, k: Matrix, v: Matrix, p: CrossAttnParams) -> Matr
     multiple layers the previous output becomes the next query while keys
     and values remain the original ``k``/``v``.
     """
-    return Matrix(_cross_attention(q, k, v, p, "cross_attention")[0])
+    return Matrix(_cross_attention(q, k, v, p, "cross_attention"))
 
 
 def cross_attention_input_grad(
@@ -320,7 +339,8 @@ def cross_attention_input_grad(
         raise ShapeError("cross_attention_input_grad: upstream shape mismatch")
     hd = p.d // p.num_heads
     scale = math.sqrt(hd)
-    _, caches = _cross_attention(q, k, v, p, "cross_attention_input_grad")
+    caches: list = []
+    _cross_attention(q, k, v, p, "cross_attention_input_grad", caches)
 
     g = upstream.data
     for layer, cache in zip(reversed(p.layers), reversed(caches)):

@@ -265,7 +265,8 @@ def normalize_box(
     Per axis: round(clamp(coord, 0, size - 1) / (size - 1) * 999), so
     pixel 0 lands on 0 and the last pixel index lands on 999. Monotone per
     axis, which preserves corner ordering. The clamp comes first, so an
-    integer corner or side too large for a float is never made one.
+    integer corner too large for a float is never made one; a float corner
+    on a side too large for a float is divided exactly.
     """
     if img_w < 2 or img_h < 2:
         raise ValueError("image sides must be at least 2 pixels")
@@ -279,7 +280,14 @@ def normalize_box(
         raise ValueError("inverted pixel box; filter it instead of normalizing")
 
     def norm(c: float, size: int) -> int:
-        return round_half_away(min(max(c, 0), size - 1) / (size - 1) * GRID_MAX)
+        c = min(max(c, 0), size - 1)
+        try:
+            ratio = c / (size - 1)
+        except OverflowError:
+            # size - 1 has no float form; its int quotient is rounded once
+            num, den = c.as_integer_ratio()
+            ratio = num / (den * (size - 1))
+        return round_half_away(ratio * GRID_MAX)
 
     return NormalizedBox(norm(x1, img_w), norm(y1, img_h),
                          norm(x2, img_w), norm(y2, img_h))

@@ -28,6 +28,7 @@ from .chat import ChatClient, ChatError, ChatRequest, TransientChatError
 from .driving_eval import NormalizedBox, box_from_list
 from .jsontypes import (
     check_fields,
+    check_rules,
     field_dict,
     is_integral,
     require_id,
@@ -491,6 +492,17 @@ def derive_grounding_targets(
 # ----------------------------------------------------------------- pipeline
 
 
+# PipelineConfig's range rules: field -> (predicate, the rule it checks)
+PIPELINE_RULES = {
+    "step1_model": (bool, "must be non-empty"),
+    "step2_model": (bool, "must be non-empty"),
+    "temperature": (lambda v: v >= 0, "must be nonnegative"),
+    "seed": (lambda v: v >= 0, "must be nonnegative"),
+    "retries": (lambda v: v >= 0, "must be nonnegative"),
+    "max_in_flight": (lambda v: v >= 1, "must be at least 1"),
+}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     step1_model: str = "gpt-4o"
@@ -502,10 +514,7 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.retries < 0:
-            raise ValueError("retries must be nonnegative")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be at least 1")
+        check_rules(PIPELINE_RULES, field_dict(self))
 
 
 @dataclass

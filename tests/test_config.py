@@ -26,10 +26,10 @@ from fusionkit.config import (
     provenance_block,
     sha256_file,
 )
-from fusionkit.interactor import SelectionConfig
+from fusionkit.interactor import SELECTION_RULES, SelectionConfig
 from fusionkit.jsontypes import check_fields, field_dict
 from fusionkit.masking import MaskExperimentConfig, MaskSpec
-from fusionkit.risk_qa import PipelineConfig, build_risk_prompt
+from fusionkit.risk_qa import PIPELINE_RULES, PipelineConfig, build_risk_prompt
 
 from test_cli import (
     REFINE_RECORDS,
@@ -207,6 +207,28 @@ def test_library_config_fields_are_config_keys(kind) -> None:
     # the CLI passes its Config to fuse, token_budget and run_pipeline, and
     # Config inherits these fields with their defaults
     assert issubclass(Config, kind)
+
+
+@pytest.mark.parametrize("kind, bad", [
+    (SelectionConfig, {"k_img": 0}), (SelectionConfig, {"k_bev": 0}),
+    (SelectionConfig, {"reduction": "median"}),
+    (PipelineConfig, {"step1_model": ""}), (PipelineConfig, {"step2_model": ""}),
+    (PipelineConfig, {"temperature": -1.0}), (PipelineConfig, {"seed": -1}),
+    (PipelineConfig, {"retries": -1}), (PipelineConfig, {"max_in_flight": 0}),
+])
+def test_library_configs_reject_with_the_config_message(kind, bad) -> None:
+    # each base judges its own fields by its one rule table, which Config's
+    # _RULES merges, so a library caller meets Config's message
+    with pytest.raises(ConfigError) as want:
+        Config(**bad)
+    with pytest.raises(ValueError) as got:
+        kind(**bad)
+    assert str(got.value) == str(want.value)
+
+
+def test_config_rules_are_the_bases_rules() -> None:
+    for rules in (SELECTION_RULES, PIPELINE_RULES):
+        assert all(_RULES[name] is rule for name, rule in rules.items())
 
 
 def test_rule_tables_name_real_inputs() -> None:

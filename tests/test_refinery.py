@@ -3,9 +3,12 @@ import random
 import re
 from dataclasses import replace
 from decimal import ROUND_HALF_UP, Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionkit.driving_eval import NormalizedBox
 from fusionkit.refinery import (
@@ -269,6 +272,48 @@ def test_normalize_box_clamps_before_scaling():
     for c in (-7, -0.4, 0, 0.5, 1, 319.5, 639, 639.4, 640, 10**6, 2.5e9):
         want = min(max(round_half_away(float(c) / 639 * 999), 0), 999)
         assert normalize_box((c, 0, c, 0), 640, 480).x1 == want
+
+
+def _old_norm(c, size):
+    # the per-axis formula before float corners on huge sides were handled
+    return round_half_away(min(max(c, 0), size - 1) / (size - 1) * 999)
+
+
+corners = st.one_of(st.integers(-(10**400), 10**400),
+                    st.floats(allow_nan=False, allow_infinity=False))
+sides = st.one_of(st.integers(2, 5000), st.integers(2, 10**400),
+                  st.sampled_from([2**53 + 1, 2**1024 - 2**970 - 1, 2**1024,
+                                   10**400]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(corners, min_size=4, max_size=4), sides, sides)
+def test_normalize_box_property_any_finite_corner_on_any_side(cs, w, h):
+    x1, x2 = sorted(cs[:2])
+    y1, y2 = sorted(cs[2:])
+    got = normalize_box((x1, y1, x2, y2), w, h)  # ordered corners, in the grid
+    for c, size, value in ((x1, w, got.x1), (y1, h, got.y1), (x2, w, got.x2),
+                           (y2, h, got.y2)):
+        try:
+            want = _old_norm(c, size)
+        except OverflowError:
+            # only a float corner on a side with no float form; the exact
+            # quotient of the clamped corner, rounded once
+            assert isinstance(c, float) and size > 2**1023
+            want = round_half_away(
+                float(Fraction(min(max(c, 0), size - 1)) / (size - 1)) * 999)
+        assert value == want
+
+
+def test_normalize_box_float_corner_on_side_too_large_for_a_float():
+    huge = 10**400
+    assert normalize_box((0.5, 0, 10, 5), huge, 900) == NormalizedBox(0, 0, 0, 6)
+    assert normalize_box((0.0, 0.0, 1e308, 5.5), huge, 2**1024) == \
+        NormalizedBox(0, 0, 0, 0)
+    # a float corner at the float maximum on a side just past it
+    big = 2**1024 + 1
+    assert normalize_box((0, 0, 1.7976931348623157e308, 0), big, 900).x2 == \
+        round_half_away(float(Fraction(1.7976931348623157e308) / (big - 1)) * 999)
 
 
 # --------------------------------------------------------------- ego status
