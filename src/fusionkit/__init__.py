@@ -4,7 +4,8 @@ driving features, plus the evaluation and data tooling around it.
 Subpackages are deliberately flat:
 
 - ``matrix``        dense float64 matrix container + FKMX on-disk format
-- ``numerics``      one product kernel, cosine, MLP, cross-attention, gradients
+- ``exact``         the float arithmetic whose order decides output bits
+- ``numerics``      cosine, MLP, cross-attention, gradients
 - ``interactor``    relevance scoring, top-k selection, fusion, token budget
 - ``text_metrics``  corpus BLEU / ROUGE-L / CIDEr / exact-match accuracy
 - ``driving_eval``  box IoU + grounding mAP, open-loop L2 and collision, ORA

@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .exact import _ordered_sum
 from .jsontypes import (
     NAMED_OFFENDERS,
     field_dict,
@@ -252,10 +253,10 @@ def grounding_map_report(
             per_class[cls][thr] = ap_fn(recalls, precisions)
 
     per_threshold = {
-        thr: sum(per_class[c][thr] for c in classes) / len(classes)
+        thr: _ordered_sum(per_class[c][thr] for c in classes) / len(classes)
         for thr in thresholds
     }
-    map_value = 100.0 * sum(per_threshold.values()) / len(thresholds)
+    map_value = 100.0 * _ordered_sum(per_threshold.values()) / len(thresholds)
     return GroundingReport(
         map=map_value,
         per_threshold={t: 100.0 * v for t, v in per_threshold.items()},
@@ -350,8 +351,8 @@ def l2_error(
         if mode == "at_horizon":
             out[horizon] = dists[last]
         else:
-            out[horizon] = sum(dists[: last + 1]) / (last + 1)
-    out["avg"] = sum(out[h] for h in HORIZONS) / len(HORIZONS)
+            out[horizon] = _ordered_sum(dists[: last + 1]) / (last + 1)
+    out["avg"] = _ordered_sum(out[h] for h in HORIZONS) / len(HORIZONS)
     return out
 
 
@@ -489,7 +490,7 @@ def rates_from_counts(counts: Sequence[int], sample_count: int) -> dict[str, flo
     if sample_count == 0:
         raise ValueError("collision rate needs at least one sample")
     rates = {h: 100.0 * c / sample_count for h, c in zip(HORIZONS, counts)}
-    rates["avg"] = sum(rates[h] for h in HORIZONS) / len(HORIZONS)
+    rates["avg"] = _ordered_sum(rates[h] for h in HORIZONS) / len(HORIZONS)
     return rates
 
 

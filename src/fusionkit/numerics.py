@@ -1,23 +1,9 @@
-"""Matrix kernels: one product kernel, a two-layer MLP, a stacked
-cross-attention block (row softmax inside), cosine similarity, and a
-central-difference gradient oracle.
+"""Matrix operations: a two-layer MLP, a stacked cross-attention block
+(row softmax inside), cosine similarity, and a central-difference
+gradient oracle.
 
-Everything is computed in float64. Reductions accumulate in ascending
-index order, so any result is bit-for-bit identical to a naive loop
-evaluation of the same formula and reproducible across platforms.
-
-Every product goes through one kernel, ``_mm``. Its one invariant: each
-output element is ``acc = +0.0`` followed by ``acc = acc + a[i, k] * b[k, j]``
-for k ascending, with the multiply and the add rounded separately. Within
-that, the kernel is cache-blocked in the manner of Goto & van de Geijn
-(ACM TOMS 2008): the output is cut into row panels that stay in L2, and
-each chunk of k is multiplied into a panel-sized scratch buffer by one
-``np.einsum("ki,kj->kij")``. That einsum sums over no index, so each of
-its elements is one rounded product; the sums stay separate ``np.add``
-calls into the panel, one k at a time in ascending order. The left
-operand is read one k-chunk of a panel's rows at a time, copied into a
-small transposed scratch, so no whole copy of it is made. The kernel runs
-on the calling thread and starts none; parallel work is split above it,
+Everything is computed in float64, and every product goes through
+``exact._mm`` on the calling thread; parallel work is split above it,
 between the independent sources of ``interactor.fuse``.
 
 Cross-attention projects each source's keys and values once for all
@@ -27,8 +13,7 @@ the bits of a per-layer product.
 
 Memory: the forward holds one queries-by-keys matrix at a time. It keeps
 no per-layer cache (only the gradient collects the probabilities it
-backpropagates through), the row softmax overwrites the logits it is
-given, and ``_mm`` copies at most one k-chunk of its left operand.
+backpropagates through), and the row softmax overwrites its logits.
 """
 
 from __future__ import annotations
@@ -39,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+from .exact import _mm, _softmax_rows, _squared_norms
 from .matrix import Matrix, ShapeError
 
 __all__ = [
@@ -52,57 +38,6 @@ __all__ = [
     "finite_diff_grad",
     "cosine_similarity_matrix",
 ]
-
-
-# Output elements per row panel: the running sums (256 KB) stay in L2.
-_PANEL = 32768
-# k values multiplied per numpy call into a (kc, rows, cols) scratch buffer.
-_KC = 4
-
-
-def _mm_panel(a: np.ndarray, b: np.ndarray, out: np.ndarray,
-              r0: int, r1: int) -> None:
-    # Accumulates rows r0:r1 of a @ b into out; a is (m, k) in any layout
-    # and b is (k, n), C-contiguous.
-    panel = out[r0:r1]
-    at = np.empty((_KC, r1 - r0))
-    prods = np.empty((_KC,) + panel.shape)
-    for k0 in range(0, a.shape[1], _KC):
-        kc = min(_KC, a.shape[1] - k0)
-        # the chunk's columns of a, one row per k: a strided read copied
-        # once keeps the einsum on contiguous rows
-        np.copyto(at[:kc], a[r0:r1, k0:k0 + kc].T)
-        chunk = prods[:kc]
-        # no index is summed, so each element is one rounded product (a
-        # -0.0 may come back as +0.0, which no sum seeded with +0.0 sees)
-        np.einsum("ki,kj->kij", at[:kc], b[k0:k0 + kc], out=chunk)
-        for prod in chunk:
-            np.add(panel, prod, out=panel)
-
-
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Per output element this is exactly the op sequence of the naive loop
-    # `acc = 0.0; acc += a[i][k] * b[k][j]` for k ascending, so results
-    # match such an oracle bitwise; panels only split the independent
-    # output elements between numpy calls.
-    m, n = a.shape[0], b.shape[1]
-    b = np.ascontiguousarray(b)
-    out = np.zeros((m, n))
-    panels = max(1, min(m, -(-m * n // _PANEL)))
-    cuts = [m * i // panels for i in range(panels + 1)]
-    for r0, r1 in zip(cuts, cuts[1:]):
-        _mm_panel(a, b, out, r0, r1)
-    return out
-
-
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    # Normalises each row of x in place and returns x: the caller hands
-    # over a fresh logits buffer, which becomes the probabilities. The
-    # per-row max subtraction keeps exp finite for entries up to about 700.
-    x -= x.max(axis=1, keepdims=True)
-    np.exp(x, out=x)
-    x /= x.sum(axis=1, keepdims=True)
-    return x
 
 
 def _frozen_vector(values, what: str) -> np.ndarray:
@@ -385,11 +320,6 @@ def cosine_similarity_matrix(a: Matrix, b: Matrix) -> Matrix:
         raise ShapeError("cosine similarity needs equal row widths")
     x, y = a.data, b.data
     dots = _mm(x, y.T)
-    ns_x = np.zeros(x.shape[0])
-    ns_y = np.zeros(y.shape[0])
-    for kk in range(x.shape[1]):
-        ns_x += x[:, kk] * x[:, kk]
-        ns_y += y[:, kk] * y[:, kk]
-    denom = np.sqrt(ns_x[:, np.newaxis] * ns_y)
+    denom = np.sqrt(_squared_norms(x)[:, np.newaxis] * _squared_norms(y))
     safe = np.where(denom > 0.0, denom, 1.0)
     return Matrix(np.where(denom > 0.0, dots / safe, 0.0))

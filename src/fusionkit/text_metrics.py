@@ -23,9 +23,7 @@ The scorer is columnar: each order's n-grams are counted for all texts at
 once with numpy. Its floats still match a plain per-pair loop bit for bit,
 because every sum keeps that loop's order: a text's n-grams in order of
 first occurrence, then references in order, then orders 1..max_n, then
-pairs in order. ``_ordered_sums`` takes each such sum in one step loop:
-with the sums sorted longest first, step r adds term r of every sum that
-has one, and the few longest sums finish alone by ``np.add.accumulate``.
+pairs in order; ``exact._ordered_sums`` takes such sums together.
 Expressions keep the loop's shape too:
 ``w_u * (c_v * idf)``, ``sqrt(ns_u * ns_v)``, ``per_n += acc / len(refs)``,
 then ``/ max_n``; the IDF table comes from ``math.log``.
@@ -41,6 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .exact import _ordered_sum, _ordered_sums
 from .jsontypes import field_dict, require, require_id, require_str
 
 __all__ = [
@@ -174,40 +173,6 @@ class _TokenIds(dict):
     def __missing__(self, token: str) -> int:
         self[token] = i = len(self)
         return i
-
-
-def _ordered_sums(seg: np.ndarray, val: np.ndarray, size: int) -> np.ndarray:
-    """Per-segment sums of ``val`` with the bits of ``acc = 0.0`` followed
-    by ``acc += v`` over each segment's terms; ``seg`` lists each segment's
-    terms together, in the order they add, and each segment once.
-
-    The segments are sorted longest first, and step r adds term r of every
-    segment longer than r in one slice, so each sum still adds its terms
-    one after the other; ``np.sum`` and ``np.add.reduceat`` add pairwise
-    and give other bits. After ``steps`` steps each of the ``few`` longest
-    segments finishes alone, by one ``np.add.accumulate``; ``few`` is the
-    count that makes ``steps + few``, the loop passes, least.
-    """
-    new = np.ones(len(seg), bool)
-    new[1:] = seg[1:] != seg[:-1]
-    starts = np.flatnonzero(new)
-    lengths = np.diff(starts, append=len(seg))
-    order = np.argsort(-lengths)
-    starts, lengths = starts[order], lengths[order]
-    # the steps taken when the first k segments finish alone, k = 0..n
-    steps_at = np.append(lengths, 0)
-    few = int(np.argmin(steps_at + np.arange(len(steps_at))))
-    steps = int(steps_at[few])
-    part = np.zeros(len(starts))
-    # step r adds term r of the n segments longer than r
-    for r, n in enumerate(np.searchsorted(-lengths, -np.arange(steps)).tolist()):
-        part[:n] += val[starts[:n] + r]
-    for i in range(few):
-        rest = val[starts[i] + steps:starts[i] + lengths[i]]
-        part[i] = np.add.accumulate(np.concatenate((part[i:i + 1], rest)))[-1]
-    acc = np.zeros(size)
-    acc[seg[starts]] = part
-    return acc
 
 
 class _Texts:
@@ -355,8 +320,8 @@ class _Grams:
 
 @dataclass(frozen=True)
 class _Totals:
-    """Corpus totals of every metric; ``cider`` is None when CIDEr was
-    left out or its IDF degenerates (fewer than two documents)."""
+    """Corpus totals of every metric; ``cider`` is None when CIDEr's IDF
+    degenerates (fewer than two documents)."""
 
     size: int
     bleu: list[int]  # [cand_len, ref_len, m1, t1, m2, t2, ...]
@@ -418,9 +383,7 @@ def _score(pairs: Sequence[EvalPair], max_n: int = 4) -> _Totals:
         if idf is not None:
             per_n += grams.cosines(texts, mc, mr, idf) / n_refs
 
-    cider = None
-    if idf is not None:
-        cider = float(_ordered_sums(np.zeros(size, int), per_n / max_n, 1)[0])
+    cider = None if idf is None else _ordered_sum((per_n / max_n).tolist())
     return _Totals(size, bleu, rouge, hits, cider)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fusionkit import numerics
+from fusionkit.exact import _KC, _PANEL, _mm, _softmax_rows
 from fusionkit.interactor import (
     BevFeatureMap,
     InstructionEmbedding,
@@ -23,8 +24,6 @@ from fusionkit.numerics import (
     finite_diff_grad,
     mlp_forward,
     mlp_input_grad,
-    _mm,
-    _softmax_rows,
 )
 
 from oracles import (
@@ -65,7 +64,7 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     assert got.tobytes() == want.tobytes()
 
 
-_P, _KC = numerics._PANEL, numerics._KC
+_P = _PANEL
 _T = 2_000_000  # multiply-adds from which products once ran on a thread pool
 
 KERNEL_SHAPES = [  # (m, k, n)
@@ -149,8 +148,18 @@ def test_paper_scale_fuse_matches_loop_kernel(monkeypatch):
     attn_bev = CrossAttnParams.random(d, 2, 1, rng)
     cfg = SelectionConfig(k_img=90, k_bev=300)
     got = fuse(views, bev, inst, cfg, attn_mv, attn_bev)
-    monkeypatch.setattr(numerics, "_mm", _mm_loop)
+    calls = []
+
+    def counted_loop(a, b):
+        calls.append(a.shape)
+        return _mm_loop(a, b)
+
+    # numerics imports the kernel, so its own name is the one the callers
+    # resolve; the BEV source runs in this process, so a caller that looked
+    # the kernel up elsewhere would leave no call counted here
+    monkeypatch.setattr(numerics, "_mm", counted_loop)
     want = fuse(views, bev, inst, cfg, attn_mv, attn_bev)
+    assert calls
     assert got.provenance == want.provenance
     assert got.tokens.data.tobytes() == want.tokens.data.tobytes()
 
