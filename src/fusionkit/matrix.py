@@ -109,12 +109,13 @@ def parse_fkmx(blob: bytes) -> Matrix:
     if rows < 1 or cols < 1:
         raise FkmxFormatError(f"FKMX header declares empty shape {rows}x{cols}")
     expected = rows * cols * 8
-    payload = blob[len(FKMX_MAGIC) + _FKMX_HEADER.size :]
-    if len(payload) != expected:
+    start = len(FKMX_MAGIC) + _FKMX_HEADER.size
+    if len(blob) - start != expected:
         raise FkmxFormatError(
-            f"FKMX payload holds {len(payload)} bytes, header implies {expected}"
+            f"FKMX payload holds {len(blob) - start} bytes, header implies {expected}"
         )
-    arr = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
+    # a view of the payload, not a sliced copy: Matrix makes the one copy
+    arr = np.frombuffer(blob, dtype="<f8", offset=start).reshape(rows, cols)
     return Matrix(arr)
 
 

@@ -6,14 +6,18 @@ Everything is computed in float64, and every product goes through
 ``exact._mm`` on the calling thread; parallel work is split above it,
 between the independent sources of ``interactor.fuse``.
 
-Cross-attention projects each source's keys and values once for all
-layers: one product against every layer's key weights side by side, one
-against every value weight. Each layer reads its own columns, which are
-the bits of a per-layer product.
+Cross-attention projects one layer's keys and values at a time and lets
+them go before the next layer's are made. The keys come out transposed,
+as ``Wk^T k^T``, whose elements are the products of ``(k Wk)^T`` in the
+same ascending order, so each head's keys are contiguous rows.
 
-Memory: the forward holds one queries-by-keys matrix at a time. It keeps
-no per-layer cache (only the gradient collects the probabilities it
-backpropagates through), and the row softmax overwrites its logits.
+Memory: each head's logits, row softmax and mix with the values run over
+blocks of query rows, ``max(1, _LOGITS_BUDGET // keys)`` rows at a time,
+and one block is live at once (Rabe & Staats, "Self-attention Does Not
+Need O(n^2) Memory", 2021). Every step is row-local, so the bits do not
+depend on the block size. The forward keeps no per-layer cache (only the
+gradient collects the probabilities it backpropagates through), and the
+row softmax overwrites its logits.
 """
 
 from __future__ import annotations
@@ -26,6 +30,13 @@ import numpy as np
 
 from .exact import _mm, _softmax_rows, _squared_norms
 from .matrix import Matrix, ShapeError
+
+# Logits elements per query-row block (3 MiB of float64): 157 rows at 2500
+# keys, so the paper's 300 BEV queries take two blocks. Each block repeats
+# _mm's loop over the keys for its mix with the values; on a 2-vCPU AVX-512
+# Xeon, three 2 MiB blocks made that forward about 9% slower than one
+# block, two of 3 MiB about 2%.
+_LOGITS_BUDGET = 3 << 17
 
 __all__ = [
     "MlpParams",
@@ -199,42 +210,50 @@ class CrossAttnParams:
         return cls(layers, num_heads=num_heads)
 
 
-def _project_kv(k: np.ndarray, v: np.ndarray, p: CrossAttnParams):
-    # (k Wk, v Wv) per layer from one product each against all layers'
-    # weights side by side; a column's bits depend on its own weight column
-    d = p.d
-    kp = _mm(k, np.concatenate([layer.wk.data for layer in p.layers], axis=1))
-    vp = _mm(v, np.concatenate([layer.wv.data for layer in p.layers], axis=1))
-    return [(kp[:, i * d:(i + 1) * d], vp[:, i * d:(i + 1) * d])
-            for i in range(p.num_layers)]
+def _project_kv(k: np.ndarray, v: np.ndarray, layer: CrossAttnLayer):
+    # one layer's (keys transposed, values): Wk^T k^T holds the bits of
+    # (k Wk)^T, each element the same products in the same ascending order
+    return _mm(layer.wk.data.T, k.T), _mm(v, layer.wv.data)
 
 
-def _attn_layer_forward(q: np.ndarray, kp: np.ndarray, vp: np.ndarray,
+def _row_blocks(rows: int, keys: int) -> list[slice]:
+    # the query-row blocks whose logits fit in _LOGITS_BUDGET
+    step = max(1, _LOGITS_BUDGET // keys)
+    return [slice(r0, min(r0 + step, rows)) for r0 in range(0, rows, step)]
+
+
+def _attn_layer_forward(q: np.ndarray, kt: np.ndarray, vp: np.ndarray,
                         layer: CrossAttnLayer, p: CrossAttnParams,
                         probs: list | None) -> np.ndarray:
-    # one layer's output; each head's probabilities go to probs when given
+    # one layer's output; each block's (head columns, rows, probabilities)
+    # goes to probs when given
     d = layer.d
     hd = d // p.num_heads
     scale = math.sqrt(hd)
     qp = _mm(q, layer.wq.data)
     mixed = np.zeros((q.shape[0], d))
+    blocks = _row_blocks(q.shape[0], kt.shape[1])
     for h in range(p.num_heads):
         sl = slice(h * hd, (h + 1) * hd)
-        attn = _mm(qp[:, sl], kp[:, sl].T)
-        attn /= scale
-        _softmax_rows(attn)
-        mixed[:, sl] = _mm(attn, vp[:, sl])
-        if probs is not None:
-            probs.append(attn)
-        # let this head's matrix go before the next head's is made
-        del attn
+        # this head's values made contiguous once, not by _mm per block
+        vh = np.ascontiguousarray(vp[:, sl])
+        for rows in blocks:
+            attn = _mm(qp[rows, sl], kt[sl])
+            attn /= scale
+            _softmax_rows(attn)
+            mixed[rows, sl] = _mm(attn, vh)
+            if probs is not None:
+                probs.append((sl, rows, attn))
+            # let this block go before the next one is made
+            del attn
     return _mm(mixed, layer.wo.data)
 
 
 def _cross_attention(q: Matrix, k: Matrix, v: Matrix, p: CrossAttnParams,
                      who: str, caches: list | None = None) -> np.ndarray:
     # the checked forward; given a list, caches collects each layer's
-    # (query, kp, vp, per-head probabilities) for the backward pass
+    # (query, transposed keys, values, per-block probabilities) for the
+    # backward pass
     if not (q.cols == k.cols == v.cols == p.d):
         raise ShapeError(
             f"{who}: widths q={q.cols} k={k.cols} v={v.cols} params={p.d}"
@@ -242,12 +261,15 @@ def _cross_attention(q: Matrix, k: Matrix, v: Matrix, p: CrossAttnParams,
     if k.rows != v.rows:
         raise ShapeError(f"{who}: k and v must agree on row count")
     out = q.data
-    for layer, (kp, vp) in zip(p.layers, _project_kv(k.data, v.data, p)):
+    for layer in p.layers:
+        kt, vp = _project_kv(k.data, v.data, layer)
         probs = None
         if caches is not None:
             probs = []
-            caches.append((out, kp, vp, probs))
-        out = _attn_layer_forward(out, kp, vp, layer, p, probs)
+            caches.append((out, kt, vp, probs))
+        out = _attn_layer_forward(out, kt, vp, layer, p, probs)
+        # let this layer's keys and values go before the next layer's are made
+        del kt, vp
     return out
 
 
@@ -272,21 +294,19 @@ def cross_attention_input_grad(
     """
     if upstream.shape != (q.rows, p.d):
         raise ShapeError("cross_attention_input_grad: upstream shape mismatch")
-    hd = p.d // p.num_heads
-    scale = math.sqrt(hd)
+    scale = math.sqrt(p.d // p.num_heads)
     caches: list = []
     _cross_attention(q, k, v, p, "cross_attention_input_grad", caches)
 
     g = upstream.data
     for layer, cache in zip(reversed(p.layers), reversed(caches)):
-        q_in, kp, vp, probs = cache
+        q_in, kt, vp, probs = cache
         d_mixed = _mm(g, layer.wo.data.T)
         d_qp = np.zeros((q_in.shape[0], layer.wq.data.shape[1]))
-        for h, attn in enumerate(probs):
-            sl = slice(h * hd, (h + 1) * hd)
-            d_attn = _mm(d_mixed[:, sl], vp[:, sl].T)
+        for sl, rows, attn in probs:
+            d_attn = _mm(d_mixed[rows, sl], vp[:, sl].T)
             d_logits = attn * (d_attn - (d_attn * attn).sum(axis=1, keepdims=True))
-            d_qp[:, sl] = _mm(d_logits, kp[:, sl]) / scale
+            d_qp[rows, sl] = _mm(d_logits, kt[sl].T) / scale
         g = _mm(d_qp, layer.wq.data.T)
     return Matrix(g)
 

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,25 +75,39 @@ def test_fkmx_file_round_trip(tmp_path):
 
 def test_fkmx_rejects_bad_streams():
     good = dump_fkmx(Matrix([[1.0, 2.0]]))
-    with pytest.raises(FkmxFormatError):
-        parse_fkmx(b"JUNK" + good[4:])
-    with pytest.raises(FkmxFormatError):
-        parse_fkmx(good[:-8])
-    with pytest.raises(FkmxFormatError):
-        parse_fkmx(good + b"\x00" * 8)
-    with pytest.raises(FkmxFormatError):
-        parse_fkmx(good[:6])
-    # header declaring an empty shape
-    import struct
-
-    empty = FKMX_MAGIC + struct.pack("<II", 0, 3)
-    with pytest.raises(FkmxFormatError):
-        parse_fkmx(empty)
+    for blob, message in [
+        (b"JUNK" + good[4:], "bad magic b'JUNK', expected b'FKMX'"),
+        (good[:-8], "FKMX payload holds 8 bytes, header implies 16"),
+        (good + b"\x00" * 8, "FKMX payload holds 24 bytes, header implies 16"),
+        (good + b"\x00" * 3, "FKMX payload holds 19 bytes, header implies 16"),
+        (good[:6], "FKMX stream shorter than its fixed header"),
+        # header declaring an empty shape
+        (FKMX_MAGIC + struct.pack("<II", 0, 3),
+         "FKMX header declares empty shape 0x3"),
+    ]:
+        with pytest.raises(FkmxFormatError) as err:
+            parse_fkmx(blob)
+        assert str(err.value) == message
     # a NaN payload fails matrix validation
     nan_blob = dump_fkmx(Matrix([[1.0]]))
     nan_blob = nan_blob[:-8] + struct.pack("<d", float("nan"))
     with pytest.raises(NotFiniteError):
         parse_fkmx(nan_blob)
+
+
+def test_parse_fkmx_copies_the_payload_once():
+    # a BEV-sized stream: the Matrix's own buffer is the one copy made, so
+    # no sliced payload sits beside it (that read peaked at two payloads)
+    blob = dump_fkmx(Matrix(np.arange(2500 * 64, dtype=np.float64).reshape(2500, 64)))
+    payload = len(blob) - 12
+    tracemalloc.start()
+    try:
+        m = parse_fkmx(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.data.tobytes() == blob[12:]
+    assert peak < 1.5 * payload
 
 
 

@@ -422,35 +422,71 @@ def test_cross_attention_shape_checks():
         CrossAttnParams(())
 
 
+def _forward_peak(q: Matrix, kv: Matrix, p: CrossAttnParams) -> int:
+    # tracemalloc's peak over one forward; numpy reports its buffers to it
+    tracemalloc.start()
+    try:
+        cross_attention(q, kv, kv, p)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("num_heads", [1, 2])
 def test_cross_attention_holds_one_attention_matrix_at_paper_scale(num_heads):
     # the BEV source at paper scale: 300 kept queries attend into 2500 keys
-    # over 2 layers. The forward keeps no per-layer cache, its softmax
-    # overwrites the logits and _mm copies no whole operand, so the peak
-    # stays near one 300x2500 matrix; numpy reports its buffers to
-    # tracemalloc
+    # over 2 layers. Live at the peak: one layer's keys and values (2.6 MB),
+    # one 3 MiB block of logits, _mm's 1 MiB of products, the queries and
+    # their mix, and with 2 heads one head's contiguous values (0.6 MB).
+    # That measured 1.21 (1 head) and 1.32 (2 heads) 300x2500 matrices;
+    # the whole logits matrix, both layers' K/V and a transposed key copy
+    # per call measured 2.33 and 2.22
     rng = np.random.default_rng(20)
     q = Matrix(rng.standard_normal((300, 64)))
     kv = Matrix(rng.standard_normal((2500, 64)))
     p = CrossAttnParams.random(64, 2, num_heads, rng)
-    tracemalloc.start()
-    try:
-        cross_attention(q, kv, kv, p)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * (300 * 2500 * 8)
+    assert _forward_peak(q, kv, p) < 1.4 * (300 * 2500 * 8)
 
 
-def _project_kv_per_layer(k, v, p):
-    # the reference: one K and one V product per layer
-    return [(_mm(k, layer.wk.data), _mm(v, layer.wv.data)) for layer in p.layers]
+def test_cross_attention_peak_grows_only_by_kv_bytes_with_more_keys():
+    # the same 300 queries into 10,000 keys: the logits blocks keep their
+    # size, so the peak may grow by the extra rows of one layer's keys and
+    # values plus one key-sized operand copy (the keys _mm transposes for
+    # the projection, or a head's contiguous values), and by nothing that
+    # grows with queries x keys. Measured: 7.8 MB of an 11.5 MB allowance
+    # (9.7 MB with 2 heads); a whole logits matrix would add 18 MB
+    rng = np.random.default_rng(21)
+    q = Matrix(rng.standard_normal((300, 64)))
+    p = CrossAttnParams.random(64, 2, 1, rng)
+    peaks = [_forward_peak(q, Matrix(rng.standard_normal((n, 64))), p)
+             for n in (2500, 10000)]
+    assert peaks[1] - peaks[0] <= 3 * (10000 - 2500) * 64 * 8
+
+
+def _project_kv_per_layer(k, v, layer):
+    # the reference: one plain K and one V product per layer, the keys
+    # transposed afterwards
+    return np.ascontiguousarray(_mm(k, layer.wk.data).T), _mm(v, layer.wv.data)
+
+
+def _count_projections(monkeypatch) -> list:
+    calls = []
+
+    def counted(k, v, layer):
+        calls.append(layer)
+        return _project_kv_per_layer(k, v, layer)
+
+    monkeypatch.setattr(numerics, "_project_kv", counted)
+    return calls
 
 
 @pytest.mark.parametrize("num_layers", [1, 2, 3])
 @pytest.mark.parametrize("num_heads", [1, 2, 4])
 def test_kv_projected_once_per_source_matches_per_layer(monkeypatch, num_layers,
                                                         num_heads):
+    # each source's keys and values are projected once per layer, one
+    # layer's at a time, with the keys already transposed: the bits of the
+    # plain per-layer products, and so of the forward and the gradient
     rng = np.random.default_rng([num_layers, num_heads])
     d = 8
     p = CrossAttnParams.random(d, num_layers, num_heads, rng)
@@ -458,27 +494,63 @@ def test_kv_projected_once_per_source_matches_per_layer(monkeypatch, num_layers,
     k = Matrix(rng.standard_normal((9, d)))
     v = Matrix(rng.standard_normal((9, d)))
     upstream = Matrix(rng.standard_normal((5, d)))
-    for (kp, vp), (kw, vw) in zip(numerics._project_kv(k.data, v.data, p),
-                                  _project_kv_per_layer(k.data, v.data, p)):
-        assert kp.tobytes() == kw.tobytes() and vp.tobytes() == vw.tobytes()
+    for layer in p.layers:
+        kt, vp = numerics._project_kv(k.data, v.data, layer)
+        kw, vw = _project_kv_per_layer(k.data, v.data, layer)
+        assert kt.shape == (d, 9) and kt.flags.c_contiguous
+        assert kt.tobytes() == kw.tobytes() and vp.tobytes() == vw.tobytes()
     got = cross_attention(q, k, v, p).data
     got_grad = cross_attention_input_grad(q, k, v, p, upstream).data
-    monkeypatch.setattr(numerics, "_project_kv", _project_kv_per_layer)
+    calls = _count_projections(monkeypatch)
     assert_same_bits(got, cross_attention(q, k, v, p).data)
+    assert calls == list(p.layers)
     assert_same_bits(got_grad, cross_attention_input_grad(q, k, v, p, upstream).data)
 
 
 def test_kv_projected_once_per_source_matches_per_layer_at_bev_width(monkeypatch):
-    # a 2500-row source whose side-by-side projection spans many panels
+    # a 2500-row source whose transposed-key projection spans many panels
     rng = np.random.default_rng(19)
     d = 64
     p = CrossAttnParams.random(d, 3, 2, rng)
     q = Matrix(rng.standard_normal((20, d)))
     k = Matrix(rng.standard_normal((2500, d)))
     v = Matrix(rng.standard_normal((2500, d)))
+    for layer in p.layers:
+        kt, vp = numerics._project_kv(k.data, v.data, layer)
+        kw, vw = _project_kv_per_layer(k.data, v.data, layer)
+        assert kt.tobytes() == kw.tobytes() and vp.tobytes() == vw.tobytes()
     got = cross_attention(q, k, v, p).data
-    monkeypatch.setattr(numerics, "_project_kv", _project_kv_per_layer)
+    calls = _count_projections(monkeypatch)
     assert_same_bits(got, cross_attention(q, k, v, p).data)
+    assert calls == list(p.layers)
+
+
+@pytest.mark.parametrize("num_heads", [1, 2, 4])
+@pytest.mark.parametrize("keys", [37, 999, 2501])
+def test_attention_bits_do_not_depend_on_the_block_size(monkeypatch, keys,
+                                                        num_heads):
+    # every step of a block is row-local, so one-row blocks, odd-sized
+    # blocks that leave a short last one, and a single block give the same
+    # forward and gradient bits; key counts are not multiples of 8, and
+    # 37, 999 and 2501 keys run 2, 1 and 3 layers
+    rows = 13
+    num_layers = 1 + keys % 3
+    rng = np.random.default_rng([keys, num_heads])
+    d = 16
+    p = CrossAttnParams.random(d, num_layers, num_heads, rng)
+    q = Matrix(rng.standard_normal((rows, d)))
+    k = Matrix(rng.standard_normal((keys, d)))
+    v = Matrix(rng.standard_normal((keys, d)))
+    upstream = Matrix(rng.standard_normal((rows, d)))
+    runs = []
+    for budget, blocks in [(1, rows), (5 * keys, 3), (rows * keys, 1)]:
+        monkeypatch.setattr(numerics, "_LOGITS_BUDGET", budget)
+        assert len(numerics._row_blocks(rows, keys)) == blocks
+        runs.append((cross_attention(q, k, v, p).data,
+                     cross_attention_input_grad(q, k, v, p, upstream).data))
+    for out, grad in runs[:-1]:
+        assert_same_bits(out, runs[-1][0])
+        assert_same_bits(grad, runs[-1][1])
 
 
 # --------------------------------------------------------------- gradients
