@@ -21,14 +21,18 @@ sidecar's wall-clock timing field).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
 import sys
 import time
+from array import array
 from dataclasses import fields
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TextIO, TypeVar
+from typing import (Callable, Iterable, Iterator, Mapping, Sequence, TextIO,
+                    TypeVar)
 
 import numpy as np
 
@@ -161,10 +165,49 @@ def _open_jsonl(path: str) -> TextIO:
         raise InputError(f"cannot read {path}: {err}") from err
 
 
-def _read_lines(path: str) -> list[str]:
-    """Every line of ``path``, read at once, for ``_in_runs``."""
-    with _open_jsonl(path) as handle:
-        return handle.readlines()
+# bytes per read when _line_starts scans a file
+_SCAN_CHUNK = 1 << 16
+
+
+def _line_starts(path: str) -> array:
+    """The byte offset of each line of ``path``, then its size: the lines
+    text-mode reading gives, each ended by ``\n``, ``\r\n`` or a lone
+    ``\r``. One pass in ``_SCAN_CHUNK``-byte reads that decodes
+    nothing."""
+    starts = array("q", [0])
+    offset = 0
+    cr_last = False  # the last chunk ended in \r
+    try:
+        with open(path, "rb") as handle:
+            while chunk := handle.read(_SCAN_CHUNK):
+                end = 0
+                if cr_last and chunk[:1] == b"\n":  # a \r\n across reads
+                    starts[-1] += 1
+                    end = 1
+                cr_last = chunk.endswith(b"\r")
+                # same length, and every line now ends after a \n
+                chunk = chunk.replace(b"\r\n", b" \n").replace(b"\r", b"\n")
+                while (end := chunk.find(b"\n", end) + 1) > 0:
+                    starts.append(offset + end)
+                offset += len(chunk)
+    except OSError as err:
+        raise InputError(f"cannot read {path}: {err}") from err
+    if starts[-1] != offset:  # the last line has no line break
+        starts.append(offset)
+    return starts
+
+
+def _range_lines(path: str, start: int, stop: int) -> TextIO:
+    """The lines of ``path`` from byte ``start`` to byte ``stop``, two of
+    its ``_line_starts``, read as ``_open_jsonl`` reads them."""
+    try:
+        with open(path, "rb") as handle:
+            handle.seek(start)
+            data = handle.read(stop - start)
+    except OSError as err:
+        raise InputError(f"cannot read {path}: {err}") from err
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                            errors="surrogateescape")
 
 
 def _invalid_records(path: str,
@@ -224,12 +267,35 @@ def _read_jsonl(path: str, decode: Callable[[dict], T]) -> list[T]:
     return values
 
 
-def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+def _write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to ``path`` as UTF-8 text as they come, all or
+    nothing: into a temp file in the same directory that replaces the
+    file ``path`` names once every chunk is written, and is removed if a
+    write fails. A ``path`` that exists and is not a regular file (a FIFO,
+    ``/dev/null``) is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+        return
+    target = os.path.realpath(path)  # through a symlink, as open() writes
+    temp = os.path.join(os.path.dirname(target),
+                        f".{os.path.basename(target)}.{os.urandom(4).hex()}.tmp")
+    replaced = False
+    try:
+        with open(temp, "x", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+        os.replace(temp, target)
+        replaced = True
+    except OSError as err:  # named by the path asked for, not the temp file
+        raise OSError(err.errno, err.strerror, path) from None
+    finally:
+        if not replaced:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
 
 
-def _jsonl(rows: Sequence[Mapping]) -> str:
-    return "".join(canonical_json(row) + "\n" for row in rows)
+def _jsonl(rows: Iterable[Mapping]) -> Iterator[str]:
+    return (canonical_json(row) + "\n" for row in rows)
 
 
 def _json_doc(doc: Mapping) -> str:
@@ -242,7 +308,7 @@ def _write_report(path: str | None, doc: dict, cfg: Config,
     ``provenance`` block: ``cfg`` and the sha256 of each input path."""
     if path:
         doc["provenance"] = provenance_block(cfg, inputs)
-        _write_text(path, _json_doc(doc))
+        _write_text(path, [_json_doc(doc)])
 
 
 def _view_inputs(paths: Sequence[str]) -> dict[str, str]:
@@ -310,7 +376,7 @@ def _config_from_args(args: argparse.Namespace) -> Config:
 
 def _emit(csv_text: str, args: argparse.Namespace) -> None:
     if getattr(args, "csv", None):
-        _write_text(args.csv, csv_text)
+        _write_text(args.csv, [csv_text])
     else:
         sys.stdout.write(csv_text)
 
@@ -319,12 +385,13 @@ def _emit(csv_text: str, args: argparse.Namespace) -> None:
 
 # Input lines per run, and so the fewest a worker gets. Measured on a 2-CPU
 # x86-64 VM: a record takes about 0.4 ms to refine, and a GT sample about
-# 0.2 ms to decode and score in eval planning; forking a 100 MB process
-# takes about 10 ms, and piping a worker's output back about 9 us per
-# refined record and under 1 us per planning sample. A refine worker with
-# this many lines spends about a tenth of its time on that overhead. Planning
-# still gains at this size: 512 GT lines took 64-69 ms in two workers,
-# against 98-108 ms in one.
+# 0.2 ms to decode and score in eval planning; forking the calling process,
+# which holds only the input's line offsets (35 MB resident at 8k records),
+# and reaping a child that exits at once takes about 1.6 ms, and piping a
+# worker's output back about 9 us per refined record and under 1 us per
+# planning sample. A refine worker with this many lines spends under a
+# twentieth of its time on that overhead. Planning still gains at this
+# size: 512 GT lines took 64-69 ms in two workers, against 98-108 ms in one.
 _MIN_LINES_PER_WORKER = 256
 
 
@@ -343,23 +410,29 @@ def _in_runs(path: str, decode: Callable[[dict], T],
     lines (``_line_runs``), in file order, and the records ``decode``
     rejected (``_decode``), indexed over the whole file.
 
-    ``path`` is read once; ``forking.run_pieces`` shares the runs between
-    forked workers by their character counts. A bad line exits 2 naming
-    its line of ``path``.
+    No process holds the whole file. This one scans it once for where
+    each line starts (``_line_starts``); each worker, this one included,
+    then reads and decodes only its runs' bytes, which ``forking.run_pieces``
+    shares out by their lengths. A bad line exits 2 naming its line of
+    ``path``. The runs cover the file's bytes end to end, each once, so
+    the sha256 that provenance takes in a read of its own is the digest
+    of exactly the bytes decoded here, as long as the file does not change
+    while the command runs (a case out of scope).
     """
-    lines = _read_lines(path)
-    runs = _line_runs(len(lines))
+    starts = _line_starts(path)
+    runs = _line_runs(len(starts) - 1)
 
     def run(i: int) -> tuple[R, list[tuple[int, dict, str]], int]:
         start, stop = runs[i]
-        values, invalid = _decode(path, decode, lines[start:stop], start + 1)
+        with _range_lines(path, starts[start], starts[stop]) as lines:
+            values, invalid = _decode(path, decode, lines, start + 1)
         return score(values), invalid, len(values) + len(invalid)
 
     scores: list[R] = []
     invalid: list[tuple[int, dict, str]] = []
     count = 0
     for run_score, run_invalid, run_count in run_pieces(
-            run, [sum(map(len, lines[start:stop])) for start, stop in runs]):
+            run, [starts[stop] - starts[start] for start, stop in runs]):
         scores.append(run_score)
         invalid += [(count + j, row, reason) for j, row, reason in run_invalid]
         count += run_count
@@ -389,7 +462,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
             image_size=args.image_size,
             quantize_decimals=args.quantize_decimals,
         )
-        return _jsonl([record_to_dict(r) for r in refined]), report
+        return "".join(_jsonl(map(record_to_dict, refined))), report
 
     def record_id(row: dict) -> str | None:
         try:
@@ -403,7 +476,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
         report.merge(run_report)
     validation_errors = [{"record_index": i, "id": record_id(row),
                           "error": reason} for i, row, reason in invalid]
-    _write_text(args.output, "".join(text for text, _ in parts))
+    _write_text(args.output, (text for text, _ in parts))
     _write_report(args.report, {"refine": report.to_dict(),
                                 "validation_errors": validation_errors},
                   cfg, {"input": args.input})
@@ -436,8 +509,8 @@ def cmd_gen_risk_qa(args: argparse.Namespace) -> int:
     scenes = _read_jsonl(args.scenes, scene_from_dict)
 
     pairs, targets, report = run_pipeline(scenes, client, cfg)
-    _write_text(args.out_qa, _jsonl([p.to_dict() for p in pairs]))
-    _write_text(args.out_grounding, _jsonl([t.to_dict() for t in targets]))
+    _write_text(args.out_qa, _jsonl(p.to_dict() for p in pairs))
+    _write_text(args.out_grounding, _jsonl(t.to_dict() for t in targets))
     _write_report(args.report, {"run": report.to_dict()}, cfg,
                   {"scenes": args.scenes})
     print(
@@ -662,7 +735,7 @@ def cmd_budget(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     report = token_budget(cfg, args.view_tokens, args.bev_tokens)
     if args.json:
-        _write_text(args.json, _json_doc(report.to_dict()))
+        _write_text(args.json, [_json_doc(report.to_dict())])
     print(
         f"budget: fused {report.fused_length} of {report.raw_length} "
         f"tokens (ratio {report.ratio:.4f})"

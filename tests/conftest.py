@@ -72,3 +72,26 @@ def _raise(real, *a, **kw):
 
 def _truncate(real, *a, **kw):
     return real(*a, **kw)[:-5]
+
+
+# ------------------------------------------- where runs of lines are cut
+# the line ends of the run-cut cases, each with and without a last one
+
+
+EDGE_EOLS = [(b"\n", True), (b"\r\n", True), (b"\r", True), (b"\n", False),
+             (b"\r\n", False), (b"\r", False)]
+EDGE_IDS = ["lf", "crlf", "cr", "lf-no-last-eol", "crlf-no-last-eol",
+            "cr-no-last-eol"]
+
+
+def edge_file(lines: list[bytes], eol: bytes, last_eol: bool) -> bytes:
+    """``lines`` ended by ``eol``, the last one only if ``last_eol``, with
+    as many spaces after the first line (up to seven) as put the file's
+    byte midpoint inside a four-byte character of a long line of them."""
+    for pad in range(8):
+        data = (eol.join([lines[0] + b" " * pad, *lines[1:]])
+                + (eol if last_eol else b""))
+        middle = data[len(data) // 2 - 3:len(data) // 2 + 4]
+        if middle[3] & 0xC0 == 0x80 and "🚗".encode() in middle:
+            return data
+    raise AssertionError("no padding puts the midpoint inside a character")

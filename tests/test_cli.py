@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import random
 
 import numpy as np
 import pytest
@@ -507,6 +509,75 @@ def test_in_runs_counts_lines_and_records_over_the_whole_file(
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     with pytest.raises(InputError, match=r"in\.jsonl:6: each line must hold"):
         cli._in_runs(str(path), decode, list)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 64])
+def test_line_starts_split_lines_as_text_mode_reading_does(
+        monkeypatch, tmp_path, chunk) -> None:
+    # \n, \r\n and a lone \r end a line, also when a read splits \r\n;
+    # U+2028, U+0085, \x0b and \x0c do not (str.splitlines would split)
+    rnd = random.Random(chunk)
+    pieces = [b"a", b"\n", b"\r", b"\r\n", "\u2028\u0085\x0b\x0c".encode(),
+              "é🚗".encode(), b"\xff"]
+    monkeypatch.setattr(cli, "_SCAN_CHUNK", chunk)
+    path = tmp_path / "in.jsonl"
+    for size in (0, 1, 2, 40, 400):
+        data = b"".join(rnd.choice(pieces) for _ in range(size))
+        path.write_bytes(data)
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+            lines = handle.readlines()
+        starts = cli._line_starts(str(path))
+        assert (starts[0], starts[-1], len(starts)) == (0, len(data),
+                                                        len(lines) + 1)
+        assert [list(cli._range_lines(str(path), a, b))
+                for a, b in zip(starts, starts[1:])] == [[x] for x in lines]
+
+
+@pytest.mark.parametrize("earlier", [b"an earlier run\n", None])
+def test_write_text_leaves_the_target_as_it_was_when_a_chunk_fails(
+        tmp_path, earlier) -> None:
+    target = tmp_path / "out.jsonl"
+    if earlier is not None:
+        target.write_bytes(earlier)
+
+    def chunks():
+        yield "first\n"
+        yield "x" * 100_000  # past the write buffer, so bytes reach the disk
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        cli._write_text(str(target), chunks())
+    assert os.listdir(tmp_path) == ([] if earlier is None else ["out.jsonl"])
+    if earlier is not None:
+        assert target.read_bytes() == earlier
+
+
+def test_unwritable_output_exits_2_naming_it(tmp_path, capsys) -> None:
+    src = tmp_path / "in.jsonl"
+    write_jsonl(src, REFINE_RECORDS)
+    out = tmp_path / "missing" / "out.jsonl"
+    assert main(["refine", "--input", str(src), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: '{out}'\n")
+    assert os.listdir(tmp_path) == ["in.jsonl"]
+
+
+def test_write_text_writes_through_a_symlink_and_into_a_fifo(tmp_path) -> None:
+    real = tmp_path / "real.txt"
+    real.write_text("old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    cli._write_text(str(link), ["new\n"])
+    assert link.is_symlink() and real.read_text() == "new\n"
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        cli._write_text(str(fifo), ["through ", "a pipe\n"])
+        assert os.read(reader, 100) == b"through a pipe\n"
+    finally:
+        os.close(reader)
+    assert sorted(os.listdir(tmp_path)) == ["fifo", "link.txt", "real.txt"]
 
 
 def test_read_jsonl_names_the_record_a_decoder_rejects(tmp_path) -> None:

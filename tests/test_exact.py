@@ -58,8 +58,6 @@ ITEM_3 = "float, known: ROADMAP item 3 takes it off libm"
 
 # (module, stripped source line) -> why the flagged arithmetic on it stays
 EXCEPTIONS = {
-    ("cli", "run, [sum(map(len, lines[start:stop])) for start, stop in runs]):"):
-        INTEGER,
     ("cli", "n = sum(len(ids) for ids, _, _ in parts)"): INTEGER,
     ("driving_eval", "n_gt = sum(map(len, images.values()))"): INTEGER,
     ("driving_eval", "gt_count=sum(map(len, gts.values())),"): INTEGER,

@@ -8,23 +8,29 @@ lines per run are patched to force either path on a small corpus.
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import random
 import threading
+import tracemalloc
 import warnings
 
 import pytest
 
 from fusionkit import cli, forking
+from fusionkit.driving_eval import planning_record_from_dict
 
 from conftest import (
+    EDGE_EOLS,
+    EDGE_IDS,
     _crash,
     _in_child,
     _raise,
     _truncate,
     assert_no_child_left,
     cpus,
+    edge_file,
 )
 
 SAMPLES = 120
@@ -130,7 +136,7 @@ def test_forked_planning_matches_serial(monkeypatch, forks, tmp_path, corpus,
                                         n_cpus):
     preds, gts = _corpus_rows(SAMPLES)
     pred, gt = corpus(preds, gts)
-    assert len(cli._line_runs(len(cli._read_lines(str(gt))))) == 6
+    assert len(cli._line_runs(len(cli._line_starts(str(gt))) - 1)) == 6
     rc, csv_text, stderr, report = _forked_matches_serial(
         monkeypatch, forks, tmp_path, pred, gt, n_cpus)
     monkeypatch.setattr(cli, "_MIN_LINES_PER_WORKER", 10**6)
@@ -246,3 +252,126 @@ def test_forked_planning_raises_no_warning(monkeypatch, forks, tmp_path,
         assert planning(pred, gt, tmp_path / "forked") == serial
     assert forks
     assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
+
+
+# ------------------------------------------------- where the runs are cut
+# twelve GT lines, patched to four per run: (0, 4), (4, 8), (8, 12). Line
+# 4, the second run's first, and line 7, its last, are blank; a long field
+# of four-byte characters holds the file's byte midpoint
+
+
+EDGE_LINES_PER_RUN = 4
+EDGE_BLANK = (4, 7)
+EDGE_RECORDS = 10
+
+
+def _edge_gt_bytes(gts: list[dict], eol: bytes, last_eol: bool,
+                   bad: tuple[int, bytes] | None = None) -> bytes:
+    """``gts`` on the twelve lines but the blank ones, as ``edge_file``
+    writes them, with line ``bad[0]`` replaced by ``bad[1]``."""
+    rows = iter(gts)
+    lines = [b"" if line in EDGE_BLANK else
+             json.dumps(next(rows), ensure_ascii=False).encode("utf-8")
+             for line in range(12)]
+    if bad is not None:
+        lines[bad[0]] = bad[1]
+    return edge_file(lines, eol, last_eol)
+
+
+def _edge_corpus(tmp_path, eol, last_eol, bad=None, invalid=()) -> tuple:
+    """Prediction and GT paths of ten samples; the GT records in
+    ``invalid`` lose their sample_id."""
+    preds, gts = _corpus_rows(EDGE_RECORDS)
+    gts[4]["note"] = " 🚗" * 400  # on line 5
+    for i in invalid:
+        gts[i]["sample_id"] = [i]
+    pred, gt = tmp_path / "edge_pred.jsonl", tmp_path / "edge_gt.jsonl"
+    pred.write_bytes(_jsonl_bytes(preds))
+    gt.write_bytes(_edge_gt_bytes(gts, eol, last_eol, bad))
+    return pred, gt
+
+
+def _edge_plannings(monkeypatch, tmp_path, pred, gt) -> tuple:
+    """One serial, one forked and one single-run planning eval of ``gt``,
+    which must agree; the serial result."""
+    monkeypatch.setattr(cli, "_MIN_LINES_PER_WORKER", EDGE_LINES_PER_RUN)
+    serial = serial_planning(pred, gt, tmp_path / "serial")
+    cpus(monkeypatch, 2)
+    assert planning(pred, gt, tmp_path / "forked") == serial
+    monkeypatch.setattr(cli, "_MIN_LINES_PER_WORKER", 10**6)
+    assert planning(pred, gt, tmp_path / "one-run") == serial
+    assert_no_child_left()
+    return serial
+
+
+@pytest.mark.parametrize("eol, last_eol", EDGE_EOLS, ids=EDGE_IDS)
+def test_run_cuts_keep_every_sample(monkeypatch, forks, tmp_path, eol,
+                                    last_eol):
+    pred, gt = _edge_corpus(tmp_path, eol, last_eol)
+    rc, csv_text, stderr, report = _edge_plannings(monkeypatch, tmp_path,
+                                                   pred, gt)
+    assert forks
+    assert (rc, stderr) == (0, "")
+    assert json.loads(report)["sample_count"] == EDGE_RECORDS
+    reference = tmp_path / "reference_gt.jsonl"
+    _, gts = _corpus_rows(EDGE_RECORDS)
+    reference.write_bytes(_jsonl_bytes(gts))
+    assert planning(pred, reference, tmp_path / "reference")[:2] == (
+        rc, csv_text)
+
+
+@pytest.mark.parametrize("eol, last_eol", EDGE_EOLS, ids=EDGE_IDS)
+def test_run_cuts_keep_record_indices(monkeypatch, forks, tmp_path, eol,
+                                      last_eol):
+    # 0-based GT lines 1, 6 and 10
+    pred, gt = _edge_corpus(tmp_path, eol, last_eol, invalid=(1, 5, 8))
+    rc, _, stderr, report = _edge_plannings(monkeypatch, tmp_path, pred, gt)
+    assert (rc, report) == (3, None)
+    assert stderr == "".join(
+        f"{'validation error: ' if i == 1 else ''}{gt} record {i}: "
+        f"sample_id must be a string or an integer, got [{i}]\n"
+        for i in (1, 5, 8))
+
+
+@pytest.mark.parametrize("eol, last_eol", EDGE_EOLS, ids=EDGE_IDS)
+@pytest.mark.parametrize("line, bad, message", [
+    (9, b'{"sample_id": "x", "trajectory": [', "not valid JSON: "),
+    (11, b'\xff\xfe{"sample_id": "x"}', "not valid UTF-8\n"),
+], ids=["not-json-in-the-last-run", "not-utf8-on-the-last-line"])
+def test_run_cuts_keep_line_numbers(monkeypatch, forks, tmp_path, eol,
+                                    last_eol, line, bad, message):
+    pred, gt = _edge_corpus(tmp_path, eol, last_eol, (line, bad))
+    rc, _, stderr, _ = _edge_plannings(monkeypatch, tmp_path, pred, gt)
+    assert rc == 2
+    assert stderr.startswith(f"error: {gt}:{line + 1}: {message}")
+
+
+# ---------------------------------------------- memory against input size
+
+
+def _in_runs_peak(path) -> int:
+    # tracemalloc's peak over decoding and counting every run of the file
+    gc.collect()  # so that no earlier garbage or collector state moves it
+    tracemalloc.start()
+    try:
+        cli._in_runs(str(path), planning_record_from_dict, len)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_in_runs_peak_does_not_grow_with_the_file(monkeypatch, tmp_path):
+    # on one CPU, a GT file of N = 1024 lines (1.1 MB, 4 runs) and one of
+    # 4N. Held at the peak: one scan read, the lines' offsets (8 bytes
+    # each) and one run's bytes, lines and records, so 4N may cost at most
+    # half as much again as N. Measured: 1.07 times; holding every line of
+    # the file, as before, measured 3.0 times
+    cpus(monkeypatch, 1)
+    peaks = []
+    for samples in (1024, 4 * 1024):
+        _, gts = _corpus_rows(samples)
+        path = tmp_path / f"gt_{samples}.jsonl"
+        path.write_bytes(b"".join(json.dumps(row).encode() + b"\n"
+                                  for row in gts))
+        peaks.append(_in_runs_peak(path))
+    assert peaks[1] < 1.5 * peaks[0]

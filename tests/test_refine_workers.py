@@ -8,11 +8,13 @@ small inputs the lines per run, are patched to force either path.
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
 import random
 import threading
+import tracemalloc
 import warnings
 
 import pytest
@@ -21,12 +23,15 @@ from fusionkit import cli, forking
 from fusionkit.refinery import RefineReport
 
 from conftest import (
+    EDGE_EOLS,
+    EDGE_IDS,
     _crash,
     _in_child,
     _raise,
     _truncate,
     assert_no_child_left,
     cpus,
+    edge_file,
 )
 
 RECORDS = 2400
@@ -119,8 +124,7 @@ def test_corpus_is_what_the_tests_need(corpus):
 def test_forked_refine_matches_serial(monkeypatch, forks, tmp_path, corpus,
                                       n_cpus):
     path, invalid, serial = corpus
-    lines = cli._read_lines(str(path))
-    runs = cli._line_runs(len(lines))
+    runs = cli._line_runs(len(cli._line_starts(str(path))) - 1)
     assert len(runs) == 9
     for start, stop in runs:  # each run holds invalid records
         assert any(start < line <= stop for line in invalid)
@@ -229,6 +233,132 @@ def test_forked_refine_raises_no_warning(monkeypatch, forks, tmp_path, small):
         assert refine(path, tmp_path / "forked") == serial
     assert forks
     assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
+
+
+# ------------------------------------------------- where the runs are cut
+# twelve lines, patched to four per run: (0, 4), (4, 8), (8, 12). Line 4,
+# the second run's first, and line 7, its last, are blank; a long line of
+# four-byte characters holds the file's byte midpoint
+
+
+EDGE_LINES_PER_RUN = 4
+EDGE_INVALID = (1, 6, 10)  # 0-based lines; records 1, 5 and 8
+EDGE_BLANK = (4, 7)
+
+
+def _edge_rows() -> list[dict | None]:
+    rnd = random.Random(5)
+    rows: list[dict | None] = []
+    for line in range(12):
+        if line in EDGE_BLANK:
+            rows.append(None)
+        elif line in EDGE_INVALID:
+            rows.append({"id": [line], "conversation": [
+                {"role": "human", "value": "Hi"}]})
+        else:
+            row = _record(rnd, line + 1)
+            if line == 5:
+                row["conversation"][0]["value"] += " 🚗" * 150
+            rows.append(row)
+    return rows
+
+
+def _edge_bytes(eol: bytes, last_eol: bool,
+                bad: tuple[int, bytes] | None = None) -> bytes:
+    """The twelve lines as ``edge_file`` writes them, with line ``bad[0]``
+    replaced by ``bad[1]``."""
+    lines = [b"" if row is None else
+             json.dumps(row, ensure_ascii=False).encode("utf-8")
+             for row in _edge_rows()]
+    if bad is not None:
+        lines[bad[0]] = bad[1]
+    return edge_file(lines, eol, last_eol)
+
+
+def _edge_refines(monkeypatch, tmp_path, data: bytes) -> tuple:
+    """One serial, one forked and one single-run refine of ``data``, which
+    must agree; the path and the serial result."""
+    path = tmp_path / "edge.jsonl"
+    path.write_bytes(data)
+    monkeypatch.setattr(cli, "_MIN_LINES_PER_WORKER", EDGE_LINES_PER_RUN)
+    serial = serial_refine(path, tmp_path / "serial")
+    cpus(monkeypatch, 2)
+    assert refine(path, tmp_path / "forked") == serial
+    monkeypatch.setattr(cli, "_MIN_LINES_PER_WORKER", 10**6)
+    assert refine(path, tmp_path / "one-run") == serial
+    assert_no_child_left()
+    return path, serial
+
+
+@pytest.mark.parametrize("eol, last_eol", EDGE_EOLS, ids=EDGE_IDS)
+def test_run_cuts_keep_records_and_their_indices(monkeypatch, forks,
+                                                 tmp_path, eol, last_eol):
+    _, (rc, stdout, stderr, refined, report) = _edge_refines(
+        monkeypatch, tmp_path, _edge_bytes(eol, last_eol))
+    assert forks
+    assert (rc, stderr) == (3, "")
+    assert stdout.endswith(" 3 invalid of 10 records\n")
+    rows = _edge_rows()
+    kept = [json.loads(line)["id"] for line in refined.decode().splitlines()]
+    assert kept == [row["id"] for row in rows
+                    if row is not None and isinstance(row["id"], str)]
+    assert r"\ud83d\ude97" in refined.decode()  # the long line's record
+    assert [(e["record_index"], e["id"])
+            for e in json.loads(report)["validation_errors"]] == [
+        (1, None), (5, None), (8, None)]
+
+
+@pytest.mark.parametrize("eol, last_eol", EDGE_EOLS, ids=EDGE_IDS)
+@pytest.mark.parametrize("line, bad, message", [
+    (9, b'{"id": "x", "conversation": [', "not valid JSON: "),
+    (11, b'\xff\xfe{"id": "x"}', "not valid UTF-8\n"),
+], ids=["not-json-in-the-last-run", "not-utf8-on-the-last-line"])
+def test_run_cuts_keep_line_numbers(monkeypatch, forks, tmp_path, eol,
+                                    last_eol, line, bad, message):
+    path, (rc, _, stderr, refined, _) = _edge_refines(
+        monkeypatch, tmp_path, _edge_bytes(eol, last_eol, (line, bad)))
+    assert (rc, refined) == (2, None)
+    assert stderr.startswith(f"error: {path}:{line + 1}: {message}")
+
+
+# ---------------------------------------------- memory against input size
+
+
+def _refine_peak(path, out_dir) -> tuple[int, int]:
+    """tracemalloc's peak over one refine of ``path``, and the size of the
+    refined.jsonl it wrote."""
+    out_dir.mkdir()
+    gc.collect()  # so that no earlier garbage or collector state moves it
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["refine", "--input", str(path),
+                             "--output", str(out_dir / "refined.jsonl"),
+                             "--report", str(out_dir / "refine.json"),
+                             "--image-size", "1600x900"]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, (out_dir / "refined.jsonl").stat().st_size
+
+
+def test_refine_peak_grows_by_less_than_its_output(monkeypatch, tmp_path):
+    # on one CPU, from N = 1200 to 4N records. Held at the peak: the input's
+    # line offsets, one run's bytes and records, every run's refined text
+    # (the output once) and the writer's buffer, so the peak may grow by
+    # the output's growth and half as much again, never by a second copy.
+    # Measured: 1.00 times the output's growth (1.31 from 600 to 2400,
+    # where the tuples the interpreter keeps for reuse still add up);
+    # holding the whole input, the joined output and its encoded copy, as
+    # before, measured 2.2 times
+    cpus(monkeypatch, 1)
+    measured = []
+    for records in (1200, 4800):
+        path = tmp_path / f"records_{records}.jsonl"
+        path.write_bytes(_corpus_bytes(records)[0])
+        measured.append(_refine_peak(path, tmp_path / f"out_{records}"))
+    (peak_n, out_n), (peak_4n, out_4n) = measured
+    assert peak_4n - peak_n < 1.5 * (out_4n - out_n)
 
 
 # ------------------------------------------------------------- the pieces
