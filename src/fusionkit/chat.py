@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Protocol
 
-from .jsontypes import canonical_json, field_dict, require_str
+from .jsontypes import canonical_json, field_dict, json_object, require_str
 
 __all__ = [
     "ChatRequest",
@@ -201,10 +201,10 @@ class HttpChatClient:
             if status == 429 or 500 <= status <= 599:
                 raise TransientChatError(message, retry_after)
             raise ChatError(message)
+        payload = json_object(raw, "malformed chat response", ChatError)
         try:
-            payload = json.loads(raw)
             content = payload["choices"][0]["message"]["content"]
-        except (ValueError, LookupError, TypeError) as err:
+        except (LookupError, TypeError) as err:
             raise ChatError(f"malformed chat response: {err}") from err
         if not isinstance(content, str):
             raise ChatError(f"malformed chat response: content is "

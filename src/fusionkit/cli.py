@@ -78,7 +78,8 @@ from .interactor import (
     fuse,
     token_budget,
 )
-from .jsontypes import NAMED_OFFENDERS, canonical_json, field_dict, require_id
+from .jsontypes import (NAMED_OFFENDERS, canonical_json, field_dict,
+                        json_object, require_id)
 from .masking import (
     MaskExperimentConfig,
     MaskSpec,
@@ -243,12 +244,7 @@ def _decode(path: str, decode: Callable[[dict], T], lines: Iterable[str],
             line.encode("utf-8")
         except UnicodeEncodeError:
             raise InputError(f"{path}:{lineno}: not valid UTF-8") from None
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise InputError(f"{path}:{lineno}: not valid JSON: {err}") from err
-        if not isinstance(row, dict):
-            raise InputError(f"{path}:{lineno}: each line must hold an object")
+        row = json_object(line, f"{path}:{lineno}", InputError)
         try:
             values.append(decode(row))
         except ValueError as err:
@@ -703,12 +699,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 def cmd_mask_exp(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     view_mats = [_load_matrix(p) for p in args.views]
-    try:
-        candidates = json.loads(_read_text(args.candidates))
-    except json.JSONDecodeError as err:
-        raise InputError(f"{args.candidates}: not valid JSON: {err}") from err
-    if not isinstance(candidates, dict):
-        raise InputError(f"{args.candidates}: wants {{view: [indices]}}")
+    candidates = json_object(_read_text(args.candidates), args.candidates, InputError)
 
     features = ViewFeatureSet(views=tuple(view_mats))
     # dry-run at rate 0: rejects bad view names / indices up front

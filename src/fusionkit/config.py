@@ -14,7 +14,6 @@ traceable to exactly what produced it.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping
@@ -23,7 +22,7 @@ from . import __version__
 from .driving_eval import AP_INTERPOLATIONS, L2_MODES, ORA_GATING_MODES
 from .interactor import SELECTION_RULES, SelectionConfig
 from .jsontypes import (canonical_json, check_fields, check_rules, field_dict,
-                        one_of)
+                        json_object, one_of)
 from .refinery import DATASET_SOURCES
 from .risk_qa import PIPELINE_RULES, PipelineConfig
 
@@ -136,12 +135,7 @@ def load_config(path: str | Path | None, **flags) -> Config:
             raise ConfigError(f"cannot read config file: {err}") from err
         except UnicodeDecodeError:
             raise ConfigError(f"{path}: not valid UTF-8") from None
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config file is not valid JSON: {err}") from err
-        if not isinstance(data, dict):
-            raise ConfigError("config file must hold a JSON object")
+        data = json_object(raw, str(path), ConfigError)
     data = {**data, **{k: v for k, v in flags.items() if v is not None}}
     unknown = sorted(set(data) - {f.name for f in fields(Config)})
     if unknown:

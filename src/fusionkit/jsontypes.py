@@ -1,11 +1,11 @@
-"""Which JSON type each input value may hold, decided in one place: record
+"""Which JSON type each input value may hold, decided in one place: text
+that must hold one JSON object is parsed by ``json_object``, record
 decoders take their keys through the ``require*`` helpers, and frozen
 configs check every field by its annotation with ``check_fields`` and its
-range by a table of rules with ``check_rules``. Rows
-and reports go out as ``field_dict``: their dataclass fields by name; rows
-and hashes are spelled in ``canonical_json``. An error message about
-many offending records or ids names the first ``NAMED_OFFENDERS`` and
-counts the rest."""
+range by a table of rules with ``check_rules``. Rows and reports go out as
+``field_dict``: their dataclass fields by name; rows and hashes are
+spelled in ``canonical_json``. An error message about many offending
+records or ids names the first ``NAMED_OFFENDERS`` and counts the rest."""
 
 from __future__ import annotations
 
@@ -15,11 +15,26 @@ from dataclasses import fields
 from typing import Mapping, Sequence
 
 __all__ = ["NAMED_OFFENDERS", "canonical_json", "check_fields", "check_rules",
-           "field_dict", "is_integral", "one_of", "require", "require_bool",
-           "require_float", "require_id", "require_numbers", "require_str"]
+           "field_dict", "is_integral", "json_object", "one_of", "require",
+           "require_bool", "require_float", "require_id", "require_numbers",
+           "require_str"]
 
 # the offending records or ids one error message names; it counts the rest
 NAMED_OFFENDERS = 21
+
+
+def json_object(text: str | bytes, where: str,
+                error: type[Exception] = ValueError) -> dict:
+    """The JSON object ``text`` holds, else ``error`` named by ``where``:
+    nesting past the parser's depth limit and integers over Python's 4,300
+    digits are not valid JSON, just as a syntax error is not."""
+    try:
+        value = json.loads(text)
+    except (ValueError, RecursionError) as err:
+        raise error(f"{where}: not valid JSON: {err}") from err
+    if not isinstance(value, dict):
+        raise error(f"{where}: must hold a JSON object")
+    return value
 
 
 def require(d: Mapping, key: str):

@@ -333,7 +333,7 @@ def _extract_json(text: str, opener: str, path: str):
         raise RiskSchemaError(f"no JSON {opener!r} found in response", path)
     try:
         value, _ = json.JSONDecoder().raw_decode(cleaned[start:])
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
         raise RiskSchemaError(f"undecodable JSON: {err}", path) from err
     return value
 

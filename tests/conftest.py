@@ -95,3 +95,21 @@ def edge_file(lines: list[bytes], eol: bytes, last_eol: bool) -> bytes:
         if middle[3] & 0xC0 == 0x80 and "🚗".encode() in middle:
             return data
     raise AssertionError("no padding puts the midpoint inside a character")
+
+
+# ------------------------------------------- JSON past the parser's limits
+# Two JSON objects whose syntax is fine but which the parser rejects: one
+# nested past its depth limit (a RecursionError) and one holding an
+# integer over Python's 4,300-digit limit (a plain ValueError). Each opens
+# with a string of more bytes of 🚗 than the rest, so that an edge_file
+# holding one still has its byte midpoint inside a four-byte character.
+
+
+def _after_a_long_note(value: bytes) -> bytes:
+    note = "🚗".encode() * (len(value) // 4 + 100)
+    return b'{"note": "' + note + b'", "n": ' + value + b"}"
+
+
+PAST_PARSER_LIMITS = [_after_a_long_note(b"[" * 100_000 + b"]" * 100_000),
+                      _after_a_long_note(b"1" * 5_000)]
+PAST_PARSER_LIMITS_IDS = ["nested-100000-deep", "5000-digit-integer"]

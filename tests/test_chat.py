@@ -135,6 +135,8 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if self.path == "/junk":
             payload = b'{"unexpected": true}'
+        elif self.path == "/deep":  # nested past the parser's depth limit
+            payload = b'{"choices": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
         elif self.path in ("/null", "/list"):
             content = None if self.path == "/null" else [{"text": "pong"}]
             payload = json.dumps(
@@ -193,7 +195,7 @@ def test_http_client_surfaces_status_and_shape_errors(http_server):
     boom = HttpChatClient(endpoint=f"{http_server}/boom")
     with pytest.raises(ChatError, match="HTTP 500"):
         boom.complete(_request())
-    for path in ("junk", "null", "list"):
+    for path in ("junk", "null", "list", "deep"):
         shapeless = HttpChatClient(endpoint=f"{http_server}/{path}")
         with pytest.raises(ChatError, match="malformed"):
             shapeless.complete(_request())

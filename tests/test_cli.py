@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from fusionkit.interactor import (
 from fusionkit.matrix import Matrix, load_fkmx, save_fkmx
 from fusionkit.risk_qa import PipelineConfig
 
+from conftest import PAST_PARSER_LIMITS, PAST_PARSER_LIMITS_IDS
 from test_driving_eval import _ora_fixture, ora_sample_to_dict
 from test_risk_qa import (
     EXPECTED_CATEGORIES,
@@ -507,7 +509,7 @@ def test_in_runs_counts_lines_and_records_over_the_whole_file(
                        (5, {"a": -6}, "a is -6")]
     rows[5] = "[5]"
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    with pytest.raises(InputError, match=r"in\.jsonl:6: each line must hold"):
+    with pytest.raises(InputError, match=r"in\.jsonl:6: must hold a JSON object"):
         cli._in_runs(str(path), decode, list)
 
 
@@ -593,7 +595,7 @@ def test_read_jsonl_names_the_record_a_decoder_rejects(tmp_path) -> None:
     # blank lines are not records: the third record sits on line 4
     assert str(err.value) == f"{path} record 2: a must be nonnegative"
     path.write_text('{"a": 1}\n[2]\n', encoding="utf-8")
-    with pytest.raises(InputError, match=r"in\.jsonl:2: each line must hold"):
+    with pytest.raises(InputError, match=r"in\.jsonl:2: must hold a JSON object"):
         _read_jsonl(str(path), decode)
 
 
@@ -986,6 +988,47 @@ def test_wrong_typed_json_exit_3(tmp_path, capsys, command, record, gt) -> None:
         assert "view 'front'" in err and f" {gt} " in err
     else:
         assert "record 0: " in err
+
+
+# every option that reads JSON text: a JSONL file or one JSON object
+JSON_INPUTS = [("refine", "--input"), ("gen-risk-qa", "--scenes"),
+               *[(kind, flag) for kind in ("caption", "grounding", "planning", "ora")
+                 for flag in ("--pred", "--gt")],
+               ("budget", "--config"), ("mask-exp", "--candidates")]
+
+
+@pytest.mark.parametrize("bad", PAST_PARSER_LIMITS, ids=PAST_PARSER_LIMITS_IDS)
+@pytest.mark.parametrize("command, option", JSON_INPUTS,
+                         ids=[" ".join(pair) for pair in JSON_INPUTS])
+def test_json_past_the_parser_limits_exits_2(tmp_path, capsys, command, option,
+                                             bad) -> None:
+    if command == "caption":
+        pred, gt = tmp_path / "pred.jsonl", tmp_path / "gt.jsonl"
+        write_jsonl(pred, [{"id": "a", "caption": "a car"}])
+        write_jsonl(gt, [{"id": "a", "references": ["a car"]}])
+        argv = ["eval", "caption", "--pred", str(pred), "--gt", str(gt)]
+    elif command == "budget":
+        argv = ["budget", "--view-tokens", "5", "--bev-tokens", "5",
+                "--config", str(tmp_path / "cfg.json")]
+    elif command == "mask-exp":
+        views, _, _ = _demo_inputs(tmp_path)
+        argv = ["mask-exp", "--views", *views, "--candidates",
+                str(tmp_path / "cand.json"), "--csv", str(tmp_path / "m.csv")]
+    else:
+        argv = _command_with_report(tmp_path, command)[0]
+    path = Path(argv[argv.index(option) + 1])
+    if command in ("budget", "mask-exp"):
+        where, data = path, bad
+    else:  # a line after the file's valid records
+        data = path.read_bytes()
+        lineno = data.count(b"\n") + 1
+        where, data = f"{path}:{lineno}", data + bad + b"\n"
+    path.write_bytes(data)
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {where}: not valid JSON: ")
+    assert "Traceback" not in err
 
 
 # --------------------------------------------------------- interactor-demo

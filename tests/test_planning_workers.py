@@ -24,6 +24,8 @@ from fusionkit.driving_eval import planning_record_from_dict
 from conftest import (
     EDGE_EOLS,
     EDGE_IDS,
+    PAST_PARSER_LIMITS,
+    PAST_PARSER_LIMITS_IDS,
     _crash,
     _in_child,
     _raise,
@@ -164,7 +166,8 @@ def test_bad_gt_record_in_a_later_run_names_its_record(monkeypatch, forks,
 @pytest.mark.parametrize("bad, message", [
     (b'{"sample_id": "x", "trajectory": [', "not valid JSON: "),
     (b'\xff\xfe{"sample_id": "x"}', "not valid UTF-8\n"),
-], ids=["not-json", "not-utf8"])
+    *[(bad, "not valid JSON: ") for bad in PAST_PARSER_LIMITS],
+], ids=["not-json", "not-utf8", *PAST_PARSER_LIMITS_IDS])
 def test_bad_gt_line_in_a_later_run_exits_2_naming_its_line(
         monkeypatch, forks, tmp_path, corpus, bad, message):
     preds, gts = _corpus_rows(SAMPLES)
@@ -337,7 +340,9 @@ def test_run_cuts_keep_record_indices(monkeypatch, forks, tmp_path, eol,
 @pytest.mark.parametrize("line, bad, message", [
     (9, b'{"sample_id": "x", "trajectory": [', "not valid JSON: "),
     (11, b'\xff\xfe{"sample_id": "x"}', "not valid UTF-8\n"),
-], ids=["not-json-in-the-last-run", "not-utf8-on-the-last-line"])
+    *[(9, bad, "not valid JSON: ") for bad in PAST_PARSER_LIMITS],
+], ids=["not-json-in-the-last-run", "not-utf8-on-the-last-line",
+        *PAST_PARSER_LIMITS_IDS])
 def test_run_cuts_keep_line_numbers(monkeypatch, forks, tmp_path, eol,
                                     last_eol, line, bad, message):
     pred, gt = _edge_corpus(tmp_path, eol, last_eol, (line, bad))

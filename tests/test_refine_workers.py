@@ -25,6 +25,8 @@ from fusionkit.refinery import RefineReport
 from conftest import (
     EDGE_EOLS,
     EDGE_IDS,
+    PAST_PARSER_LIMITS,
+    PAST_PARSER_LIMITS_IDS,
     _crash,
     _in_child,
     _raise,
@@ -137,7 +139,8 @@ def test_forked_refine_matches_serial(monkeypatch, forks, tmp_path, corpus,
 @pytest.mark.parametrize("bad, message", [
     (b'{"id": "x", "conversation": [', "not valid JSON: "),
     (b'\xff\xfe{"id": "x"}', "not valid UTF-8\n"),
-], ids=["not-json", "not-utf8"])
+    *[(bad, "not valid JSON: ") for bad in PAST_PARSER_LIMITS],
+], ids=["not-json", "not-utf8", *PAST_PARSER_LIMITS_IDS])
 def test_bad_line_in_the_last_run_exits_2_naming_its_line(
         monkeypatch, forks, tmp_path, corpus, bad, message):
     path, _, _ = corpus
@@ -312,7 +315,9 @@ def test_run_cuts_keep_records_and_their_indices(monkeypatch, forks,
 @pytest.mark.parametrize("line, bad, message", [
     (9, b'{"id": "x", "conversation": [', "not valid JSON: "),
     (11, b'\xff\xfe{"id": "x"}', "not valid UTF-8\n"),
-], ids=["not-json-in-the-last-run", "not-utf8-on-the-last-line"])
+    *[(9, bad, "not valid JSON: ") for bad in PAST_PARSER_LIMITS],
+], ids=["not-json-in-the-last-run", "not-utf8-on-the-last-line",
+        *PAST_PARSER_LIMITS_IDS])
 def test_run_cuts_keep_line_numbers(monkeypatch, forks, tmp_path, eol,
                                     last_eol, line, bad, message):
     path, (rc, _, stderr, refined, _) = _edge_refines(

@@ -553,6 +553,34 @@ def test_pipeline_failure_is_contained(tmp_path):
     assert all(p.scene_id == "scene-0001" for p in pairs)
 
 
+class _DeepFor:
+    """Replies from ``replay``, except that every request about ``scene``
+    gets an object nested past the parser's depth limit."""
+
+    def __init__(self, replay: ReplayChatClient, scene: Scene) -> None:
+        self.replay, self.prompt = replay, build_risk_prompt(scene.objects)
+
+    def complete(self, request: ChatRequest) -> str:
+        if request.messages[0]["content"] == self.prompt:
+            return '{"objects": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        return self.replay.complete(request)
+
+
+def test_reply_past_the_parsers_depth_fails_only_its_scene(tmp_path):
+    cfg = PipelineConfig()
+    deep = Scene("deep", (SceneObject("car", "ahead", 10),))
+    good = seven_car_scene()
+    _seed_replay(tmp_path, cfg, good, RISK_RESPONSE_FIXTURE, QA_RESPONSE_FIXTURE)
+    replay = ReplayChatClient(tmp_path)
+    alone = run_pipeline([good], replay, cfg)
+
+    pairs, targets, report = run_pipeline([deep, good], _DeepFor(replay, deep), cfg)
+    assert report.scenes_failed == ["deep"]
+    assert "undecodable JSON" in report.failures["deep"]
+    assert report.retries == cfg.retries
+    assert (pairs, targets) == alone[:2] and pairs
+
+
 class _AlwaysMalformed:
     def __init__(self) -> None:
         self.requests: list[ChatRequest] = []
